@@ -553,7 +553,10 @@ def dsir_weights(sf_dir: str) -> ray.data.Dataset:
 
     def partials(t: pa.Table) -> pa.Table:
         buckets, parent = _dsir_features(t)
-        tgt_doc = pc.equal(t["lang"], DSIR_TARGET_LANG).to_numpy(zero_copy_only=False)
+        # NULL lang is not the target (SQL: NULL = 'x' is not true)
+        tgt_doc = (
+            pc.equal(t["lang"], DSIR_TARGET_LANG).fill_null(False).to_numpy(zero_copy_only=False)
+        )
         cr = np.bincount(buckets, minlength=m)
         ct = np.bincount(buckets[tgt_doc[parent]], minlength=m)
         nz = np.nonzero(cr)[0]
@@ -647,7 +650,8 @@ def lm_perplexity_docs(sf_dir: str) -> ray.data.Dataset:
 
     def partials(t: pa.Table) -> pa.Table:
         uni_b, parent, ctx_b, pair_b, bparent = _lm_buckets(t)
-        train = pc.equal(t["lang"], LM_TRAIN_LANG).to_numpy(zero_copy_only=False)
+        # NULL lang is not training text (SQL: NULL = 'x' is not true)
+        train = pc.equal(t["lang"], LM_TRAIN_LANG).fill_null(False).to_numpy(zero_copy_only=False)
         c_ctx = np.bincount(uni_b[train[parent]], minlength=m)
         c_pair = np.bincount(pair_b[train[bparent]], minlength=m)
         nz = np.nonzero(c_ctx + c_pair)[0]

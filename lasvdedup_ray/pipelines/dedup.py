@@ -316,31 +316,24 @@ def dedup_pipeline(
     return classify_clusters(clustered, config)
 
 
-GROUP_KEY_PARTITIONS = 64
-
-
 def group_key_edges(ids_ds: ray.data.Dataset, pattern: str) -> ray.data.Dataset:
     """Star-topology zero-distance edges linking all ids that share a
     regex-extracted group key (the reference's per-sample grouping,
     ``sequence_grouping.py:29-37``).  One hash-partition shuffle on the
     key; within-partition star emission is vectorized (min id per key ->
     every other member)."""
-    import zlib
-
     import numpy as np
 
     from ..functions.text import extract_group_key
+    from ..stages.exchange import exchange_partitions, hash_exchange, string_pkey
     from ..stages.lsh import PAIR_SCHEMA
+
+    num_partitions = exchange_partitions()
 
     def keyed(t: pa.Table) -> pa.Table:
         keys = extract_group_key(t["id"], pattern)
         out = pa.table({"id": t["id"], "gkey": keys}).filter(pc.is_valid(keys))
-        pk = np.fromiter(
-            (zlib.crc32(k.encode()) % GROUP_KEY_PARTITIONS for k in out["gkey"].to_pylist()),
-            dtype=np.int32,
-            count=out.num_rows,
-        )
-        return out.append_column("pkey", pa.array(pk, pa.int32()))
+        return out.append_column("pkey", string_pkey(out["gkey"], num_partitions))
 
     def star_edges(g: pa.Table) -> pa.Table:
         if g.num_rows == 0 or "gkey" not in g.column_names:
@@ -365,15 +358,12 @@ def group_key_edges(ids_ds: ray.data.Dataset, pattern: str) -> ray.data.Dataset:
             schema=PAIR_SCHEMA,
         )
 
-    from ..stages.exchange import hash_exchange
-    from ..stages.lsh import PAIR_SCHEMA as _PS
-
     return hash_exchange(
         ids_ds.map_batches(keyed, batch_format="pyarrow"),
         "pkey",
-        GROUP_KEY_PARTITIONS,
+        num_partitions,
         star_edges,
-        empty_schema=_PS,
+        empty_schema=PAIR_SCHEMA,
     )
 
 

@@ -369,33 +369,20 @@ def make_partition_classifier(config: PipelineConfig):
     return classify_partition
 
 
-CLASSIFY_PARTITIONS = 64
-
-
 def classify_clusters(
     clustered: ray.data.Dataset, config: Optional[PipelineConfig] = None
 ) -> ray.data.Dataset:
     """Hash-partition shuffle on cluster_id + per-partition decision tree."""
-    import pandas as _pd
+    from .exchange import exchange_partitions, hash_exchange, string_pkey
 
     config = config or PipelineConfig()
-    # ~4 partitions per CPU so a partition holding a mega-cluster doesn't
-    # become the straggler of a single wave
-    try:
-        import ray as _ray
-
-        n_parts = max(CLASSIFY_PARTITIONS, 4 * int(_ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        n_parts = CLASSIFY_PARTITIONS
+    # exchange_partitions(): 4 per CPU, so a partition holding a
+    # mega-cluster doesn't become the straggler of a single wave
+    n_parts = exchange_partitions()
 
     def add_pkey(t: pa.Table) -> pa.Table:
-        # any pure function of cluster_id co-locates whole clusters;
-        # vectorized 64-bit string hash instead of a per-row crc32 loop
-        keys = np.asarray(t["cluster_id"].to_pylist(), dtype=object)
-        pk = (_pd.util.hash_array(keys, categorize=False) % n_parts).astype(np.int32)
-        return t.append_column("pkey", pa.array(pk, pa.int32()))
-
-    from .exchange import hash_exchange
+        # any pure function of cluster_id co-locates whole clusters
+        return t.append_column("pkey", string_pkey(t["cluster_id"], n_parts))
 
     # pkey is a hash residue in [0, n_parts): the raw-Ray hash exchange
     # (stages/exchange.py) co-locates clusters without the sort barrier's

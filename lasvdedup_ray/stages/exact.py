@@ -8,7 +8,7 @@ biggest saving in the pipeline.  The rep choice here is min(id): any member
 works because identical content ⇒ identical signature; final ranking
 happens in the classification stage over the whole cluster.
 
-Execution shape: rows are hash-partitioned on ``pkey = crc32(sha_hex) % P``
+Execution shape: rows are hash-partitioned on ``pkey = hash(sha_hex) % P``
 and each partition is processed as ONE vectorized call (sort by (sha, id),
 first-occurrence mask) — a per-sha ``groupby().map_groups`` would cost one
 Python call per distinct content hash.
@@ -25,17 +25,23 @@ import ray.data
 
 from .lsh import PAIR_SCHEMA
 
-NUM_PARTITIONS = 64
 
+def _sha_exchange(ds: ray.data.Dataset, reduce_fn) -> ray.data.Dataset:
+    """Hash exchange on ``sha_hex``: every row of one sha reaches one
+    ``reduce_fn`` call."""
+    from .exchange import exchange_partitions, hash_exchange, string_pkey
 
-def _add_pkey(t: pa.Table) -> pa.Table:
-    # any pure function of sha_hex co-locates each sha's rows; vectorized
-    # 64-bit hash instead of a per-row crc32 loop
-    import pandas as _pd
+    num_partitions = exchange_partitions()
 
-    keys = np.asarray(t["sha_hex"].to_pylist(), dtype=object)
-    pk = (_pd.util.hash_array(keys, categorize=False) % NUM_PARTITIONS).astype(np.int32)
-    return t.append_column("pkey", pa.array(pk, pa.int32()))
+    def add_pkey(t: pa.Table) -> pa.Table:
+        return t.append_column("pkey", string_pkey(t["sha_hex"], num_partitions))
+
+    return hash_exchange(
+        ds.map_batches(add_pkey, batch_format="pyarrow"),
+        "pkey",
+        num_partitions,
+        reduce_fn,
+    )
 
 
 def _sha_sort(g: pa.Table):
@@ -60,14 +66,7 @@ def exact_representatives(prepared: ray.data.Dataset) -> ray.data.Dataset:
         take = pa.array(order[first], pa.int64())
         return g.take(take).drop_columns(["pkey"])
 
-    from .exchange import hash_exchange
-
-    return hash_exchange(
-        prepared.map_batches(_add_pkey, batch_format="pyarrow"),
-        "pkey",
-        NUM_PARTITIONS,
-        keep_firsts,
-    )
+    return _sha_exchange(prepared, keep_firsts)
 
 
 FUSED_SCHEMA = pa.schema(
@@ -133,14 +132,7 @@ def exact_collapse(signed_slim: ray.data.Dataset) -> ray.data.Dataset:
         )
         return pa.concat_tables([rep_part, edge_part])
 
-    from .exchange import hash_exchange
-
-    return hash_exchange(
-        signed_slim.map_batches(_add_pkey, batch_format="pyarrow"),
-        "pkey",
-        NUM_PARTITIONS,
-        emit_fused,
-    )
+    return _sha_exchange(signed_slim, emit_fused)
 
 
 def fused_reps(fused: ray.data.Dataset) -> ray.data.Dataset:
@@ -255,13 +247,4 @@ def exact_dup_edges(prepared_slim: ray.data.Dataset) -> ray.data.Dataset:
             schema=PAIR_SCHEMA,
         )
 
-    from .exchange import hash_exchange
-
-    return hash_exchange(
-        prepared_slim.select_columns(["sha_hex", "id"]).map_batches(
-            _add_pkey, batch_format="pyarrow"
-        ),
-        "pkey",
-        NUM_PARTITIONS,
-        emit_edges,
-    )
+    return _sha_exchange(prepared_slim.select_columns(["sha_hex", "id"]), emit_edges)

@@ -33,11 +33,26 @@ The counts sync costs one driver round-trip of tiny int vectors but adds
 no critical-path time: every reduce already waits on every split (each
 needs its sliver of every block).
 
+Partition count: every flagship exchange takes ``exchange_partitions()``
+reduce partitions, 4 per cluster CPU.  With one partition per CPU a single
+skewed partition is the straggler of the only reduce wave; a few waves per
+CPU let the scheduler rebalance around it (FP-Hadoop, VLDB 2015).  A fixed
+count does not follow the cluster: 64 partitions on a 4-CPU box cost more
+in per-sliver tasks and objects than the work they spread.
+
 Scale note: object count is ``num_blocks x num_partitions`` slivers; at
-600k files (75 blocks x 32 partitions) that is 2,400 plasma objects of
-~300 KB — far below Ray's practical limits.  At 10^9-row scale, feed this
-from coarser blocks (fewer, larger) rather than raising P past the
-cluster's CPU count.
+600k files on 32 CPUs (75 blocks x 128 partitions) that is 9,600 plasma
+objects of ~75 KB — far below Ray's practical limits.  At 10^9-row scale,
+feed this from coarser blocks (fewer, larger) rather than raising P past
+a few per CPU.
+
+Block metadata: the upstream's block refs and metadata come straight from
+``iter_internal_ref_bundles`` (``to_arrow_refs`` would re-run a lazy
+upstream under ``limit(1)`` just to learn its schema), so split tasks start
+as upstream blocks land and known-empty blocks get none.  Each reduce task
+returns its block's metadata alongside the block, and the result dataset is
+built from it directly (``dataset_from_blocks``) — no per-block metadata
+task wave as in ``ray.data.from_arrow_refs``.
 """
 
 from __future__ import annotations
@@ -50,10 +65,57 @@ import ray
 import ray.data
 
 
+def cluster_cpus() -> int:
+    """CPUs of the connected Ray cluster (8 before ``ray.init``)."""
+    try:
+        return int(ray.cluster_resources().get("CPU", 8))
+    except ray.exceptions.RaySystemError:
+        return 8
+
+
+def exchange_partitions() -> int:
+    """Reduce partitions of a flagship hash exchange: 4 per cluster CPU."""
+    return 4 * max(1, cluster_cpus())
+
+
+def string_pkey(column, num_partitions: int) -> pa.Array:
+    """int32 ``pkey`` in ``[0, num_partitions)`` for a string column: a
+    vectorized 64-bit hash of each value, so equal values share a
+    partition."""
+    import pandas as _pd
+
+    keys = np.asarray(column.to_pylist(), dtype=object)
+    pk = _pd.util.hash_array(keys, categorize=False) % np.uint64(num_partitions)
+    return pa.array(pk.astype(np.int32), pa.int32())
+
+
+def dataset_from_blocks(refs: list, metas: list) -> ray.data.Dataset:
+    """``ray.data.from_arrow_refs`` for blocks whose
+    ``BlockMetadataWithSchema`` is already known: the same ``FromArrow``
+    plan, without the one metadata task per block that ``from_arrow_refs``
+    submits to compute it."""
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.from_operators import FromArrow
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    plan = ExecutionPlan(
+        DatasetStats(metadata={"FromArrow": metas}, parent=None),
+        DataContext.get_current().copy(),
+    )
+    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+
+
 @ray.remote
-def _split_by_pkey(block: pa.Table, pkey_col: str, num_partitions: int):
+def _split_by_pkey(block, pkey_col: str, num_partitions: int):
     """One upstream block -> ``num_partitions`` sub-tables plus the
     per-partition row-count vector (num_returns = P + 1)."""
+    if not isinstance(block, pa.Table):
+        from ray.data.block import BlockAccessor
+
+        block = BlockAccessor.for_block(block).to_arrow()
     counts = np.zeros(num_partitions, dtype=np.int64)
     if pkey_col not in block.column_names and block.num_rows > 0:
         # loud failure, matching the out-of-range check below: a NON-empty
@@ -96,11 +158,16 @@ def _split_by_pkey(block: pa.Table, pkey_col: str, num_partitions: int):
     return tuple(out)
 
 
-@ray.remote
+@ray.remote(num_returns=2)
 def _reduce_partition(fn, *subs: pa.Table):
+    """Reduced block plus its ``BlockMetadataWithSchema``."""
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+    stats = BlockExecStats.builder()
     tables = [s for s in subs if s.num_rows]
     part = pa.concat_tables(tables) if tables else subs[0]
-    return fn(part)
+    out = fn(part)
+    return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
 
 def hash_exchange(
@@ -121,17 +188,14 @@ def hash_exchange(
     groupby's schemaless-empty behavior)."""
     from .._phaselog import mark as _mark
 
-    refs = ds.to_arrow_refs()
+    split = _split_by_pkey.options(num_returns=num_partitions + 1)
+    parts_lists = [
+        split.remote(ref, pkey_col, num_partitions)
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows != 0  # None (unknown) still gets split
+    ]
     _mark(f"exchange[{pkey_col}]:upstream_exec")
-    if not refs:
-        parts_lists: list = []
-    else:
-        parts_lists = [
-            _split_by_pkey.options(num_returns=num_partitions + 1).remote(
-                r, pkey_col, num_partitions
-            )
-            for r in refs
-        ]
     if parts_lists:
         totals = np.sum(ray.get([row[num_partitions] for row in parts_lists]), axis=0)
         live = [p for p in range(num_partitions) if totals[p] > 0]
@@ -141,12 +205,14 @@ def hash_exchange(
     if not live:
         if empty_schema is not None:
             return ray.data.from_arrow(empty_schema.empty_table())
-        return ray.data.from_arrow_refs([])
-    out_refs = [
+        return dataset_from_blocks([], [])
+    reduced = [
         _reduce_partition.remote(reduce_fn, *[row[p] for row in parts_lists])
         for p in live
     ]
-    return ray.data.from_arrow_refs(out_refs)
+    return dataset_from_blocks(
+        [block for block, _ in reduced], ray.get([meta for _, meta in reduced])
+    )
 
 
 def grouped_sum_exchange(

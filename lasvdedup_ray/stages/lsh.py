@@ -30,7 +30,7 @@ from ray.data.aggregate import Count, Min
 
 from ..config import LSHConfig, SignatureConfig
 from ..functions.hashing import band_hashes, splitmix64 as _smx64
-from .exchange import hash_exchange
+from .exchange import cluster_cpus, hash_exchange
 from .signatures import sig_matrix_from_column, sigs_to_matrix
 
 # worker-process-level caches for broadcast side data (hot-bucket keys and
@@ -39,12 +39,6 @@ _WORKER_HOT_CACHE: dict = {}
 _WORKER_SIG_CACHE: dict = {}
 _WORKER_BLOCK_CACHE: dict = {}
 
-
-def _cluster_cpus(default: int = 8) -> int:
-    try:
-        return int(ray.cluster_resources().get("CPU", default))
-    except Exception:
-        return default
 
 PAIR_SCHEMA = pa.schema(
     [("id_a", pa.string()), ("id_b", pa.string()), ("est_distance", pa.float64())]
@@ -392,7 +386,7 @@ def _derive_hot_sets(sig16: np.ndarray, sig_cfg: SignatureConfig, band_cap: int)
         uniq, cnt = np.unique(comb, return_counts=True)  # sorted keys
         hot = cnt >= 2
         return ("exact", uniq[hot]), uniq[cnt > band_cap]
-    n_chunks = max(2, min(16, _cluster_cpus() // 2))
+    n_chunks = max(2, min(16, cluster_cpus() // 2))
     n_buckets = 16
     bounds = np.linspace(0, n, n_chunks + 1, dtype=np.int64)
     splits = [
@@ -768,7 +762,6 @@ def candidate_pairs(
     sig_cfg: SignatureConfig,
     lsh_cfg: Optional[LSHConfig] = None,
     tau: float = 0.2,
-    num_partitions: int = 64,
     dedup_pairs: bool = False,
     n_rows_hint: Optional[int] = None,
 ) -> ray.data.Dataset:
@@ -792,12 +785,13 @@ def candidate_pairs(
 
     ``n_rows_hint``: caller-known row count of ``signed_slim`` (skips a
     count pass)."""
+    from .exchange import exchange_partitions
+
     lsh_cfg = lsh_cfg or LSHConfig()
-    # ~4 partitions per CPU: with one partition per core, a single skewed
-    # bucket-partition is a straggler that caps scaling; extra waves let
-    # the scheduler rebalance (measured: emit-partition max/mean ~3x)
-    num_partitions = max(int(num_partitions), 4 * _cluster_cpus())
-    num_partitions = 1 << (int(num_partitions) - 1).bit_length()  # next pow2
+    # exchange_partitions(): 4 per CPU, so a single skewed bucket-partition
+    # is not the straggler of a single wave (measured: emit-partition
+    # max/mean ~3x); rounded up to a power of two for the ``bh & (P-1)`` mask
+    num_partitions = 1 << (exchange_partitions() - 1).bit_length()
     bands, rows = sig_cfg.bands, sig_cfg.rows
 
     n_rows_slim = int(n_rows_hint) if n_rows_hint is not None else signed_slim.count()

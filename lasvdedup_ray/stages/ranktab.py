@@ -165,25 +165,14 @@ def attach_rank_table(
     )
 
     # best (min priority) hit per name — vectorized per hash partition
-    def add_pkey(t: pa.Table) -> pa.Table:
-        import zlib
+    from .exchange import exchange_partitions, hash_exchange, string_pkey
 
-        pk = np.fromiter(
-            (zlib.crc32(x.encode()) % 64 for x in t["__name"].to_pylist()),
-            dtype=np.int32,
-            count=t.num_rows,
-        )
-        return t.append_column("__pkey", pa.array(pk, pa.int32()))
+    n_parts = exchange_partitions()
+
+    def add_pkey(t: pa.Table) -> pa.Table:
+        return t.append_column("__pkey", string_pkey(t["__name"], n_parts))
 
     def best_per_name(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "__name" not in g.column_names:
-            return pa.table(
-                {
-                    "__name": pa.array([], pa.string()),
-                    **{c: pa.array([], pa.null()) for c in value_cols},
-                }
-            )
-        g = g.drop_columns(["__pkey"])
         names = np.asarray(g["__name"].to_pylist(), dtype=object)
         pri = g["__pri"].to_numpy(zero_copy_only=False)
         order = np.lexsort((pri, names))
@@ -191,14 +180,16 @@ def attach_rank_table(
         first = np.ones(len(names_s), dtype=bool)
         first[1:] = names_s[1:] != names_s[:-1]
         take = pa.array(order[first], pa.int64())
-        picked = g.take(take)
-        return picked.select(["__name"] + value_cols)
+        return g.take(take).select(["__name"] + value_cols)
 
-    # hash-partition + vectorized reduce (not per-name map_groups)
-    best = (
-        hits.map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("__pkey")
-        .map_groups(best_per_name, batch_format="pyarrow")
+    best = hash_exchange(
+        hits.map_batches(add_pkey, batch_format="pyarrow"),
+        "__pkey",
+        n_parts,
+        best_per_name,
+        empty_schema=pa.schema(
+            [("__name", pa.string())] + list(zip(value_cols, value_types))
+        ),
     )
 
     joined = meta.join(

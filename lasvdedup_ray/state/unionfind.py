@@ -62,17 +62,22 @@ def drop_empty_blocks(ds: ray.data.Dataset) -> Optional[ray.data.Dataset]:
     schemaless RefBundles (mixed-schema warnings, wasted tasks); filters
     can't remove them because a map task with empty output still emits a
     bundle.  Returns None when every block is empty."""
-    refs = []
+    from ray.data.block import BlockMetadataWithSchema
+
+    from ..stages.exchange import dataset_from_blocks
+
+    refs, metas = [], []
     for rb in ds.iter_internal_ref_bundles():
-        for bref, meta in zip(rb.block_refs, rb.metadata):
+        for bref, meta in rb.blocks:
             # keep blocks with UNKNOWN row counts (num_rows is None) — only
             # a known-zero count may be dropped, else silent data loss if
             # Ray ever materializes metadata without counts (ADVICE r4)
             if meta.num_rows is None or meta.num_rows:
                 refs.append(bref)
+                metas.append(BlockMetadataWithSchema(meta, schema=rb.schema))
     if not refs:
         return None
-    return ray.data.from_arrow_refs(refs)
+    return dataset_from_blocks(refs, metas)
 
 
 class DSU:

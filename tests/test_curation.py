@@ -839,6 +839,52 @@ def test_lm_perplexity_matches_duckdb_oracle(ray_session, tmp_path):
     assert (g["lm_logprob_e6"].to_numpy() == e["lm_logprob_e6"].to_numpy()).all()
 
 
+@pytest.mark.parametrize(
+    "op, cols",
+    [
+        ("dsir_weights", ["n_feats", "dsir_logratio_e6"]),
+        ("lm_perplexity_docs", ["n_bigrams", "lm_logprob_e6"]),
+    ],
+)
+def test_null_lang_matches_duckdb_oracle(ray_session, tmp_path, op, cols):
+    """A NULL ``lang`` is neither the DSIR target nor LM training text, as
+    in the SQL oracle (``NULL = 'x'`` is not true), instead of crashing the
+    per-batch partials."""
+    import duckdb
+
+    import __ray_entry__ as entry_mod
+    from lasvdedup_ray.pipelines import curation
+
+    rng = np.random.default_rng(13)
+    vocab = ["the", "cat", "sat", "und", "der", "scan", "key"]
+    n = 24
+    texts = [" ".join(rng.choice(vocab, size=int(rng.integers(1, 8)))) for _ in range(n)]
+    langs = [[None, "en", "de"][i % 3] for i in range(n)]
+    t = pa.table(
+        {
+            "doc_id": pa.array(range(n), pa.int64()),
+            "text": pa.array(texts),
+            "lang": pa.array(langs, pa.string()),
+            "source": pa.array(["s"] * n),
+            "n_chars": pa.array([len(x) for x in texts], pa.int64()),
+        }
+    )
+    pq.write_table(t, str(tmp_path / "documents.parquet"))
+    got = getattr(curation, op)(str(tmp_path)).to_pandas()
+
+    con = duckdb.connect()
+    con.execute(
+        f"CREATE VIEW documents AS SELECT * FROM"
+        f" read_parquet('{tmp_path}/documents.parquet')"
+    )
+    exp = con.execute(entry_mod.oracle_sql()[op]).df()
+    g = got.sort_values("doc_id").reset_index(drop=True)
+    e = exp.sort_values("doc_id").reset_index(drop=True)
+    assert len(g) == len(e) == n
+    for c in cols:
+        assert (g[c].to_numpy() == e[c].to_numpy()).all(), c
+
+
 def test_new_ops_empty_documents_table(ray_session, tmp_path):
     """dsir_weights / lm_perplexity_docs / bloom_decontam_docs all return
     zero rows (not crash) on an empty documents table — the stats passes

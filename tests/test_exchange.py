@@ -241,3 +241,56 @@ def test_grouped_sum_exchange_null_keys(ray_session):
     assert len(out) == 3
     assert out["v"].tolist()[:2] == [4.0, 5.0]  # a=4, b=5
     assert out["v"].iloc[2] == 6.0 and out["k"].isna().iloc[2]
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Counter of the Ray task names this process submits."""
+    import collections
+
+    import ray.remote_function as rf
+
+    names = collections.Counter()
+    submit = rf.RemoteFunction._remote
+
+    def counting(self, *args, **kwargs):
+        names[self._function.__name__] += 1
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(rf.RemoteFunction, "_remote", counting)
+    return names
+
+
+def test_upstream_executes_once(ray_session, tmp_path):
+    """A lazy upstream runs once: no ``limit(1)`` re-run to learn its
+    schema (``to_arrow_refs`` did one)."""
+    marks = str(tmp_path)
+
+    def mark(t):
+        import os
+        import uuid
+
+        open(os.path.join(marks, uuid.uuid4().hex), "w").close()
+        return t
+
+    ds = _mk(400, 4, n_blocks=4).materialize().map_batches(
+        mark, batch_format="pyarrow", batch_size=None
+    )
+    out = hash_exchange(ds, "pkey", 4, _make_summarize())
+    assert int(out.to_pandas()["n"].sum()) == 400
+    assert len(list(tmp_path.iterdir())) == 4  # one call per upstream block
+
+
+def test_no_metadata_tasks_and_empty_blocks_skipped(ray_session, submitted):
+    """Known-empty upstream blocks get no split task, and the result's block
+    metadata comes back with the reduce tasks: no per-block
+    ``get_table_block_metadata_schema`` task (``from_arrow_refs`` ran one)."""
+    full = pa.table({"pkey": pa.array([0, 1, 2], pa.int32()), "v": pa.array([1, 2, 3], pa.int64())})
+    ds = rd.from_arrow([full, full.slice(0, 0), full, full.slice(0, 0)])
+    submitted.clear()
+    out = hash_exchange(ds, "pkey", 4, _make_summarize())
+    assert submitted["_split_by_pkey"] == 2
+    assert submitted["_reduce_partition"] == 3  # live partitions only
+    assert out.count() == 3
+    assert sorted(out.to_pandas()["n"]) == [2, 2, 2]
+    assert submitted["get_table_block_metadata_schema"] == 0

@@ -77,6 +77,43 @@ def test_driver_collapse_matches_exchange_collapse(signed_corpus):
     pd.testing.assert_frame_equal(driver, exchange)
 
 
+@pytest.mark.parametrize("collapse", ["driver", "exchange"])
+def test_exchange_partition_count_invariant(signed_corpus, monkeypatch, tmp_path, collapse):
+    """The flagship's output and candidate pair set do not depend on how
+    many partitions its hash exchanges use (``exchange_partitions``): 1, a
+    non-power-of-two (LSH rounds it up to 4) and 64.  ``exchange`` runs the
+    sha collapse through ``hash_exchange`` (a checkpoint dir turns the
+    driver collapse off)."""
+    from lasvdedup_ray.stages import exchange
+
+    corpus, cfg, signed = signed_corpus
+    slim = signed.select_columns(["id", "minhash", "simhash"])
+    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin
+    digests, pairsets, calls = [], [], []
+    for n_parts in (1, 3, 64):
+        monkeypatch.setattr(
+            exchange, "exchange_partitions", lambda n=n_parts: calls.append(n) or n
+        )
+        run_cfg = PipelineConfig(
+            checkpoint_dir=str(tmp_path / f"ckpt-{n_parts}") if collapse == "exchange" else None
+        )
+        df = dedup_pipeline(ray.data.from_arrow(corpus), run_cfg, num_partitions=4).to_pandas()
+        digests.append(
+            df[["id", "cluster_id", "classification"]]
+            .sort_values("id")
+            .reset_index(drop=True)
+        )
+        pairs = candidate_pairs(slim, cfg.signature, cfg.lsh, tau=emit_tau).to_pandas()
+        pairsets.append(set(zip(pairs["id_a"], pairs["id_b"])))
+        # consulted by (the exchange sha collapse,) LSH and classify in the
+        # pipeline, and by the direct candidate_pairs call
+        assert calls.count(n_parts) >= (4 if collapse == "exchange" else 3)
+    for other in digests[1:]:
+        pd.testing.assert_frame_equal(digests[0], other)
+    assert pairsets[0] == pairsets[1] == pairsets[2] and len(pairsets[0]) > 0
+    assert len(digests[0]) == corpus.num_rows
+
+
 def test_exact_first_path_matches_default(signed_corpus):
     corpus, _, _ = signed_corpus
     a = _canon_results(

@@ -16,11 +16,17 @@ TSV).  The rebuilt analog must produce keep/SingleSequence for the same
 four ids — in particular the two same-segment contigs from DIFFERENT
 samples must NOT be merged by the content-similarity path at the
 reference's PWD=0.02 threshold.
+
+The reference tree is not part of this repository; when it is absent the
+tests that read it skip, and ``test_synthetic_fixture_*`` pins the same
+property on an in-repo analog (seeded sequences, same regex, thresholds
+and ``group_only`` run).
 """
 
 import csv
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data
@@ -30,6 +36,11 @@ from lasvdedup_ray.pipelines.dedup import dedup_pipeline
 from lasvdedup_ray.sources.corpus import SOURCE_SCHEMA
 
 REF_DATA = Path("/root/reference/tests/data")
+needs_reference = pytest.mark.skipif(
+    not REF_DATA.is_dir(),
+    reason=f"reference fixture tree {REF_DATA} is absent; "
+    "test_synthetic_fixture_verdict_parity pins the same property in-repo",
+)
 
 # tests/data/test-config.yaml:24-38
 SAMPLE_REGEX = r"LVE[0-9]{5}"
@@ -70,26 +81,27 @@ def _load_fixture():
     return pa.table(rows, schema=SOURCE_SCHEMA), pa.table(rank_rows)
 
 
-@pytest.mark.parametrize("segment", ["L", "S"])
-def test_reference_fixture_verdict_parity(ray_session, tmp_path, segment):
-    corpus, rank_tab = _load_fixture()
-    seg_mask = [lang == segment for lang in corpus["lang"].to_pylist()]
-    seg_tbl = corpus.filter(pa.array(seg_mask))
-    assert seg_tbl.num_rows == 2  # one contig per sample in this segment
-
-    cfg = PipelineConfig(
+def _group_only_config(segment: str) -> PipelineConfig:
+    """The reference's per-segment run: thresholds from its test config,
+    clustering per sample ONLY — content similarity is consulted within a
+    group, never to merge samples."""
+    return PipelineConfig(
         group_regex=SAMPLE_REGEX,
-        # reference semantics: clustering is per-sample ONLY — content
-        # similarity is consulted within a group, never to merge samples
         group_only=True,
         default_thresholds=THRESHOLDS[segment],
         lang_thresholds=dict(THRESHOLDS),
         selection_columns=("reads_mapped", "coverage_10x"),
     )
+
+
+def _assert_singleton_verdicts(corpus: pa.Table, rank_tab: pa.Table, segment: str):
+    seg_mask = [lang == segment for lang in corpus["lang"].to_pylist()]
+    seg_tbl = corpus.filter(pa.array(seg_mask))
+    assert seg_tbl.num_rows == 2  # one contig per sample in this segment
     out = (
         dedup_pipeline(
             ray.data.from_arrow(seg_tbl),
-            cfg,
+            _group_only_config(segment),
             num_partitions=2,
             rank_table=ray.data.from_arrow(rank_tab),
         )
@@ -107,6 +119,51 @@ def test_reference_fixture_verdict_parity(ray_session, tmp_path, segment):
     assert out["cluster_id"].nunique() == 2
 
 
+@needs_reference
+@pytest.mark.parametrize("segment", ["L", "S"])
+def test_reference_fixture_verdict_parity(ray_session, segment):
+    _assert_singleton_verdicts(*_load_fixture(), segment)
+
+
+def _synthetic_fixture(seed: int = 20):
+    """In-repo analog of the reference fixture: 2 samples x segments L/S,
+    one contig each, with seeded random ACGT sequences at the segments'
+    target lengths (independent random sequences differ at ~3/4 of their
+    sites, far above PWD=0.02) and seeded rank values."""
+    rng = np.random.default_rng(seed)
+    rows = {k: [] for k in SOURCE_SCHEMA.names}
+    rank_rows = {"id": [], "reads_mapped": [], "coverage_10x": []}
+    for sample in ("LVE00001", "LVE00002"):
+        for segment in ("L", "S"):
+            name = f"{sample}_{segment}_contig1"
+            seq = "".join(rng.choice(list("acgt"), THRESHOLDS[segment].target_length))
+            rows["repo"].append(sample)
+            rows["path"].append(name)
+            rows["commit"].append("fixture")
+            rows["lang"].append(segment)
+            rows["content"].append(seq)
+            rank_rows["id"].append(f"{sample}:{name}@fixture")
+            rank_rows["reads_mapped"].append(float(rng.integers(100, 2000)))
+            rank_rows["coverage_10x"].append(float(rng.uniform(50, 100)))
+    return pa.table(rows, schema=SOURCE_SCHEMA), pa.table(rank_rows)
+
+
+def test_synthetic_fixture_cross_sample_distance():
+    corpus, _ = _synthetic_fixture()
+    for segment in ("L", "S"):
+        a, b = [
+            r["content"] for r in corpus.to_pylist() if r["lang"] == segment
+        ]
+        mismatch = sum(x != y for x, y in zip(a, b)) / len(a)
+        assert mismatch > THRESHOLDS[segment].tau
+
+
+@pytest.mark.parametrize("segment", ["L", "S"])
+def test_synthetic_fixture_verdict_parity(ray_session, segment):
+    _assert_singleton_verdicts(*_synthetic_fixture(), segment)
+
+
+@needs_reference
 def test_reference_fixture_within_sample_duplicate(ray_session):
     """The reference's below-PWD-threshold case
     (test_sequence_grouping.py:594-616) driven through the FULL pipeline on
@@ -137,17 +194,10 @@ def test_reference_fixture_within_sample_duplicate(ray_session):
     rank["reads_mapped"].append(2000.0)
     rank["coverage_10x"].append(100.0)
 
-    cfg = PipelineConfig(
-        group_regex=SAMPLE_REGEX,
-        group_only=True,
-        default_thresholds=THRESHOLDS["L"],
-        lang_thresholds=dict(THRESHOLDS),
-        selection_columns=("reads_mapped", "coverage_10x"),
-    )
     out = (
         dedup_pipeline(
             ray.data.from_arrow(tbl),
-            cfg,
+            _group_only_config("L"),
             num_partitions=2,
             rank_table=ray.data.from_arrow(pa.table(rank)),
         )
