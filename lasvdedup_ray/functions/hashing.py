@@ -91,20 +91,41 @@ def sha256_column(col) -> List[bytes]:
     return [d(mv[s:e]).digest() for s, e in zip(lo, hi)]
 
 
+def _utf8_codepoints(data: np.ndarray, offs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(codepoints, row offsets into them) of a valid UTF-8 values buffer
+    and its byte offsets; pure-ASCII input comes back unchanged.  Decoded
+    vectorized: every non-continuation byte starts a codepoint whose width
+    its high bits give."""
+    if not (data >= 0x80).any():
+        return data, offs
+    lead = (data & 0xC0) != 0x80
+    pos = np.flatnonzero(lead)
+    b = data[pos].astype(np.uint32)
+    width = 1 + (b >= 0xC0) + (b >= 0xE0) + (b >= 0xF0)
+    # lead-byte payload: 7 bits of an ASCII byte, 5/4/3 of a 2/3/4-byte lead
+    cp = np.where(width == 1, b, b & (np.uint32(0x7F) >> width.astype(np.uint32)))
+    for k in (1, 2, 3):
+        more = width > k
+        cp[more] = (cp[more] << np.uint32(6)) | (data[pos[more] + k] & np.uint32(0x3F))
+    before = np.concatenate([[0], np.cumsum(lead)])  # codepoints before each byte
+    return cp, before[offs]
+
+
 def token_poly_hashes(flat) -> np.ndarray:
     """Raw (un-finalized) rolling-polynomial hash per row of a string /
-    large_string array: ``z = sum(byte_j * MULT^(L-1-j)) mod 2^64`` over the
-    row's utf-8 bytes; the empty string hashes to 0.  Finalize with
-    :func:`splitmix64` before bucketing.
+    large_string array: ``z = sum(cp_j * MULT^(L-1-j)) mod 2^64`` over the
+    row's L Unicode codepoints; the empty string hashes to 0.  Finalize
+    with :func:`splitmix64` before bucketing.
 
-    Vectorized by grouping rows by byte length (one ``(n_L, L)`` gather +
+    Codepoints, not UTF-8 bytes, because the SQL oracle mirror computes the
+    same sum from ``ord(substr(...))`` per character (as the shingle chain
+    of ``textops._doc_shingles`` does); on ASCII the two are identical.
+    Binary arrays hash their bytes.
+
+    Vectorized by grouping rows by length (one ``(n_L, L)`` gather +
     matmul-style reduce per distinct length — word tokens have only a
     handful of distinct lengths), reading straight from the Arrow values
     buffer like :func:`sha256_column` — no per-row Python strings.
-
-    The SQL oracle mirror computes the same sum from ``ord(substr(...))``
-    per character, so (as with the shingle chain) ASCII content is assumed:
-    a multi-byte codepoint's ``ord`` differs from its per-byte polynomial.
     Nulls are rejected for the same reason as :func:`sha256_column`.
     """
     import pyarrow as pa
@@ -122,12 +143,14 @@ def token_poly_hashes(flat) -> np.ndarray:
     offs = np.frombuffer(bufs[1], dtype=np.int64 if wide else np.int32)[
         flat.offset : flat.offset + n + 1
     ].astype(np.int64, copy=False)
-    starts = offs[:-1]
-    lens = offs[1:] - offs[:-1]
     out = np.zeros(n, U64)
     if bufs[2] is None:  # all rows empty
         return out
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
+    data = np.frombuffer(bufs[2], dtype=np.uint8)[: offs[-1]]
+    if pa.types.is_string(flat.type) or pa.types.is_large_string(flat.type):
+        data, offs = _utf8_codepoints(data, offs)
+    starts = offs[:-1]
+    lens = offs[1:] - offs[:-1]
     for L in np.unique(lens):
         if L == 0:
             continue
@@ -149,9 +172,10 @@ def quantize_half_away(x: np.ndarray, scale: float = 1e6) -> np.ndarray:
 
 
 def poly_concat(h_left: np.ndarray, h_right: np.ndarray, right_len: np.ndarray) -> np.ndarray:
-    """``token_poly_hashes`` of the byte concatenation left||right, from the
+    """``token_poly_hashes`` of the concatenation left||right, from the
     parts' raw hashes: ``H(a||b) = H(a) * MULT^len(b) + H(b)  (mod 2^64)``.
-    ``right_len`` is the RIGHT part's byte length."""
+    ``right_len`` is the RIGHT part's length in hashed units: codepoints
+    for strings."""
     maxl = int(right_len.max()) if len(right_len) else 0
     ptab = _POLY_MULT ** np.arange(maxl + 1, dtype=U64)
     return h_left * ptab[right_len] + h_right

@@ -513,12 +513,12 @@ def _hashed_token_stream(t: pa.Table):
     flat = pc.list_flatten(toks)
     parent = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False).astype(np.int64)
     raw = token_poly_hashes(flat)
-    blen = pc.binary_length(flat).to_numpy(zero_copy_only=False).astype(np.int64)
+    clen = pc.utf8_length(flat).to_numpy(zero_copy_only=False).astype(np.int64)
     if len(raw) > 1:
         same = parent[:-1] == parent[1:]
         left_idx = np.nonzero(same)[0]
         left = raw[left_idx] * _POLY_MULT + np.uint64(32)
-        big = poly_concat(left, raw[left_idx + 1], blen[left_idx + 1])
+        big = poly_concat(left, raw[left_idx + 1], clen[left_idx + 1])
     else:
         big = np.zeros(0, np.uint64)
         left_idx = np.zeros(0, np.int64)

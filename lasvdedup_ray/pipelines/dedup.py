@@ -52,13 +52,25 @@ def candidate_tau(config: PipelineConfig) -> float:
     return max(taus)
 
 
-def _input_fingerprint(n_rows: int, schema_names, config: PipelineConfig) -> str:
-    """(input row count + columns, full config repr) — a stage checkpoint
-    from a different input/config is recomputed, never reused."""
+def _input_fingerprint(
+    ds: ray.data.Dataset, n_rows: int, schema_names, config: PipelineConfig
+) -> str:
+    """(input row count + columns, size + mtime of every input file, full
+    config repr) — a stage checkpoint from a different input/config is
+    recomputed, never reused.  The files come from the plan's metadata
+    (``input_files``), so nothing executes; their stats fold in through
+    ``corpus_fingerprint_of``, the near-dup index cache's rule, so an input
+    file edited in place with the same row count invalidates both caches
+    alike.  An in-memory input has no files and keys on rows + columns."""
     import hashlib as _hashlib
 
+    from ..state.neardup_index import corpus_fingerprint_of
+
+    files = ";".join(
+        corpus_fingerprint_of(f, n_rows) for f in sorted(ds.input_files())
+    )
     return _hashlib.sha256(
-        f"{n_rows}|{sorted(schema_names)}|{config!r}".encode()
+        f"{n_rows}|{sorted(schema_names)}|{files}|{config!r}".encode()
     ).hexdigest()[:16]
 
 
@@ -70,7 +82,7 @@ def plan_stages(
     checkpointable stage's resume status — nothing executes beyond the
     input's metadata row count."""
     config = config or PipelineConfig()
-    fp = _input_fingerprint(ds.count(), ds.schema().names, config)
+    fp = _input_fingerprint(ds, ds.count(), ds.schema().names, config)
     ck = StageCheckpointer(config.checkpoint_dir, fingerprint=fp)
     pinned = (
         ["prepared", "signed"] if config.exact_first else ["signed", "reps"]
@@ -126,7 +138,7 @@ def dedup_pipeline(
         )
     ex = config.execution
     n_rows_in = ds.count()
-    fp = _input_fingerprint(n_rows_in, schema_names, config)
+    fp = _input_fingerprint(ds, n_rows_in, schema_names, config)
     # force (reference --force/forceall): recompute every pinned stage
     ck = StageCheckpointer(config.checkpoint_dir, fingerprint=fp, force=force)
     tau = candidate_tau(config)
@@ -224,7 +236,7 @@ def dedup_pipeline(
                 from ..stages.exact import exact_collapse_driver
 
                 rep_ids, edges_tbl = exact_collapse_driver(signed)
-                n_reps = len(rep_ids)
+                reps_hint = len(rep_ids)
                 # ship the rep-id set through plasma once (ray.put + per-worker
                 # cache), not pickled into every task closure
                 rep_ref = ray.put(pa.array(list(rep_ids), pa.string()))
@@ -248,16 +260,20 @@ def dedup_pipeline(
 
                 from .._phaselog import mark as _plmark2
 
+                # a builder, not a dataset: the exchange starts when it is
+                # built, so a resume that reads "reps" back skips it
                 fused = ck.pin(
-                    exact_collapse(
+                    lambda: exact_collapse(
                         signed.select_columns(["id", "sha_hex", "minhash", "simhash"])
                     ),
                     "reps",
                 )
                 _plmark2("exact:fused_pin")
                 reps_slim = fused_reps(fused)
-                n_reps = reps_slim.count()  # cheap filter pass over pinned fused
-                _plmark2("exact:n_reps_count")
+                # one fused row per input row (a rep or a star edge): the
+                # pinned stage's metadata count bounds the rep count from
+                # above without a filter + count pass
+                reps_hint = fused.count()
                 e_edges = fused_edges(fused)
                 _phase("exact_collapse")
             near_edges = verify_pairs(
@@ -266,7 +282,7 @@ def dedup_pipeline(
                     config.signature,
                     config.lsh,
                     tau=emit_tau,
-                    n_rows_hint=n_reps,
+                    n_rows_hint=reps_hint,
                 ),
                 signed.select_columns(["id", "content"]),
                 config.signature,

@@ -715,8 +715,11 @@ def order_price_quantiles(sf_dir: str, qs=QUANTILE_QS):
     fixed bins (one streaming count per pass, O(bins) driver state),
     narrows to the bin containing the target rank, and finishes by
     collecting only that bin's values (<= QUANTILE_DRIVER_CAP) for an
-    exact driver-side selection.  Degenerate all-equal bins terminate
-    because a zero-width range collects directly."""
+    exact driver-side selection.  Each pass first shrinks the range to the
+    smallest and largest value it holds, so a slice of ties is zero-width;
+    it holds only the answer and is emitted without collecting it.  A
+    range still above the cap after ``QUANTILE_MAX_PASSES`` refinements
+    raises instead of collecting an unbounded slice."""
     path = f"{sf_dir}/orders.parquet"
 
     def scan():
@@ -732,24 +735,33 @@ def order_price_quantiles(sf_dir: str, qs=QUANTILE_QS):
     for q in qs:
         rank = max(1, int(np.ceil(q * n)))  # 1-based target rank
         lo, hi, below = glo, ghi, 0  # `below` = ranks strictly left of lo
-        for _ in range(QUANTILE_MAX_PASSES):
+        for passes in range(QUANTILE_MAX_PASSES + 1):
+            # shrink [lo, hi] to the values it holds: the same slice, so
+            # `below` is unchanged, and a slice of ties becomes zero-width
+            in_cnt, lo, hi = _range_stats(scan(), lo, hi)
+            if lo == hi:
+                # every value left in the candidate slice equals the answer
+                results.append((q, lo))
+                break
             # direct collection once the candidate slice is small enough
-            in_cnt = _range_count(scan(), lo, hi)
-            if in_cnt <= QUANTILE_DRIVER_CAP or lo == hi:
+            if in_cnt <= QUANTILE_DRIVER_CAP:
                 vals = _range_values(scan(), lo, hi)
                 vals.sort()
                 results.append((q, float(vals[rank - below - 1])))
                 break
+            if passes == QUANTILE_MAX_PASSES:
+                raise RuntimeError(
+                    f"order_price_quantiles: {in_cnt} candidate values in "
+                    f"[{lo!r}, {hi!r}] for q={q} after {QUANTILE_MAX_PASSES} "
+                    f"refinement passes, above the {QUANTILE_DRIVER_CAP}-value "
+                    "driver cap"
+                )
             edges = np.linspace(lo, hi, QUANTILE_BINS + 1)
             counts = _histogram_pass(scan(), edges)
             cum = np.cumsum(counts)
             b = int(np.searchsorted(cum, rank - below))
             below += int(cum[b - 1]) if b > 0 else 0
             lo, hi = float(edges[b]), float(edges[b + 1])
-        else:
-            vals = _range_values(scan(), lo, hi)
-            vals.sort()
-            results.append((q, float(vals[rank - below - 1])))
     t = pa.table(
         {
             "q_pct": pa.array([int(round(q * 100)) for q, _ in results], pa.int64()),
@@ -759,13 +771,25 @@ def order_price_quantiles(sf_dir: str, qs=QUANTILE_QS):
     return quantize(t, ["price"], scale=10_000, suffix="_e4")
 
 
-def _range_count(ds: ray.data.Dataset, lo: float, hi: float) -> int:
-    def cnt(t: pa.Table) -> pa.Table:
-        v = t["o_totalprice"].to_numpy(zero_copy_only=False)
-        return pa.table({"c": pa.array([int(((v >= lo) & (v <= hi)).sum())], pa.int64())})
+def _range_stats(ds: ray.data.Dataset, lo: float, hi: float) -> tuple:
+    """(count, min, max) of the values in [lo, hi]; the range must hold at
+    least one value."""
 
-    out = ds.map_batches(cnt, batch_format="pyarrow").sum("c")
-    return int(out or 0)
+    def stats(t: pa.Table) -> pa.Table:
+        v = t["o_totalprice"].to_numpy(zero_copy_only=False)
+        v = v[(v >= lo) & (v <= hi)]
+        return pa.table(
+            {
+                "c": pa.array([v.size], pa.int64()),
+                "lo": pa.array([v.min() if v.size else hi], pa.float64()),
+                "hi": pa.array([v.max() if v.size else lo], pa.float64()),
+            }
+        )
+
+    out = ds.map_batches(stats, batch_format="pyarrow").aggregate(
+        Sum("c", alias_name="c"), Min("lo", alias_name="lo"), Max("hi", alias_name="hi")
+    )
+    return int(out["c"]), float(out["lo"]), float(out["hi"])
 
 
 def _range_values(ds: ray.data.Dataset, lo: float, hi: float) -> np.ndarray:

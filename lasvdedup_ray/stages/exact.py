@@ -189,11 +189,14 @@ def exact_collapse_driver(signed_slim: ray.data.Dataset):
     zero-distance star edge list in PAIR_SCHEMA — the exact output the
     ``exact_collapse`` exchange produces, without its all-to-all fixed cost
     (~0.8 s on a 32-CPU box, pure overhead at <100k rows).  The caller
-    filters the signed dataset by id membership to recover the rep rows."""
+    filters the signed dataset by id membership to recover the rep rows.
+    The (id, sha_hex) columns are read by ref (``block_tables``): on the
+    pinned signed dataset no Ray Data execution starts, and content stays
+    in the object store."""
+    from .exchange import block_tables
+
     id_parts, sha_parts = [], []
-    for b in signed_slim.select_columns(["id", "sha_hex"]).iter_batches(
-        batch_size=1 << 16, batch_format="pyarrow"
-    ):
+    for b in block_tables(signed_slim, ["id", "sha_hex"]):
         id_parts.append(np.asarray(b.column("id").to_pylist(), dtype=object))
         sha_parts.append(np.asarray(b.column("sha_hex").to_pylist(), dtype=object))
     if not id_parts:

@@ -53,11 +53,19 @@ as upstream blocks land and known-empty blocks get none.  Each reduce task
 returns its block's metadata alongside the block, and the result dataset is
 built from it directly (``dataset_from_blocks``) — no per-block metadata
 task wave as in ``ray.data.from_arrow_refs``.
+
+Reading by ref: ``block_tables`` hands a materialized dataset's non-empty
+blocks to the driver by their refs, the way ``hash_exchange`` reads its
+upstream, instead of starting a Ray Data execution (``iter_batches``,
+``limit(n).to_pandas()``) whose fixed cost is ~150 ms of CPU per call no
+matter how few rows it moves.  When only narrow columns of wide blocks are
+needed it projects inside one raw task per block, so the wide columns never
+reach the driver.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -108,14 +116,59 @@ def dataset_from_blocks(refs: list, metas: list) -> ray.data.Dataset:
     return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
 
 
+def _block_refs(ds: ray.data.Dataset) -> list:
+    """Refs of the blocks of ``ds`` whose metadata does not say zero rows
+    (an unknown count is kept), from ``iter_internal_ref_bundles``."""
+    return [
+        ref
+        for bundle in ds.iter_internal_ref_bundles()
+        for ref, meta in bundle.blocks
+        if meta.num_rows != 0
+    ]
+
+
+def _arrow(block) -> pa.Table:
+    if isinstance(block, pa.Table):
+        return block
+    from ray.data.block import BlockAccessor
+
+    return BlockAccessor.for_block(block).to_arrow()
+
+
+@ray.remote
+def _project_block(block, cols: list) -> pa.Table:
+    block = _arrow(block)
+    # a schemaless empty block (Ray Data's normalized empty map output) has
+    # none of ``cols``; it carries no rows, so it projects to itself
+    return block.select(cols) if block.num_rows else block
+
+
+def block_tables(
+    ds: ray.data.Dataset, cols: Optional[Sequence[str]] = None
+) -> Iterator[pa.Table]:
+    """The non-empty blocks of ``ds`` as Arrow tables, in block order, read
+    by ref: the refs and metadata come from ``iter_internal_ref_bundles``,
+    so on a materialized dataset no Ray Data execution starts (a lazy one
+    runs once, as any consumer would run it).  Blocks whose metadata
+    says zero rows are skipped unread.  ``cols``: project to these columns
+    inside one raw task per block (all tasks are submitted before the first
+    table is yielded), so the other columns never reach the driver.
+    Tables are fetched one at a time: a caller that stops early holds no
+    more than the blocks it consumed."""
+    refs = _block_refs(ds)
+    if cols is not None:
+        refs = [_project_block.remote(ref, list(cols)) for ref in refs]
+    for ref in refs:
+        table = _arrow(ray.get(ref))
+        if table.num_rows:
+            yield table
+
+
 @ray.remote
 def _split_by_pkey(block, pkey_col: str, num_partitions: int):
     """One upstream block -> ``num_partitions`` sub-tables plus the
     per-partition row-count vector (num_returns = P + 1)."""
-    if not isinstance(block, pa.Table):
-        from ray.data.block import BlockAccessor
-
-        block = BlockAccessor.for_block(block).to_arrow()
+    block = _arrow(block)
     counts = np.zeros(num_partitions, dtype=np.int64)
     if pkey_col not in block.column_names and block.num_rows > 0:
         # loud failure, matching the out-of-range check below: a NON-empty
@@ -190,10 +243,7 @@ def hash_exchange(
 
     split = _split_by_pkey.options(num_returns=num_partitions + 1)
     parts_lists = [
-        split.remote(ref, pkey_col, num_partitions)
-        for bundle in ds.iter_internal_ref_bundles()
-        for ref, meta in bundle.blocks
-        if meta.num_rows != 0  # None (unknown) still gets split
+        split.remote(ref, pkey_col, num_partitions) for ref in _block_refs(ds)
     ]
     _mark(f"exchange[{pkey_col}]:upstream_exec")
     if parts_lists:

@@ -30,7 +30,7 @@ from ray.data.aggregate import Count, Min
 
 from ..config import LSHConfig, SignatureConfig
 from ..functions.hashing import band_hashes, splitmix64 as _smx64
-from .exchange import cluster_cpus, hash_exchange
+from .exchange import block_tables, cluster_cpus, hash_exchange
 from .signatures import sig_matrix_from_column, sigs_to_matrix
 
 # worker-process-level caches for broadcast side data (hot-bucket keys and
@@ -783,8 +783,10 @@ def candidate_pairs(
       (>= 2 member) buckets enter the band shuffle, and canonical-band
       emission keeps pair multiplicity ~1 with no pair-dedup shuffle.
 
-    ``n_rows_hint``: caller-known row count of ``signed_slim`` (skips a
-    count pass)."""
+    ``n_rows_hint``: caller-known UPPER BOUND on the row count of
+    ``signed_slim`` (skips a count pass).  It feeds only the ``< 2`` early
+    exit and the size gates above, and every gated plan emits the same
+    pairs, so a loose bound changes the plan, never the output."""
     from .exchange import exchange_partitions
 
     lsh_cfg = lsh_cfg or LSHConfig()
@@ -903,7 +905,7 @@ def candidate_pairs(
     if n_hot <= lsh_cfg.hot_exact_cap:
         # exact sorted key array (fast path, small/moderate cardinality)
         hot_parts: list = []
-        for b in hot_ds.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
+        for b in block_tables(hot_ds):
             ck = b.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
             cp = b.column("capped").to_numpy(zero_copy_only=False)
             hot_parts.append(ck)
@@ -912,7 +914,7 @@ def candidate_pairs(
         hot_struct = ("exact", np.sort(np.concatenate(hot_parts)))
     else:
         # two-probe bloom bitmap: fixed-size driver memory regardless of
-        # hot-key cardinality; built streaming one batch at a time.  A
+        # hot-key cardinality; built streaming one block at a time.  A
         # false positive ships one extra row into the band shuffle — never
         # drops a pair.
         bits = 1 << min(
@@ -921,7 +923,7 @@ def candidate_pairs(
         )
         bmask = np.uint64(bits - 1)
         bitmap = np.zeros(bits >> 6, dtype=np.uint64)
-        for b in hot_ds.iter_batches(batch_size=1 << 18, batch_format="pyarrow"):
+        for b in block_tables(hot_ds):
             ck = b.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
             cp = b.column("capped").to_numpy(zero_copy_only=False)
             if cp.any():

@@ -12,12 +12,17 @@ Execution shape (fully distributed — no driver-size degradation):
   filter untouched;
 - the borderline set (est > tau - margin_low; the high side tau +
   margin_high was already enforced at LSH emission) is tiny by
-  construction.  Below ``border_driver_cap`` pairs its contents are
-  attached on the driver (one broadcast filter pass, bounded).  Above it,
-  a FIXED-SIZE bloom bitmap over endpoint-id hashes pre-filters the
-  content table (bounded driver memory; a false positive only ships one
-  extra content row), and the exact check runs behind a distributed double
-  hash join — boundary pairs are exact-checked at EVERY scale.
+  construction.  It is probed without a Ray Data execution: the pairs are
+  materialized, so their blocks are read by ref (``block_tables``) and
+  filtered on the driver one block at a time until the set is known to fit
+  ``border_driver_cap`` or known to exceed it.  Below the cap its contents
+  are attached on the driver (one broadcast filter pass, bounded) and the
+  checked set is sliced into blocks on the driver, with no repartition
+  hop.  Above it, a FIXED-SIZE bloom bitmap over endpoint-id hashes
+  pre-filters the content table (bounded driver memory; a false positive
+  only ships one extra content row), and the exact check runs behind a
+  distributed double hash join — boundary pairs are exact-checked at EVERY
+  scale.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import ray.data
 
 from ..config import LSHConfig, SignatureConfig
 from ..functions.hashing import shingle_hashes, splitmix64
+from .exchange import block_tables
 from .lsh import PAIR_SCHEMA
 
 logger = logging.getLogger(__name__)
@@ -110,11 +116,16 @@ def attach_pair_contents(
     same scale shape as the borderline exact-verify.  The content payload
     column(s) come back with ``_a`` / ``_b`` suffixes."""
     pairs = pairs.materialize()
-    # single limit-probe pass (the verify_pairs pattern): when the pair set
-    # fits the driver cap — the common case — this collect IS the only scan;
-    # the distributed path below re-reads the materialized blocks
-    probe = pairs.limit(driver_cap + 1).to_pandas()
-    n = len(probe)
+    # probe by ref (the verify_pairs pattern): the materialized blocks are
+    # read one at a time until the cap is disproven — when the pair set
+    # fits the driver cap (the common case) this collect IS the only scan,
+    # and no Ray Data execution starts
+    parts, n = [], 0
+    for t in block_tables(pairs):
+        parts.append(t)
+        n += t.num_rows
+        if n > driver_cap:
+            break
     if n == 0:
         return None
     value_cols = [c for c in content.schema().names if c != id_col]
@@ -126,7 +137,7 @@ def attach_pair_contents(
         pass
 
     if n <= driver_cap:
-        pdf = probe
+        pdf = pa.concat_tables(parts, promote_options="permissive").to_pandas()
         needed = set(pdf["id_a"]) | set(pdf["id_b"])
         id_ref = ray.put(pa.array(sorted(needed)))
 
@@ -168,7 +179,7 @@ def attach_pair_contents(
     )
     bmask = np.uint64(bits - 1)
     bitmap = np.zeros(bits >> 6, dtype=np.uint64)
-    for b in pairs.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
+    for b in block_tables(pairs):
         for col in ("id_a", "id_b"):
             h = _id_hash64(b.column(col).to_pylist())
             for probe in (h & bmask, splitmix64(h) & bmask):
@@ -263,21 +274,19 @@ def verify_pairs(
         _safe_filter(lambda t: pc.less_equal(t["est_distance"], tau - m)),
         batch_format="pyarrow",
     )
-    # border stays LAZY over the materialized pairs: each re-read is a
-    # cheap filter pass, and skipping the second materialize removes an
-    # object-store write + pipeline barrier (VERDICT r2 #5)
-    border = pairs.map_batches(
-        _safe_filter(lambda t: pc.greater(t["est_distance"], tau - m)),
-        batch_format="pyarrow",
-    )
-    # single early-exit probe pass (VERDICT r3 #9): limit(cap+1) streams
-    # border rows until the cap is disproven — when the border set fits the
-    # driver cap (the common case at default margins) this pass IS the
-    # collect, replacing the previous separate count() + to_pandas() double
-    # scan over the materialized pairs
-    probe = border.limit(border_driver_cap + 1).to_pandas()
+    # border probe: the compacted pairs are materialized, so their blocks
+    # are read by ref and filtered on the driver, one block at a time, until
+    # the cap is disproven — no Ray Data execution, no filter re-run.  When
+    # the border set fits the cap (the common case at default margins) this
+    # IS the collect.
+    border_parts, n_border = [], 0
+    for t in block_tables(pairs):
+        part = t.filter(pc.greater(t["est_distance"], tau - m))
+        border_parts.append(part)
+        n_border += part.num_rows
+        if n_border > border_driver_cap:
+            break
     _mark("verify:border_probe")
-    n_border = len(probe)
     if n_border == 0:
         return sure
 
@@ -286,8 +295,12 @@ def verify_pairs(
     if n_border <= border_driver_cap:
         # few borderline pairs: attach contents on the driver (bounded by
         # the cap; distributed joins would add two shuffles of latency)
-        bdf = probe
-        needed = set(bdf["id_a"]) | set(bdf["id_b"])
+        border_t = (
+            pa.concat_tables(border_parts, promote_options="permissive")
+            .select(["id_a", "id_b", "est_distance"])
+            .sort_by([("id_a", "ascending"), ("id_b", "ascending")])
+        )
+        needed = set(border_t["id_a"].to_pylist()) | set(border_t["id_b"].to_pylist())
         id_ref = ray.put(pa.array(sorted(needed)))
 
         def grab(t: pa.Table) -> pa.Table:
@@ -296,33 +309,28 @@ def verify_pairs(
         sub = content_by_id.map_batches(grab, batch_format="pyarrow").to_pandas()
         _mark("verify:border_content_fetch")
         content_map = dict(zip(sub["id"], sub["content"]))
-        bdf = bdf.sort_values(["id_a", "id_b"])
-        border_t = pa.table(
-            {
-                "id_a": pa.array(list(bdf["id_a"]), pa.string()),
-                "id_b": pa.array(list(bdf["id_b"]), pa.string()),
-                "est_distance": pa.array(bdf["est_distance"].to_numpy(), pa.float64()),
-                "content_a": pa.array(
-                    [content_map[x] for x in bdf["id_a"]], pa.large_string()
-                ),
-                "content_b": pa.array(
-                    [content_map[x] for x in bdf["id_b"]], pa.large_string()
-                ),
-            }
-        )
-        # split into blocks so the exact checks parallelize (from_arrow is
-        # one block = one serial task otherwise)
-        n_blocks = max(1, min(64, len(bdf) // 512))
-        checked_ds = (
-            ray.data.from_arrow(border_t)
-            .repartition(n_blocks)
-            .map_batches(check_batch, batch_format="pyarrow", batch_size=1024)
-        )
+        for side in ("a", "b"):
+            ids = border_t[f"id_{side}"].to_pylist()
+            border_t = border_t.append_column(
+                f"content_{side}",
+                pa.array([content_map[x] for x in ids], pa.large_string()),
+            )
+        # split into blocks on the driver so the exact checks parallelize
+        # (one block = one serial task) without an all-to-all repartition
+        n_blocks = max(1, min(64, n_border // 512))
+        step = -(-n_border // n_blocks)
+        checked_ds = ray.data.from_arrow(
+            [border_t.slice(i * step, step) for i in range(n_blocks)]
+        ).map_batches(check_batch, batch_format="pyarrow", batch_size=1024)
         return sure.union(checked_ds)
 
     # ---- fully distributed path (any scale, bounded driver memory) --------
     # the probe above stopped at cap+1 rows; this path needs the true border
     # count for bloom sizing (only paid when the border set is genuinely big)
+    border = pairs.map_batches(
+        _safe_filter(lambda t: pc.greater(t["est_distance"], tau - m)),
+        batch_format="pyarrow",
+    ).materialize()
     n_border = border.count()
     # 1. fixed-size bloom bitmap over borderline endpoint-id hashes, built
     #    streaming one batch at a time (driver holds the bitmap + a batch)
@@ -332,7 +340,7 @@ def verify_pairs(
     )
     bmask = np.uint64(bits - 1)
     bitmap = np.zeros(bits >> 6, dtype=np.uint64)
-    for b in border.iter_batches(batch_size=1 << 16, batch_format="pyarrow"):
+    for b in block_tables(border):
         for col in ("id_a", "id_b"):
             h = _id_hash64(b.column(col).to_pylist())
             for probe in (h & bmask, splitmix64(h) & bmask):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import ray.data
 from ..sources.readers import read_parquet_clean
@@ -88,15 +88,25 @@ class StageCheckpointer:
             return False
         return True
 
-    def pin(self, ds: ray.data.Dataset, name: str) -> ray.data.Dataset:
+    def pin(
+        self,
+        ds: Union[ray.data.Dataset, Callable[[], ray.data.Dataset]],
+        name: str,
+    ) -> ray.data.Dataset:
         """Execute a stage once and make its result re-readable.
+
+        ``ds`` is the stage's dataset, or a zero-argument builder that
+        returns it.  A builder is called only when the stage is not cached,
+        so a stage whose construction already runs work (an eager hash
+        exchange) costs nothing on a resume.
 
         checkpoint_dir set: write-then-rename Parquet + manifest entry;
         on resume, read the completed stage (Snakemake-equivalent skip).
         checkpoint_dir unset: materialize into the object store.
         """
+        build = ds if callable(ds) else (lambda: ds)
         if not self.dir:
-            return ds.materialize()
+            return build().materialize()
         final = os.path.join(self.dir, name)
         if self.is_done(name):
             return read_parquet_clean(final)
@@ -107,7 +117,7 @@ class StageCheckpointer:
         tmp = f"{final}.tmp.{os.getpid()}"
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
-        ds.write_parquet(tmp)
+        build().write_parquet(tmp)
         if os.path.exists(final):
             shutil.rmtree(final)
         try:

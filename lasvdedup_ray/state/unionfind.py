@@ -8,9 +8,9 @@ pinned by ``tests/utils/test_sequence_grouping.py:247-327``).
 Two execution paths:
 
 - **Driver DSU** (default below ``dsu_edge_limit`` edges): edges are already
-  the *verified near-dup* pairs — a tiny fraction of corpus rows — so they
-  stream to the driver via ``iter_batches`` into a union-find with path
-  compression.  O(E α(E)) and exact.
+  the *verified near-dup* pairs — a tiny fraction of corpus rows — so their
+  materialized blocks stream to the driver by ref into a union-find with
+  path compression.  O(E α(E)) and exact.
 - **Distributed min-label propagation** (the scale path): alternate
   (1) neighbor-min rounds — join edge endpoints to current labels,
   ``groupby(node).min(label)`` — with (2) pointer-jumping rounds
@@ -122,11 +122,14 @@ class DSU:
 
 
 def components_driver(edges: ray.data.Dataset) -> Dict[str, str]:
-    """Stream (id_a, id_b) batches to a driver DSU; returns node -> label."""
+    """Stream (id_a, id_b) blocks to a driver DSU; returns node -> label.
+    The blocks are read by ref (``block_tables``): on the materialized,
+    compacted edges ``assign_clusters`` passes, no Ray Data execution
+    starts."""
+    from ..stages.exchange import block_tables
+
     dsu = DSU()
-    for batch in strict_project(edges, ["id_a", "id_b"]).iter_batches(
-        batch_size=65536, batch_format="pyarrow"
-    ):
+    for batch in block_tables(edges):
         for a, b in zip(batch["id_a"].to_pylist(), batch["id_b"].to_pylist()):
             dsu.union(a, b)
     return dsu.labels()

@@ -121,3 +121,38 @@ def test_plan_stages_dry_run(tmp_path):
     dedup_pipeline(ray.data.from_arrow(corpus), cfg, num_partitions=4).count()
     plan2 = plan_stages(ray.data.from_arrow(corpus), cfg)
     assert all(p["checkpoint"] == "cached" for p in plan2[:2])
+
+
+def test_resume_recomputes_after_input_file_edited_in_place(tmp_path):
+    """An input file rewritten in place with the same row count changes its
+    size/mtime, hence the fingerprint: the resume recomputes ``signed``
+    instead of serving the old content's stage."""
+    import hashlib
+
+    import pyarrow.parquet as pq
+
+    from lasvdedup_ray.sources.corpus import write_corpus
+    from lasvdedup_ray.sources.readers import read_parquet_clean
+
+    write_corpus(str(tmp_path / "corpus"), CorpusSpec(n_files=80, seed=4))
+    files = sorted(str(p) for p in (tmp_path / "corpus").glob("part-*.parquet"))
+    cfg = PipelineConfig(checkpoint_dir=str(tmp_path / "ck"))
+
+    def run():
+        res = dedup_pipeline(read_parquet_clean(files), cfg, num_partitions=4)
+        return res.to_pandas().set_index("id")
+
+    run()
+    manifest = tmp_path / "ck" / "manifest.json"
+    fp_before = json.load(open(manifest))["signed"]["fingerprint"]
+
+    t = pq.read_table(files[0])
+    new_content = "edited in place: " + t["content"][0].as_py()
+    content = pa.array([new_content] + t["content"].to_pylist()[1:], t.schema.field("content").type)
+    pq.write_table(t.set_column(t.schema.get_field_index("content"), "content", content), files[0])
+    edited_id = f"{t['repo'][0]}:{t['path'][0]}@{t['commit'][0]}"
+
+    out = run()
+    assert json.load(open(manifest))["signed"]["fingerprint"] != fp_before
+    assert out.loc[edited_id, "sha256"] == hashlib.sha256(new_content.encode()).digest()
+    assert len(out) == 80

@@ -420,6 +420,64 @@ def test_order_price_quantiles_histogram_path(ray_session, tmp_path, monkeypatch
         assert out.loc[int(q * 100), "price_e4"] == np.floor(expect * 1e4 + 0.5)
 
 
+def _write_orders(d, prices):
+    d.mkdir()
+    n = len(prices)
+    pq.write_table(
+        pa.table({"o_orderkey": pa.array(range(n), pa.int64()),
+                  "o_custkey": pa.array(np.zeros(n, np.int64), pa.int64()),
+                  "o_totalprice": pa.array(prices, pa.float64())}),
+        str(d / "orders.parquet"),
+    )
+
+
+def test_order_price_quantiles_planted_tie(ray_session, tmp_path, monkeypatch):
+    """A tie group larger than the driver cap holding every quantile is
+    emitted from the zero-width range, never collected to the driver."""
+    import lasvdedup_ray.pipelines.relational as rel
+
+    rng = np.random.default_rng(5)
+    prices = np.concatenate([np.full(1500, 123.45), np.round(rng.uniform(1, 500, 40), 2)])
+    _write_orders(tmp_path / "q", prices)
+    cap = 64
+    monkeypatch.setattr(rel, "QUANTILE_DRIVER_CAP", cap)
+    monkeypatch.setattr(rel, "QUANTILE_BINS", 16)
+    collected = []
+    real_range_values = rel._range_values
+
+    def spy(ds, lo, hi):
+        vals = real_range_values(ds, lo, hi)
+        collected.append(len(vals))
+        return vals
+
+    monkeypatch.setattr(rel, "_range_values", spy)
+    out = rel.order_price_quantiles(str(tmp_path / "q")).to_pandas().set_index("q_pct")
+    sv, n = np.sort(prices), len(prices)
+    for q in (0.5, 0.9, 0.99):
+        expect = sv[int(np.ceil(q * n)) - 1]
+        assert out.loc[int(q * 100), "price_e4"] == np.floor(expect * 1e4 + 0.5)
+    assert all(c <= cap for c in collected), collected
+
+    # an all-equal column is one zero-width range from the start
+    _write_orders(tmp_path / "eq", np.full(200, 7.5))
+    collected.clear()
+    out = rel.order_price_quantiles(str(tmp_path / "eq")).to_pandas()
+    assert (out["price_e4"] == 75_000).all() and collected == []
+
+
+def test_order_price_quantiles_raises_past_max_passes(ray_session, tmp_path, monkeypatch):
+    """A candidate slice still above the cap after the last refinement pass
+    raises instead of collecting an unbounded slice to the driver."""
+    import lasvdedup_ray.pipelines.relational as rel
+
+    _write_orders(tmp_path / "q", np.arange(1000, dtype=np.float64))
+    monkeypatch.setattr(rel, "QUANTILE_DRIVER_CAP", 10)
+    monkeypatch.setattr(rel, "QUANTILE_BINS", 4)
+    monkeypatch.setattr(rel, "QUANTILE_MAX_PASSES", 1)
+    with pytest.raises(RuntimeError, match="driver cap"):
+        rel.order_price_quantiles(str(tmp_path / "q"))
+
+
 def test_shuffle_export_deterministic_permutation(ray_session, cur_dir):
     """shuffle_export_docs is a permutation: every doc exactly once,
     positions contiguous 1..m per shard, assignment = splitmix64 reference,
@@ -666,6 +724,36 @@ def test_token_poly_hashes_reference():
     assert (token_poly_hashes(ch) == exp).all()
 
 
+def test_token_poly_hashes_codepoints():
+    """Non-ASCII tokens hash their codepoints (the SQL oracle's
+    ``ord(substr(...))``), not their UTF-8 bytes, on plain, sliced and
+    large_string arrays; the concat identity holds with codepoint lengths."""
+    from lasvdedup_ray.functions.hashing import (
+        _POLY_MULT,
+        poly_concat,
+        token_poly_hashes,
+    )
+
+    toks = ["ascii", "é", "naïve", "", "日本語", "a😀b", "ß", "x"]
+
+    def ref(s: str) -> int:
+        z = 0
+        for c in s:
+            z = (z * int(_POLY_MULT) + ord(c)) % (1 << 64)
+        return z
+
+    exp = np.array([ref(s) for s in toks], np.uint64)
+    assert (token_poly_hashes(pa.array(toks, pa.string())) == exp).all()
+    assert (token_poly_hashes(pa.array(toks, pa.large_string())) == exp).all()
+    assert (token_poly_hashes(pa.array(toks).slice(2, 4)) == exp[2:6]).all()
+    left = token_poly_hashes(pa.array(toks[:4])) * _POLY_MULT + np.uint64(32)
+    right = pa.array(toks[4:])
+    lens = np.array([len(s) for s in toks[4:]], np.int64)
+    joined = [f"{a} {b}" for a, b in zip(toks[:4], toks[4:])]
+    got = poly_concat(left, token_poly_hashes(right), lens)
+    assert (got == token_poly_hashes(pa.array(joined))).all()
+
+
 def test_poly_concat_property():
     """H(a||b) reconstructed from part hashes equals hashing the joined
     string directly — the bigram fast path never materializes 'w1 w2'."""
@@ -850,16 +938,43 @@ def test_null_lang_matches_duckdb_oracle(ray_session, tmp_path, op, cols):
     """A NULL ``lang`` is neither the DSIR target nor LM training text, as
     in the SQL oracle (``NULL = 'x'`` is not true), instead of crashing the
     per-batch partials."""
-    import duckdb
-
-    import __ray_entry__ as entry_mod
-    from lasvdedup_ray.pipelines import curation
-
     rng = np.random.default_rng(13)
     vocab = ["the", "cat", "sat", "und", "der", "scan", "key"]
     n = 24
     texts = [" ".join(rng.choice(vocab, size=int(rng.integers(1, 8)))) for _ in range(n)]
     langs = [[None, "en", "de"][i % 3] for i in range(n)]
+    _assert_matches_duckdb_oracle(tmp_path, op, cols, texts, langs)
+
+
+@pytest.mark.parametrize(
+    "op,cols",
+    [
+        ("dsir_weights", ["n_feats", "dsir_logratio_e6"]),
+        ("lm_perplexity_docs", ["n_bigrams", "lm_logprob_e6"]),
+    ],
+)
+def test_non_ascii_matches_duckdb_oracle(ray_session, tmp_path, op, cols):
+    """Tokens are hashed over codepoints, as the SQL oracle's
+    ``ord(substr(...))`` does: 2-, 3- and 4-byte UTF-8 characters (and an
+    upper-case one that ``lower`` folds) give the oracle's features.  A
+    DSIR weight depends on which features share a hashed bucket, so the
+    vocabulary plants one sharing: "zü179" falls in the bucket of "the"
+    when codepoints are hashed, and in another one when UTF-8 bytes are."""
+    rng = np.random.default_rng(29)
+    vocab = ["the", "café", "naïve", "ÉCOLE", "日本語", "grün", "emoji😀", "zü179"]
+    n = 24
+    texts = [" ".join(rng.choice(vocab, size=int(rng.integers(1, 8)))) for _ in range(n)]
+    langs = [["en", "de"][i % 2] for i in range(n)]
+    _assert_matches_duckdb_oracle(tmp_path, op, cols, texts, langs)
+
+
+def _assert_matches_duckdb_oracle(tmp_path, op, cols, texts, langs):
+    import duckdb
+
+    import __ray_entry__ as entry_mod
+    from lasvdedup_ray.pipelines import curation
+
+    n = len(texts)
     t = pa.table(
         {
             "doc_id": pa.array(range(n), pa.int64()),

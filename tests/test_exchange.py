@@ -10,7 +10,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from lasvdedup_ray.stages.exchange import hash_exchange
+from lasvdedup_ray.stages.exchange import block_tables, dataset_from_blocks, hash_exchange
 
 
 def _mk(n_rows: int, n_parts: int, n_blocks: int = 5) -> rd.Dataset:
@@ -294,3 +294,33 @@ def test_no_metadata_tasks_and_empty_blocks_skipped(ray_session, submitted):
     assert out.count() == 3
     assert sorted(out.to_pandas()["n"]) == [2, 2, 2]
     assert submitted["get_table_block_metadata_schema"] == 0
+
+
+def test_block_tables_reads_materialized_blocks_by_ref(ray_session, executions):
+    """``block_tables`` yields the non-empty blocks of a materialized dataset
+    in block order without starting an execution; a block whose metadata
+    says zero rows is never read (here its ref is not even a table)."""
+    import ray
+    from ray.data.block import BlockMetadataWithSchema
+
+    a = pa.table({"id": ["x", "y"], "wide": ["p" * 100, "q" * 100]})
+    b = pa.table({"id": ["z"], "wide": ["r" * 100]})
+    empty = a.slice(0, 0)
+    ds = dataset_from_blocks(
+        [ray.put(a), ray.put("not a block"), ray.put(b)],
+        [BlockMetadataWithSchema.from_block(t) for t in (a, empty, b)],
+    )
+    assert [t.to_pydict() for t in block_tables(ds)] == [a.to_pydict(), b.to_pydict()]
+    projected = list(block_tables(ds, ["id"]))
+    assert [t.column_names for t in projected] == [["id"], ["id"]]
+    assert pa.concat_tables(projected)["id"].to_pylist() == ["x", "y", "z"]
+    mat = rd.range(100, override_num_blocks=4).map_batches(lambda t: t).materialize()
+    executions.clear()
+    assert sum(t.num_rows for t in block_tables(mat, ["id"])) == 100
+    assert executions == []
+
+
+def test_block_tables_runs_lazy_input_once(ray_session, executions):
+    ds = rd.range(50, override_num_blocks=5).map_batches(lambda t: t)
+    assert sum(t.num_rows for t in block_tables(ds)) == 50
+    assert len(executions) == 1

@@ -52,6 +52,42 @@ def test_broadcast_and_inline_transport_same_pairs(signed_corpus):
     assert default == dist_hot == inline and len(default) > 0
 
 
+def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
+    """``n_rows_hint`` may exceed the true row count (the flagship passes the
+    fused sha-collapse row count, reps + star edges): the pair set does not
+    change.  An all-identical corpus collapses to one rep, whose hint still
+    counts every input row — it must give the empty pair set, not crash."""
+    from lasvdedup_ray.stages.exact import exact_collapse, fused_reps
+
+    _, cfg, signed = signed_corpus
+    slim = signed.select_columns(["id", "minhash", "simhash"])
+    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin
+
+    def pairset(ds, hint):
+        df = candidate_pairs(ds, cfg.signature, cfg.lsh, tau=emit_tau, n_rows_hint=hint).to_pandas()
+        # an empty result may come back without columns
+        return set(zip(df["id_a"], df["id_b"])) if len(df) else set()
+
+    # a hint past hot_driver_cap switches to the distributed store + hot-set plan
+    exact_hint = pairset(slim, signed.count())
+    loose_hint = pairset(slim, cfg.lsh.hot_driver_cap + 1)
+    assert exact_hint == loose_hint and len(exact_hint) > 0
+
+    corpus, _ = generate_corpus(CorpusSpec(n_files=30, seed=3))
+    same = corpus.set_column(
+        corpus.schema.get_field_index("content"),
+        "content",
+        pa.array([corpus["content"][0].as_py()] * corpus.num_rows, corpus.schema.field("content").type),
+    )
+    signed_same = add_signatures(prepare(ray.data.from_arrow(same)), cfg=cfg.signature)
+    fused = exact_collapse(
+        signed_same.select_columns(["id", "sha_hex", "minhash", "simhash"])
+    ).materialize()
+    reps = fused_reps(fused).select_columns(["id", "minhash", "simhash"])
+    assert reps.count() == 1 and fused.count() == corpus.num_rows
+    assert pairset(reps, fused.count()) == pairset(reps, None) == set()
+
+
 def _canon_results(ds) -> pd.DataFrame:
     df = ds.to_pandas()[
         ["id", "classification", "decision_category", "is_representative"]
