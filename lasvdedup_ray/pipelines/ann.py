@@ -1073,7 +1073,8 @@ def knn_graph_embeddings(
     full-matrix broadcast and a single scan emits each row's final top-k
     directly.  Above it, sequential chunk passes emit per-chunk PARTIAL
     top-k rows (k rows per query per chunk, the store holds one chunk at
-    a time), merged by one slim hash exchange on query_id.  The broadcast
+    a time), each folded into a running top-k by a slim hash exchange on
+    query_id.  The broadcast
     side is sorted by vec_id so a stable argsort on the quantized
     similarities breaks ties by vec_id ascending WITHOUT a per-row Python
     loop.  Exact kNN is inherently O(n^2/chunk) compute — the IVF/LSH
@@ -1143,58 +1144,18 @@ def knn_graph_embeddings(
         )
 
     # chunked path: row-sorted chunk passes (same one-chunk-at-a-time
-    # store discipline as embedding_neardup_pairs), then a final top-k
-    # merge per query over the k-per-chunk partials
-    from ..stages.exchange import hash_exchange
+    # store discipline as embedding_neardup_pairs), each folded into a
+    # running per-query top-k by one slim hash exchange on query_id, so the
+    # retained rows stay at most 2 * n_queries * k whatever the chunk count
+    from ..stages.exchange import (
+        concat_blocks,
+        exchange_partitions,
+        hash_exchange,
+        map_blocks,
+    )
     from ..state.unionfind import drop_empty_blocks
 
-    chunk_rows = max(1, broadcast_cap_bytes // (dim * 8))
-    passes = []
-    carry: list[pa.RecordBatch] = []
-    carry_n = 0
-
-    def flush(batches):
-        # sort the chunk by vec_id so the stable in-chunk argsort breaks
-        # ties vec_id-ascending; cross-chunk ties are value-resolved in
-        # merge_topk (per-chunk top-k under the same total order is
-        # union-safe for the global top-k)
-        t = pa.Table.from_batches(batches)
-        ids = _ids(t["vec_id"])
-        order = np.argsort(ids)
-        ids = ids[order]
-        mat = _list_matrix(t["embedding"])[order]
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        ref = ray.put((ids, mat / norms))
-        part = ds.map_batches(make_partial(ref, k), batch_format="pyarrow").materialize()
-        part = drop_empty_blocks(part)
-        if part is not None:
-            passes.append(part)
-        del ref
-
-    for rb in pf.iter_batches(
-        batch_size=min(chunk_rows, 65536), columns=["vec_id", "embedding"]
-    ):
-        carry.append(rb)
-        carry_n += rb.num_rows
-        if carry_n >= chunk_rows:
-            flush(carry)
-            carry, carry_n = [], 0
-    if carry_n:
-        flush(carry)
-    if not passes:  # e.g. a 1-row table: the self-mask drops every candidate
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "query_id": pa.array([], pa.int64()),
-                    "vec_id": pa.array([], pa.int64()),
-                    "cosine_e6": pa.array([], pa.int64()),
-                }
-            )
-        )
-    union = passes[0] if len(passes) == 1 else passes[0].union(*passes[1:])
-
-    n_part = 16
+    n_part = exchange_partitions()
 
     def add_pkey(t: pa.Table) -> pa.Table:
         q = t["query_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -1225,10 +1186,56 @@ def knn_graph_embeddings(
             }
         )
 
-    merged = hash_exchange(
-        union.map_batches(add_pkey, batch_format="pyarrow"),
-        "pkey",
-        n_part,
-        merge_topk,
-    )
-    return merged.sort(["query_id", "vec_id"])
+    chunk_rows = max(1, broadcast_cap_bytes // (dim * 8))
+    running = None  # top-k per query over the chunks passed so far
+    carry: list[pa.RecordBatch] = []
+    carry_n = 0
+
+    def flush(batches):
+        nonlocal running
+        # sort the chunk by vec_id so the stable in-chunk argsort breaks
+        # ties vec_id-ascending; cross-chunk ties are value-resolved in
+        # merge_topk (per-chunk top-k under the same total order is
+        # union-safe for the global top-k)
+        t = pa.Table.from_batches(batches)
+        ids = _ids(t["vec_id"])
+        order = np.argsort(ids)
+        ids = ids[order]
+        mat = _list_matrix(t["embedding"])[order]
+        norms = np.linalg.norm(mat, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        ref = ray.put((ids, mat / norms))
+        part = ds.map_batches(make_partial(ref, k), batch_format="pyarrow").materialize()
+        del ref
+        part = drop_empty_blocks(part)
+        if part is None:
+            return
+        # a single pass already holds at most k rows per query
+        running = part if running is None else hash_exchange(
+            map_blocks(concat_blocks(running, part), add_pkey),
+            "pkey",
+            n_part,
+            merge_topk,
+        )
+
+    for rb in pf.iter_batches(
+        batch_size=min(chunk_rows, 65536), columns=["vec_id", "embedding"]
+    ):
+        carry.append(rb)
+        carry_n += rb.num_rows
+        if carry_n >= chunk_rows:
+            flush(carry)
+            carry, carry_n = [], 0
+    if carry_n:
+        flush(carry)
+    if running is None:  # e.g. a 1-row table: the self-mask drops every candidate
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "query_id": pa.array([], pa.int64()),
+                    "vec_id": pa.array([], pa.int64()),
+                    "cosine_e6": pa.array([], pa.int64()),
+                }
+            )
+        )
+    return running.sort(["query_id", "vec_id"])

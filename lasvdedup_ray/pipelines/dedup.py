@@ -4,17 +4,27 @@ classification over a Parquet source-code table.
 Ray-Data-first rebuild of the reference's analytical core
 (``lasvdedup/utils/determine_duplicates.py:52-153``), per SURVEY §3:
 
+Default stages (``exact_first=False``):
+
     read_parquet
-      -> prepare             (map_batches: id, sha256, stats)        [stateless]
-      -> exact dedup         (groupby sha_hex: reps + 0-dist edges)  [1 content shuffle]
-      -> MinHashSigner       (actor pool, signatures per distinct content)
-      -> LSH candidate gen   (band groupby: verified pairs)          [slim shuffle]
+      -> prepare + sign      (Ray Data map_batches: id, sha256, stats,
+                              OPH signatures)                  [pinned: signed]
+      -> sha collapse        (driver lexsort, or a sha hash_exchange:
+                              reps + 0-dist star edges)        [pinned: reps]
+      -> LSH candidates      (sig store + band hash_exchange: pairs)
+      -> verify              (sure filter + exact border re-check)
       -> union-find          (driver DSU / distributed label prop)
-      -> classification      (groupby cluster_id: 5-case decision tree)
+      -> classification      (hash_exchange on cluster_id: 5-case tree)
       -> write_parquet       (partitioned by classification) + metrics
 
-Everything between the signer and the final content re-join shuffles ONLY
-ids + signatures (content projected out — SURVEY §7 "very wide rows").
+Ray Data executes only the read + sign and the Parquet edges of the
+checkpoint (``StageCheckpointer.pin`` returns a materialized stage).  Every
+step after sign is a raw task over block refs: a per-block map is
+``map_blocks``, a union is ``concat_blocks`` and a shuffle is
+``hash_exchange`` (``stages/exchange.py``), so no consumer re-runs a stage.
+Everything between the signer and the final classification shuffles ONLY
+ids + signatures (content is projected out inside the map tasks — SURVEY
+§7 "very wide rows").
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import ray.data
 from ..config import PipelineConfig
 from ..stages.classify import classify_clusters
 from ..stages.exact import exact_dup_edges, exact_representatives
+from ..stages.exchange import concat_blocks, hash_exchange, map_blocks
 from ..stages.lsh import band_stats, candidate_pairs
 from ..stages.prepare import prepare
 from ..stages.signatures import add_signatures
@@ -219,7 +230,7 @@ def dedup_pipeline(
             from ..stages.classify import RESULT_SCHEMA
 
             return ray.data.from_arrow(RESULT_SCHEMA.empty_table())
-        meta = signed.select_columns(SLIM_COLS + ["minhash", "simhash"])
+        meta = map_blocks(signed, None, cols=SLIM_COLS + ["minhash", "simhash"])
         if config.group_only:
             # reference-parity mode (sequence_grouping.py:29-37): clusters
             # come from group_regex only; signatures still feed the
@@ -249,9 +260,9 @@ def dedup_pipeline(
                         pc.is_in(t["id"], value_set=_WORKER_REP_CACHE[rep_ref])
                     )
 
-                reps_slim = signed.select_columns(
-                    ["id", "sha_hex", "minhash", "simhash"]
-                ).map_batches(keep_reps, batch_format="pyarrow")
+                reps_slim = map_blocks(
+                    signed, keep_reps, cols=["id", "minhash", "simhash"]
+                )
                 e_edges = ray.data.from_arrow(edges_tbl)
             else:
                 # ONE sha shuffle yields both the per-sha representatives and
@@ -262,12 +273,7 @@ def dedup_pipeline(
 
                 # a builder, not a dataset: the exchange starts when it is
                 # built, so a resume that reads "reps" back skips it
-                fused = ck.pin(
-                    lambda: exact_collapse(
-                        signed.select_columns(["id", "sha_hex", "minhash", "simhash"])
-                    ),
-                    "reps",
-                )
+                fused = ck.pin(lambda: exact_collapse(signed), "reps")
                 _plmark2("exact:fused_pin")
                 reps_slim = fused_reps(fused)
                 # one fused row per input row (a rep or a star edge): the
@@ -276,22 +282,24 @@ def dedup_pipeline(
                 reps_hint = fused.count()
                 e_edges = fused_edges(fused)
                 _phase("exact_collapse")
+            # candidates read (id, minhash, simhash) by name; verify
+            # projects signed to (id, content) inside its gather tasks
             near_edges = verify_pairs(
                 candidate_pairs(
-                    reps_slim.select_columns(["id", "minhash", "simhash"]),
+                    reps_slim,
                     config.signature,
                     config.lsh,
                     tau=emit_tau,
                     n_rows_hint=reps_hint,
                 ),
-                signed.select_columns(["id", "content"]),
+                signed,
                 config.signature,
                 config.lsh,
                 tau=tau,
                 num_partitions=num_partitions,
             )
             _phase("candidates+verify")
-            edges = near_edges.union(e_edges)
+            edges = concat_blocks(near_edges, e_edges)
 
     if rank_table is not None:
         # metadata/ranking side table (reference: contigs TSV joined per
@@ -312,9 +320,7 @@ def dedup_pipeline(
         # rows sharing an extracted group key are pre-linked with
         # zero-distance edges, so each "sample" clusters together before
         # any LSH evidence — the reference groups per sample up front
-        edges = edges.union(
-            group_key_edges(meta.select_columns(["id"]), config.group_regex)
-        )
+        edges = concat_blocks(edges, group_key_edges(meta, config.group_regex))
 
     if edges_out is not None:
         edges = edges.materialize()
@@ -337,11 +343,12 @@ def group_key_edges(ids_ds: ray.data.Dataset, pattern: str) -> ray.data.Dataset:
     regex-extracted group key (the reference's per-sample grouping,
     ``sequence_grouping.py:29-37``).  One hash-partition shuffle on the
     key; within-partition star emission is vectorized (min id per key ->
-    every other member)."""
+    every other member).  ``ids_ds`` needs an ``id`` column; only it
+    enters the shuffle."""
     import numpy as np
 
     from ..functions.text import extract_group_key
-    from ..stages.exchange import exchange_partitions, hash_exchange, string_pkey
+    from ..stages.exchange import exchange_partitions, string_pkey
     from ..stages.lsh import PAIR_SCHEMA
 
     num_partitions = exchange_partitions()
@@ -375,7 +382,7 @@ def group_key_edges(ids_ds: ray.data.Dataset, pattern: str) -> ray.data.Dataset:
         )
 
     return hash_exchange(
-        ids_ds.map_batches(keyed, batch_format="pyarrow"),
+        map_blocks(ids_ds, keyed, cols=["id"]),
         "pkey",
         num_partitions,
         star_edges,

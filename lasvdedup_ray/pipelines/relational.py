@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
-from ..stages.exchange import hash_exchange
+from ..stages.exchange import cluster_cpus, hash_exchange
 from ..sources.readers import read_parquet_clean
 
 # ---- size-gated join planning ---------------------------------------------
@@ -58,11 +58,7 @@ def _join_partitions(requested: int = 32) -> int:
     """Clamp hash-join partition count to the cluster CPU count: Ray's
     hash-shuffle join spawns aggregator actors per partition and DEADLOCKS
     when they exceed available CPUs (observed on Ray 2.49 local mode)."""
-    try:
-        n = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        n = 8
-    return max(2, min(requested, n))
+    return max(2, min(requested, cluster_cpus()))
 
 
 def quantize(t: pa.Table, cols, scale: int = 10_000, suffix: str = "_e4") -> pa.Table:

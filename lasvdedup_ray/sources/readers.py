@@ -17,8 +17,9 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-import ray
 import ray.data
+
+from ..stages.exchange import cluster_cpus
 
 # Ray's default read parallelism is ~2x the cluster CPU count, so a 65 KB
 # table is split into 64 blocks and EVERY downstream operator pays 64
@@ -117,12 +118,8 @@ def read_parquet_clean(*args, **kwargs) -> ray.data.Dataset:
     if "override_num_blocks" not in kwargs and args:
         sz = _input_bytes(args[0])
         if sz is not None and sz <= _SMALL_READ_BYTES:
-            try:
-                cpus = int(ray.cluster_resources().get("CPU", 8))
-            except Exception:
-                cpus = 8
             kwargs["override_num_blocks"] = max(
-                1, min(2 * cpus, -(-sz // _BLOCK_TARGET_BYTES))
+                1, min(2 * cluster_cpus(), -(-sz // _BLOCK_TARGET_BYTES))
             )
     if "schema" not in kwargs and args:
         f = _first_file(args[0])

@@ -373,7 +373,7 @@ def classify_clusters(
     clustered: ray.data.Dataset, config: Optional[PipelineConfig] = None
 ) -> ray.data.Dataset:
     """Hash-partition shuffle on cluster_id + per-partition decision tree."""
-    from .exchange import exchange_partitions, hash_exchange, string_pkey
+    from .exchange import exchange_partitions, hash_exchange, map_blocks, string_pkey
 
     config = config or PipelineConfig()
     # exchange_partitions(): 4 per CPU, so a partition holding a
@@ -388,7 +388,7 @@ def classify_clusters(
     # (stages/exchange.py) co-locates clusters without the sort barrier's
     # sampling pass + SortMap/SortReduce waves
     return hash_exchange(
-        clustered.map_batches(add_pkey, batch_format="pyarrow", batch_size=8192),
+        map_blocks(clustered, add_pkey),
         "pkey",
         n_parts,
         make_partition_classifier(config),

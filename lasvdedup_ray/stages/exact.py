@@ -26,10 +26,11 @@ import ray.data
 from .lsh import PAIR_SCHEMA
 
 
-def _sha_exchange(ds: ray.data.Dataset, reduce_fn) -> ray.data.Dataset:
+def _sha_exchange(ds: ray.data.Dataset, reduce_fn, cols=None) -> ray.data.Dataset:
     """Hash exchange on ``sha_hex``: every row of one sha reaches one
-    ``reduce_fn`` call."""
-    from .exchange import exchange_partitions, hash_exchange, string_pkey
+    ``reduce_fn`` call.  ``cols``: the columns of ``ds`` that enter the
+    exchange (projected inside the pkey tasks; None keeps all)."""
+    from .exchange import exchange_partitions, hash_exchange, map_blocks, string_pkey
 
     num_partitions = exchange_partitions()
 
@@ -37,7 +38,7 @@ def _sha_exchange(ds: ray.data.Dataset, reduce_fn) -> ray.data.Dataset:
         return t.append_column("pkey", string_pkey(t["sha_hex"], num_partitions))
 
     return hash_exchange(
-        ds.map_batches(add_pkey, batch_format="pyarrow"),
+        map_blocks(ds, add_pkey, cols=cols),
         "pkey",
         num_partitions,
         reduce_fn,
@@ -82,13 +83,14 @@ FUSED_SCHEMA = pa.schema(
 )
 
 
-def exact_collapse(signed_slim: ray.data.Dataset) -> ray.data.Dataset:
+def exact_collapse(signed: ray.data.Dataset) -> ray.data.Dataset:
     """ONE sha shuffle producing both the per-sha representative rows
     (kind=0: id, sha_hex, minhash, simhash) and the rep--member star edges
     (kind=1: id_a, id_b).  ``exact_representatives`` + ``exact_dup_edges``
     each shuffled the same keys separately — at the flagship's scale the
-    second exchange was pure overhead.  Callers filter the (materialized)
-    fused output by ``kind``."""
+    second exchange was pure overhead.  ``signed`` may carry content: only
+    the four slim columns enter the exchange.  Callers filter the
+    (materialized) fused output by ``kind``."""
 
     def emit_fused(g: pa.Table) -> pa.Table:
         if g.num_rows == 0:
@@ -132,36 +134,30 @@ def exact_collapse(signed_slim: ray.data.Dataset) -> ray.data.Dataset:
         )
         return pa.concat_tables([rep_part, edge_part])
 
-    return _sha_exchange(signed_slim, emit_fused)
+    return _sha_exchange(
+        signed, emit_fused, cols=["id", "sha_hex", "minhash", "simhash"]
+    )
 
 
 def fused_reps(fused: ray.data.Dataset) -> ray.data.Dataset:
     """kind=0 slice of ``exact_collapse`` output -> (id, sha_hex, minhash,
-    simhash)."""
-    return fused.map_batches(
+    simhash), one raw task per block."""
+    from .exchange import map_blocks
+
+    return map_blocks(
+        fused,
         lambda t: t.filter(pc.equal(t["kind"], 0)).select(
             ["id", "sha_hex", "minhash", "simhash"]
-        )
-        if "kind" in t.column_names
-        else pa.schema(
-            [
-                ("id", pa.string()),
-                ("sha_hex", pa.string()),
-                ("minhash", pa.large_binary()),
-                ("simhash", pa.uint64()),
-            ]
-        ).empty_table(),
-        batch_format="pyarrow",
+        ),
     )
 
 
 def fused_edges(fused: ray.data.Dataset) -> ray.data.Dataset:
     """kind=1 slice of ``exact_collapse`` output -> zero-distance star
-    edges in PAIR_SCHEMA."""
+    edges in PAIR_SCHEMA, one raw task per block."""
+    from .exchange import map_blocks
 
     def to_pairs(t: pa.Table) -> pa.Table:
-        if "kind" not in t.column_names:
-            return PAIR_SCHEMA.empty_table()
         e = t.filter(pc.equal(t["kind"], 1))
         return pa.table(
             {
@@ -174,7 +170,7 @@ def fused_edges(fused: ray.data.Dataset) -> ray.data.Dataset:
             schema=PAIR_SCHEMA,
         )
 
-    return fused.map_batches(to_pairs, batch_format="pyarrow")
+    return map_blocks(fused, to_pairs)
 
 
 def exact_collapse_driver(signed_slim: ray.data.Dataset):
@@ -250,4 +246,4 @@ def exact_dup_edges(prepared_slim: ray.data.Dataset) -> ray.data.Dataset:
             schema=PAIR_SCHEMA,
         )
 
-    return _sha_exchange(prepared_slim.select_columns(["sha_hex", "id"]), emit_edges)
+    return _sha_exchange(prepared_slim, emit_edges, cols=["sha_hex", "id"])

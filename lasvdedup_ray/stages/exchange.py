@@ -61,6 +61,17 @@ upstream, instead of starting a Ray Data execution (``iter_batches``,
 matter how few rows it moves.  When only narrow columns of wide blocks are
 needed it projects inside one raw task per block, so the wide columns never
 reach the driver.
+
+Mapping and concatenating by ref: ``map_blocks`` is ``map_batches`` as one
+raw task per non-empty block (the function ships once through ``ray.put``,
+``cols`` projects inside the task, and each task returns its block's
+metadata, so the result is built with ``dataset_from_blocks`` and
+known-empty outputs are dropped).  ``concat_blocks`` is ``union`` as a
+concatenation of block-ref lists.  Neither starts a Ray Data execution on a
+materialized input, so a chain of them between exchanges runs as raw tasks
+only; its output is a materialized dataset any consumer can read by ref.
+``hash_exchange`` likewise ships its reduce function once per call, not
+pickled into each of its reduce tasks.
 """
 
 from __future__ import annotations
@@ -116,15 +127,34 @@ def dataset_from_blocks(refs: list, metas: list) -> ray.data.Dataset:
     return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
 
 
-def _block_refs(ds: ray.data.Dataset) -> list:
-    """Refs of the blocks of ``ds`` whose metadata does not say zero rows
-    (an unknown count is kept), from ``iter_internal_ref_bundles``."""
+def _live_blocks(ds: ray.data.Dataset) -> list:
+    """``(ref, BlockMetadataWithSchema)`` of the blocks of ``ds`` whose
+    metadata does not say zero rows (an unknown count is kept: dropping it
+    could lose rows), from ``iter_internal_ref_bundles``."""
+    from ray.data.block import BlockMetadataWithSchema
+
     return [
-        ref
+        (ref, BlockMetadataWithSchema(meta, schema=bundle.schema))
         for bundle in ds.iter_internal_ref_bundles()
         for ref, meta in bundle.blocks
         if meta.num_rows != 0
     ]
+
+
+def _block_refs(ds: ray.data.Dataset) -> list:
+    return [ref for ref, _ in _live_blocks(ds)]
+
+
+def concat_blocks(*dss: ray.data.Dataset) -> ray.data.Dataset:
+    """``dss[0].union(*dss[1:])`` as a concatenation of the inputs'
+    non-empty block refs: block refs move, bytes don't, and on materialized
+    inputs no Ray Data execution starts (a lazy input runs once)."""
+    refs, metas = [], []
+    for ds in dss:
+        for ref, meta in _live_blocks(ds):
+            refs.append(ref)
+            metas.append(meta)
+    return dataset_from_blocks(refs, metas)
 
 
 def _arrow(block) -> pa.Table:
@@ -133,14 +163,6 @@ def _arrow(block) -> pa.Table:
     from ray.data.block import BlockAccessor
 
     return BlockAccessor.for_block(block).to_arrow()
-
-
-@ray.remote
-def _project_block(block, cols: list) -> pa.Table:
-    block = _arrow(block)
-    # a schemaless empty block (Ray Data's normalized empty map output) has
-    # none of ``cols``; it carries no rows, so it projects to itself
-    return block.select(cols) if block.num_rows else block
 
 
 def block_tables(
@@ -157,11 +179,51 @@ def block_tables(
     more than the blocks it consumed."""
     refs = _block_refs(ds)
     if cols is not None:
-        refs = [_project_block.remote(ref, list(cols)) for ref in refs]
+        refs = [_map_block.remote(None, ref, list(cols))[0] for ref in refs]
     for ref in refs:
         table = _arrow(ray.get(ref))
         if table.num_rows:
             yield table
+
+
+@ray.remote(num_returns=2)
+def _map_block(fn, block, cols):
+    """``fn`` of one block (projected to ``cols`` first; no ``fn``: the
+    projection) plus the result's ``BlockMetadataWithSchema``."""
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+    stats = BlockExecStats.builder()
+    block = _arrow(block)
+    # a schemaless empty block (Ray Data's normalized empty map output) has
+    # none of ``cols``; it carries no rows, so it projects to itself
+    if cols is not None and block.num_rows:
+        block = block.select(cols)
+    out = block if fn is None else fn(block)
+    return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
+
+
+def map_blocks(
+    ds: ray.data.Dataset,
+    fn: Optional[Callable[[pa.Table], pa.Table]],
+    cols: Optional[Sequence[str]] = None,
+) -> ray.data.Dataset:
+    """``ds.map_batches(fn, batch_format="pyarrow")`` with one batch per
+    block, as one raw task per non-empty block of ``ds``: no Ray Data
+    execution starts on a materialized ``ds`` (a lazy one runs once).
+    ``fn`` ships once through ``ray.put``; ``cols`` projects each block
+    inside its task, so the other columns never leave the object store
+    (``fn=None``: the projection alone).  Returns a materialized dataset of
+    the non-empty outputs, in block order; it waits for every task, since
+    the outputs' metadata build it."""
+    blocks = _block_refs(ds)
+    if not blocks:
+        return dataset_from_blocks([], [])
+    fn_ref = ray.put(fn)
+    cols = None if cols is None else list(cols)
+    out = [_map_block.remote(fn_ref, ref, cols) for ref in blocks]
+    metas = ray.get([meta for _, meta in out])
+    kept = [(block, meta) for (block, _), meta in zip(out, metas) if meta.num_rows != 0]
+    return dataset_from_blocks([b for b, _ in kept], [m for _, m in kept])
 
 
 @ray.remote
@@ -256,8 +318,10 @@ def hash_exchange(
         if empty_schema is not None:
             return ray.data.from_arrow(empty_schema.empty_table())
         return dataset_from_blocks([], [])
+    # one pickle of the reducer per call, not one per live partition
+    fn_ref = ray.put(reduce_fn)
     reduced = [
-        _reduce_partition.remote(reduce_fn, *[row[p] for row in parts_lists])
+        _reduce_partition.remote(fn_ref, *[row[p] for row in parts_lists])
         for p in live
     ]
     return dataset_from_blocks(

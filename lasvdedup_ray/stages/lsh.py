@@ -30,7 +30,7 @@ from ray.data.aggregate import Count, Min
 
 from ..config import LSHConfig, SignatureConfig
 from ..functions.hashing import band_hashes, splitmix64 as _smx64
-from .exchange import block_tables, cluster_cpus, hash_exchange
+from .exchange import block_tables, cluster_cpus, hash_exchange, map_blocks
 from .signatures import sig_matrix_from_column, sigs_to_matrix
 
 # worker-process-level caches for broadcast side data (hot-bucket keys and
@@ -169,7 +169,7 @@ def _member(struct, comb: np.ndarray) -> np.ndarray:
 
 
 def _make_store_row_fn(sig_cfg: SignatureConfig):
-    """map_batches fn: (id, minhash) -> (idh, sig16-binary, id) store rows;
+    """Block fn: (id, minhash) -> (idh, sig16-binary, id) store rows;
     the sig16 + id-hash are computed on workers."""
     import pandas as _pd
 
@@ -294,12 +294,8 @@ def _build_sig_store(signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig):
     signature transport."""
     np_ = sig_cfg.num_perms
     idh_parts, sig_parts, id_parts = [], [], []
-    for b in (
-        signed_slim.select_columns(["id", "minhash"])
-        .map_batches(
-            _make_store_row_fn(sig_cfg), batch_format="pyarrow", batch_size=8192
-        )
-        .iter_batches(batch_size=1 << 16, batch_format="pyarrow")
+    for b in block_tables(
+        map_blocks(signed_slim, _make_store_row_fn(sig_cfg), cols=["id", "minhash"])
     ):
         idh_parts.append(b.column("idh").to_numpy(zero_copy_only=False).astype(np.uint64))
         sig_parts.append(sig16_matrix(b.column("sig"), np_).copy())
@@ -408,7 +404,7 @@ def _derive_hot_sets(sig16: np.ndarray, sig_cfg: SignatureConfig, band_cap: int)
 
 
 def _make_slim_band_emitter(sig_cfg: SignatureConfig, num_partitions: int, hot_ref):
-    """map_batches fn: (id, minhash, simhash) -> slim ~40 B band rows
+    """Block fn: (id, minhash, simhash) -> slim ~40 B band rows
     (band, bh, idh, simhash, cmask, pkey) for broadcast-store transport.
     Only rows in hot (>= 2 member) buckets ship; cmask flags capped
     bands."""
@@ -890,7 +886,7 @@ def candidate_pairs(
     # materialize once: the hot-key set is O(colliding buckets), far smaller
     # than the input, and is consumed twice (count + collect/stream)
     hot_ds = hash_exchange(
-        signed_slim.map_batches(emit_keys, batch_format="pyarrow", batch_size=8192),
+        map_blocks(signed_slim, emit_keys),
         "pkey",
         num_partitions,
         dup_keys,
@@ -1001,12 +997,11 @@ def _banded_pairs(
         )
         return bt.append_column("pkey", pkey)
 
-    bands_ds = signed_slim.map_batches(
+    bands_ds = map_blocks(
+        signed_slim,
         _make_slim_band_emitter(sig_cfg, num_partitions, hot_ref=hot_ref)
         if use_bcast
         else emit_with_pkey,
-        batch_format="pyarrow",
-        batch_size=4096,
     )
     # pkey is a hash residue in [0, num_partitions): use the raw-Ray hash
     # exchange (stages/exchange.py) instead of the sort-based groupby —

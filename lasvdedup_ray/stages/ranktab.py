@@ -36,6 +36,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .exchange import cluster_cpus
+
 RANK_BROADCAST_ROW_CAP = 1_000_000
 
 _WORKER_CACHE: dict = {}
@@ -133,12 +135,7 @@ def attach_rank_table(
         return meta.map_batches(resolve, batch_format="pyarrow")
 
     # ---- distributed path: candidate-key explode + join -------------------
-    try:
-        num_partitions = max(
-            2, min(num_partitions, int(ray.cluster_resources().get("CPU", 8)))
-        )
-    except Exception:
-        pass
+    num_partitions = max(2, min(num_partitions, cluster_cpus()))
 
     def explode(t: pa.Table) -> pa.Table:
         ids, keys, pris = [], [], []

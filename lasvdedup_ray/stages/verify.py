@@ -8,17 +8,20 @@ distance lies within ``exact_margin`` of tau are re-checked with the exact
 shingle-set Jaccard.
 
 Execution shape (fully distributed — no driver-size degradation):
-- the sure set (est <= tau - margin_low) passes through a distributed
-  filter untouched;
+- the sure set (est <= tau - margin_low) passes through a filter of one
+  raw task per pair block (``map_blocks``);
 - the borderline set (est > tau - margin_low; the high side tau +
   margin_high was already enforced at LSH emission) is tiny by
   construction.  It is probed without a Ray Data execution: the pairs are
   materialized, so their blocks are read by ref (``block_tables``) and
   filtered on the driver one block at a time until the set is known to fit
   ``border_driver_cap`` or known to exceed it.  Below the cap its contents
-  are attached on the driver (one broadcast filter pass, bounded) and the
-  checked set is sliced into blocks on the driver, with no repartition
-  hop.  Above it, a FIXED-SIZE bloom bitmap over endpoint-id hashes
+  are gathered by one raw filter task per content block (projected to
+  ``(id, content)`` inside the task) and attached on the driver; the
+  checked set is sliced into blocks on the driver and checked by one raw
+  task per slice, and the result is the sure set's block refs followed by
+  the checked ones (``concat_blocks``) — no Ray Data execution on this
+  path.  Above the cap, a FIXED-SIZE bloom bitmap over endpoint-id hashes
   pre-filters the content table (bounded driver memory; a false positive
   only ships one extra content row), and the exact check runs behind a
   distributed double hash join — boundary pairs are exact-checked at EVERY
@@ -36,10 +39,17 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
+from ray.data.block import BlockMetadataWithSchema
 
 from ..config import LSHConfig, SignatureConfig
 from ..functions.hashing import shingle_hashes, splitmix64
-from .exchange import block_tables
+from .exchange import (
+    block_tables,
+    cluster_cpus,
+    concat_blocks,
+    dataset_from_blocks,
+    map_blocks,
+)
 from .lsh import PAIR_SCHEMA
 
 logger = logging.getLogger(__name__)
@@ -99,6 +109,18 @@ def _make_check_batch(sig_cfg: SignatureConfig, tau: float):
     return check_batch
 
 
+def _rows_with_ids(content: ray.data.Dataset, id_col: str, needed, cols=None) -> list:
+    """The rows of ``content`` whose ``id_col`` is in ``needed``, as Arrow
+    tables: one raw filter task per content block (projected to ``cols``
+    inside it), read back by ref."""
+    id_ref = ray.put(pa.array(sorted(needed)))
+
+    def grab(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t[id_col], value_set=ray.get(id_ref)))
+
+    return list(block_tables(map_blocks(content, grab, cols=cols)))
+
+
 def attach_pair_contents(
     pairs: ray.data.Dataset,
     content: ray.data.Dataset,
@@ -129,22 +151,16 @@ def attach_pair_contents(
     if n == 0:
         return None
     value_cols = [c for c in content.schema().names if c != id_col]
-    try:
-        num_partitions = max(
-            2, min(num_partitions, int(ray.cluster_resources().get("CPU", 8)))
-        )
-    except Exception:
-        pass
+    num_partitions = max(2, min(num_partitions, cluster_cpus()))
 
     if n <= driver_cap:
         pdf = pa.concat_tables(parts, promote_options="permissive").to_pandas()
-        needed = set(pdf["id_a"]) | set(pdf["id_b"])
-        id_ref = ray.put(pa.array(sorted(needed)))
-
-        def grab(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t[id_col], value_set=ray.get(id_ref)))
-
-        sub = content.map_batches(grab, batch_format="pyarrow").to_pandas()
+        found = _rows_with_ids(content, id_col, set(pdf["id_a"]) | set(pdf["id_b"]))
+        sub = (
+            pa.concat_tables(found, promote_options="permissive").to_pandas()
+            if found
+            else pd.DataFrame(columns=[id_col] + value_cols)
+        )
         # a pair with an endpoint absent from the content table is DROPPED —
         # the same semantics as the distributed path's inner joins below
         # (ADVICE r2: the driver path used to raise a bare KeyError here,
@@ -236,44 +252,21 @@ def verify_pairs(
     borderline slice.  Returns the verified edge list (id_a, id_b,
     est_distance) with d <= tau (inclusive boundary)."""
     from .._phaselog import mark as _mark
-
-    lsh_cfg = lsh_cfg or LSHConfig()
-    # pairs feed two consumers (sure + borderline); materialize once so the
-    # whole candidate-generation subplan doesn't execute twice
-    pairs = pairs.materialize()
-    _mark("verify:pairs_materialize")
-    # compact away zero-row blocks (selective in-bucket filters leave many):
-    # a downstream map task fed ONLY empty blocks never runs its UDF and
-    # emits a SCHEMALESS bundle (the "RefBundle with a different schema"
-    # warnings), and every empty block costs a scheduled task in BOTH the
-    # sure and border passes.  Block refs move, bytes don't.
     from ..state.unionfind import drop_empty_blocks
 
-    compact = drop_empty_blocks(pairs)
-    if compact is None:
+    lsh_cfg = lsh_cfg or LSHConfig()
+    # pairs feed two consumers (sure + borderline); read once, by ref, with
+    # zero-row blocks (selective in-bucket filters leave many) dropped so
+    # neither pass schedules a task for them.  Block refs move, bytes don't.
+    pairs = drop_empty_blocks(pairs)
+    _mark("verify:pairs_materialize")
+    if pairs is None:
         return ray.data.from_arrow(PAIR_SCHEMA.empty_table())
-    pairs = compact
-
-    def _safe_filter(pred):
-        # empty upstream datasets can arrive schemaless: normalize to
-        # PAIR_SCHEMA so every block downstream has (id_a, id_b, est_distance)
-        def fn(t: pa.Table) -> pa.Table:
-            if "est_distance" not in t.column_names:
-                return PAIR_SCHEMA.empty_table()
-            return t.filter(pred(t))
-
-        return fn
 
     if not lsh_cfg.exact_verify:
-        return pairs.map_batches(
-            _safe_filter(lambda t: pc.less_equal(t["est_distance"], tau)),
-            batch_format="pyarrow",
-        )
-    m = lsh_cfg.exact_margin_low
-    sure = pairs.map_batches(
-        _safe_filter(lambda t: pc.less_equal(t["est_distance"], tau - m)),
-        batch_format="pyarrow",
-    )
+        return map_blocks(pairs, lambda t: t.filter(pc.less_equal(t["est_distance"], tau)))
+    low = tau - lsh_cfg.exact_margin_low
+    sure = map_blocks(pairs, lambda t: t.filter(pc.less_equal(t["est_distance"], low)))
     # border probe: the compacted pairs are materialized, so their blocks
     # are read by ref and filtered on the driver, one block at a time, until
     # the cap is disproven — no Ray Data execution, no filter re-run.  When
@@ -281,7 +274,7 @@ def verify_pairs(
     # IS the collect.
     border_parts, n_border = [], 0
     for t in block_tables(pairs):
-        part = t.filter(pc.greater(t["est_distance"], tau - m))
+        part = t.filter(pc.greater(t["est_distance"], low))
         border_parts.append(part)
         n_border += part.num_rows
         if n_border > border_driver_cap:
@@ -301,14 +294,10 @@ def verify_pairs(
             .sort_by([("id_a", "ascending"), ("id_b", "ascending")])
         )
         needed = set(border_t["id_a"].to_pylist()) | set(border_t["id_b"].to_pylist())
-        id_ref = ray.put(pa.array(sorted(needed)))
-
-        def grab(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["id"], value_set=ray.get(id_ref)))
-
-        sub = content_by_id.map_batches(grab, batch_format="pyarrow").to_pandas()
+        content_map = {}
+        for t in _rows_with_ids(content_by_id, "id", needed, cols=["id", "content"]):
+            content_map.update(zip(t["id"].to_pylist(), t["content"].to_pylist()))
         _mark("verify:border_content_fetch")
-        content_map = dict(zip(sub["id"], sub["content"]))
         for side in ("a", "b"):
             ids = border_t[f"id_{side}"].to_pylist()
             border_t = border_t.append_column(
@@ -319,18 +308,20 @@ def verify_pairs(
         # (one block = one serial task) without an all-to-all repartition
         n_blocks = max(1, min(64, n_border // 512))
         step = -(-n_border // n_blocks)
-        checked_ds = ray.data.from_arrow(
-            [border_t.slice(i * step, step) for i in range(n_blocks)]
-        ).map_batches(check_batch, batch_format="pyarrow", batch_size=1024)
-        return sure.union(checked_ds)
+        slices = [border_t.slice(i * step, step) for i in range(n_blocks)]
+        checked = map_blocks(
+            dataset_from_blocks(
+                [ray.put(t) for t in slices],
+                [BlockMetadataWithSchema.from_block(t) for t in slices],
+            ),
+            check_batch,
+        )
+        return concat_blocks(sure, checked)
 
     # ---- fully distributed path (any scale, bounded driver memory) --------
     # the probe above stopped at cap+1 rows; this path needs the true border
     # count for bloom sizing (only paid when the border set is genuinely big)
-    border = pairs.map_batches(
-        _safe_filter(lambda t: pc.greater(t["est_distance"], tau - m)),
-        batch_format="pyarrow",
-    ).materialize()
+    border = map_blocks(pairs, lambda t: t.filter(pc.greater(t["est_distance"], low)))
     n_border = border.count()
     # 1. fixed-size bloom bitmap over borderline endpoint-id hashes, built
     #    streaming one batch at a time (driver holds the bitmap + a batch)
@@ -363,12 +354,9 @@ def verify_pairs(
 
     # Ray's hash-shuffle join spawns aggregator actors per partition and
     # deadlocks when they exceed available CPUs (Ray 2.49 local mode)
-    try:
-        num_partitions = max(2, min(num_partitions, int(ray.cluster_resources().get("CPU", 8))))
-    except Exception:
-        pass
+    num_partitions = max(2, min(num_partitions, cluster_cpus()))
 
-    sub_ds = content_by_id.map_batches(grab_bloom, batch_format="pyarrow").materialize()
+    sub_ds = map_blocks(content_by_id, grab_bloom, cols=["id", "content"])
     # both sides PRE-renamed so no map_batches sits between the joins (a
     # zero-block post-map partition is schemaless and crashes Arrow's join)
     content_a_ds = sub_ds.map_batches(
@@ -392,4 +380,4 @@ def verify_pairs(
         .join(content_b_ds, join_type="inner", num_partitions=num_partitions, on=("id_b",))
     )
     checked_ds = j.map_batches(check_batch, batch_format="pyarrow", batch_size=1024)
-    return sure.union(checked_ds)
+    return concat_blocks(sure, checked_ds)

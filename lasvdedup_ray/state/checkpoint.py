@@ -6,9 +6,11 @@ Parquet directory under ``checkpoint_dir`` atomically (write to a temp dir,
 rename) and records completion in ``manifest.json``; a re-run reads the
 completed stage instead of recomputing it.
 
-Without a checkpoint_dir, ``pin`` falls back to ``materialize()`` — needed
-at pipeline fan-out points because Ray Data re-executes a lazy subplan once
-per consumer.
+``pin`` returns the stage MATERIALIZED, so its consumers read its blocks by
+ref and none of them re-runs a Ray Data execution: a cached stage is read
+from Parquet once per job, and a stage computed in this job is written from
+the object store and handed on from there, not read back.  Without a
+checkpoint_dir the stage is only materialized.
 """
 
 from __future__ import annotations
@@ -88,28 +90,36 @@ class StageCheckpointer:
             return False
         return True
 
+    def read(self, name: str) -> ray.data.Dataset:
+        """A completed stage as a lazy Parquet read, for a caller that
+        consumes it once and streams it (``pin`` holds the whole stage in
+        the object store)."""
+        return read_parquet_clean(os.path.join(self.dir, name))
+
     def pin(
         self,
         ds: Union[ray.data.Dataset, Callable[[], ray.data.Dataset]],
         name: str,
     ) -> ray.data.Dataset:
-        """Execute a stage once and make its result re-readable.
+        """Execute a stage once; returns it as a materialized dataset.
 
         ``ds`` is the stage's dataset, or a zero-argument builder that
         returns it.  A builder is called only when the stage is not cached,
         so a stage whose construction already runs work (an eager hash
         exchange) costs nothing on a resume.
 
-        checkpoint_dir set: write-then-rename Parquet + manifest entry;
-        on resume, read the completed stage (Snakemake-equivalent skip).
-        checkpoint_dir unset: materialize into the object store.
+        checkpoint_dir set: materialize, write-then-rename Parquet +
+        manifest entry, and return the materialized stage (no read-back);
+        on resume, read the completed stage once (Snakemake-equivalent
+        skip).  checkpoint_dir unset: materialize into the object store.
         """
         build = ds if callable(ds) else (lambda: ds)
         if not self.dir:
             return build().materialize()
         final = os.path.join(self.dir, name)
         if self.is_done(name):
-            return read_parquet_clean(final)
+            return self.read(name).materialize()
+        stage = build().materialize()
         # per-process tmp suffix: two concurrent builders of the same stage
         # (e.g. two ingest jobs racing on a shared index) must not rmtree
         # each other's in-progress writes; each writes its own tmp and the
@@ -117,7 +127,7 @@ class StageCheckpointer:
         tmp = f"{final}.tmp.{os.getpid()}"
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
-        build().write_parquet(tmp)
+        stage.write_parquet(tmp)
         if os.path.exists(final):
             shutil.rmtree(final)
         try:
@@ -128,4 +138,4 @@ class StageCheckpointer:
             # gates this path) — keep it, drop ours
             shutil.rmtree(tmp, ignore_errors=True)
         self._mark_done(name)
-        return read_parquet_clean(final)
+        return stage

@@ -159,8 +159,9 @@ class NearDupIndex:
         if not self.is_built():
             raise ValueError("NearDupIndex.probe before build (or stale index)")
         k, n_buckets = self.k, self.n_buckets
-        postings = self._ck.pin(None, "postings")  # manifest hit -> read
-        sizes = self._ck.pin(None, "sizes")
+        # each read once, streamed: the index side is never held whole
+        postings = self._ck.read("postings")
+        sizes = self._ck.read("sizes")
 
         def shingle_in(t: pa.Table) -> pa.Table:
             s = _doc_shingles(t, k)

@@ -61,23 +61,14 @@ def drop_empty_blocks(ds: ray.data.Dataset) -> Optional[ray.data.Dataset]:
     selective filters — ride through every downstream operator as
     schemaless RefBundles (mixed-schema warnings, wasted tasks); filters
     can't remove them because a map task with empty output still emits a
-    bundle.  Returns None when every block is empty."""
-    from ray.data.block import BlockMetadataWithSchema
+    bundle.  Blocks of UNKNOWN row count are kept (ADVICE r4).  Returns
+    None when every block is empty."""
+    from ..stages.exchange import _live_blocks, dataset_from_blocks
 
-    from ..stages.exchange import dataset_from_blocks
-
-    refs, metas = [], []
-    for rb in ds.iter_internal_ref_bundles():
-        for bref, meta in rb.blocks:
-            # keep blocks with UNKNOWN row counts (num_rows is None) — only
-            # a known-zero count may be dropped, else silent data loss if
-            # Ray ever materializes metadata without counts (ADVICE r4)
-            if meta.num_rows is None or meta.num_rows:
-                refs.append(bref)
-                metas.append(BlockMetadataWithSchema(meta, schema=rb.schema))
-    if not refs:
+    blocks = _live_blocks(ds)
+    if not blocks:
         return None
-    return dataset_from_blocks(refs, metas)
+    return dataset_from_blocks([r for r, _ in blocks], [m for _, m in blocks])
 
 
 class DSU:
@@ -255,7 +246,12 @@ def assign_clusters(
 ) -> ray.data.Dataset:
     """Attach ``cluster_id`` (string, = min member id) to every node row.
     Nodes untouched by any edge become singleton clusters (cluster_id = id).
+    On the driver-DSU path the labels attach in one raw task per node
+    block (``map_blocks``): no Ray Data execution starts on materialized
+    inputs.
     """
+    from ..stages.exchange import map_blocks
+
     edges = edges.materialize()
     compacted = drop_empty_blocks(edges)
     n_edges = 0 if compacted is None else compacted.count()
@@ -288,7 +284,7 @@ def assign_clusters(
                 "cluster_id", pa.array([lm.get(i, i) for i in ids], pa.string())
             )
 
-        return nodes.map_batches(attach, batch_format="pyarrow", batch_size=8192)
+        return map_blocks(nodes, attach)
 
     labels = components_distributed(edges, max_rounds, num_partitions).materialize()
     joined = nodes.join(

@@ -30,29 +30,64 @@ def corpus_tables():
     return generate_corpus(CorpusSpec(n_files=400, seed=42))
 
 
+def _ops(op):
+    yield op
+    for dep in op.input_dependencies:
+        yield from _ops(dep)
+
+
+def _on_execute(monkeypatch, record):
+    """Call ``record(ops)`` with the physical operators of every Ray Data
+    execution started while the fixture is active."""
+    from ray.data._internal.execution import streaming_executor as se
+
+    execute = se.StreamingExecutor.execute
+
+    def watched(self, dag, *args, **kwargs):
+        record(list(_ops(dag)))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(se.StreamingExecutor, "execute", watched)
+
+
 @pytest.fixture
 def executions(monkeypatch):
     """Operator names of every Ray Data execution started during the test
     whose DAG has an operator besides ``InputDataBuffer`` (one list per
     execution).  Reading a materialized dataset's blocks starts none."""
-    from ray.data._internal.execution import streaming_executor as se
     from ray.data._internal.execution.operators.input_data_buffer import (
         InputDataBuffer,
     )
 
     started = []
-    execute = se.StreamingExecutor.execute
 
-    def ops(op):
-        yield op
-        for dep in op.input_dependencies:
-            yield from ops(dep)
-
-    def counting(self, dag, *args, **kwargs):
-        names = [op.name for op in ops(dag) if not isinstance(op, InputDataBuffer)]
+    def record(ops):
+        names = [op.name for op in ops if not isinstance(op, InputDataBuffer)]
         if names:
             started.append(names)
-        return execute(self, dag, *args, **kwargs)
 
-    monkeypatch.setattr(se.StreamingExecutor, "execute", counting)
+    _on_execute(monkeypatch, record)
     return started
+
+
+@pytest.fixture
+def parquet_reads(monkeypatch):
+    """The paths each Ray Data execution started during the test reads
+    through a ``read_parquet`` operator, one list per execution that reads
+    any (as passed to the read: a stage directory stays a directory)."""
+    from ray.data._internal.logical.operators.read_operator import Read
+
+    reads = []
+
+    def record(ops):
+        paths = []
+        for op in ops:
+            for lop in op._logical_operators:
+                if isinstance(lop, Read):
+                    p = getattr(lop._datasource, "_unresolved_paths", [])
+                    paths += [p] if isinstance(p, str) else list(p)
+        if paths:
+            reads.append(paths)
+
+    _on_execute(monkeypatch, record)
+    return reads

@@ -10,7 +10,13 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from lasvdedup_ray.stages.exchange import block_tables, dataset_from_blocks, hash_exchange
+from lasvdedup_ray.stages.exchange import (
+    block_tables,
+    concat_blocks,
+    dataset_from_blocks,
+    hash_exchange,
+    map_blocks,
+)
 
 
 def _mk(n_rows: int, n_parts: int, n_blocks: int = 5) -> rd.Dataset:
@@ -324,3 +330,112 @@ def test_block_tables_runs_lazy_input_once(ray_session, executions):
     ds = rd.range(50, override_num_blocks=5).map_batches(lambda t: t)
     assert sum(t.num_rows for t in block_tables(ds)) == 50
     assert len(executions) == 1
+
+
+def _rows(ds) -> list:
+    """Every row of ``ds`` as a sorted list of tuples."""
+    tables = list(block_tables(ds))
+    if not tables:
+        return []
+    t = pa.concat_tables(tables)
+    return sorted(zip(*[t[c].to_pylist() for c in t.column_names]))
+
+
+def _make_keep_even():
+    def keep_even(t):
+        import pyarrow.compute as _pc
+
+        return t.filter(_pc.equal(_pc.bit_wise_and(t["v"], 1), 0))
+
+    return keep_even
+
+
+def test_map_blocks_on_materialized_input(ray_session, executions, submitted):
+    """No execution starts, one raw task runs per non-empty input block,
+    and the known-empty outputs are dropped from the result."""
+    odd = pa.table({"pkey": pa.array([0, 0], pa.int32()), "v": pa.array([1, 3], pa.int64())})
+    mixed = pa.table({"pkey": pa.array([0, 1], pa.int32()), "v": pa.array([2, 5], pa.int64())})
+    ds = rd.from_arrow([odd, mixed, odd.slice(0, 0), mixed]).materialize()
+    executions.clear()
+    submitted.clear()
+    out = map_blocks(ds, _make_keep_even())
+    assert executions == []
+    assert submitted["_map_block"] == 3
+    metas = [m for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert [m.num_rows for m in metas] == [1, 1]
+    assert _rows(out) == [(0, 2), (0, 2)]
+
+
+def test_map_blocks_projects_cols(ray_session):
+    """``cols`` projects each block inside its task: ``fn`` sees only them."""
+    ds = rd.from_arrow(
+        [pa.table({"id": ["a", "b"], "wide": ["p", "q"], "n": [1, 2]})] * 2
+    ).materialize()
+
+    def seen(t):
+        import pyarrow as _pa
+
+        return _pa.table({"cols": [",".join(t.column_names)] * t.num_rows})
+
+    assert {r[0] for r in _rows(map_blocks(ds, seen, cols=["n", "id"]))} == {"n,id"}
+    assert {r[0] for r in _rows(map_blocks(ds, seen))} == {"id,wide,n"}
+
+
+def test_map_blocks_equals_map_batches(ray_session):
+    ds = _mk(1000, 8, n_blocks=6).materialize()
+    keep_even = _make_keep_even()
+    got = map_blocks(ds, keep_even)
+    want = ds.map_batches(keep_even, batch_format="pyarrow")
+    assert _rows(got) == _rows(want.materialize())
+    assert len(_rows(got)) == 500
+
+
+def test_map_blocks_runs_lazy_input_once(ray_session, executions):
+    out = map_blocks(_mk(200, 4, n_blocks=4), _make_keep_even())
+    assert len(executions) == 1
+    assert len(_rows(out)) == 100
+
+
+def test_concat_blocks_keeps_every_row(ray_session, executions):
+    a = _mk(300, 4, n_blocks=3).materialize()
+    b = rd.from_arrow(pa.table({"pkey": pa.array([1], pa.int32()), "v": pa.array([-1], pa.int64())}))
+    none = dataset_from_blocks([], [])
+    executions.clear()
+    out = concat_blocks(a, none, b, a)
+    assert executions == []
+    assert _rows(out) == sorted(_rows(a) * 2 + _rows(b))
+    assert out.count() == 601
+    assert _rows(concat_blocks(none)) == []
+
+
+class _CountsPickles:
+    """A callable whose pickles are counted in this (the driver) process.
+    It unpickles as ``functools.partial(fn)``, so workers never import it."""
+
+    pickles = 0
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, t):
+        return self.fn(t)
+
+    def __reduce__(self):
+        import functools
+
+        type(self).pickles += 1
+        return (functools.partial, (self.fn,))
+
+
+def test_functions_are_pickled_once(ray_session):
+    """``hash_exchange`` ships its reducer once per call, not once per live
+    partition, and ``map_blocks`` its function once, not once per block."""
+    ds = _mk(1000, 8).materialize()
+    _CountsPickles.pickles = 0
+    out = hash_exchange(ds, "pkey", 8, _CountsPickles(_make_summarize()))
+    assert out.count() == 8
+    assert _CountsPickles.pickles == 1
+    _CountsPickles.pickles = 0
+    out = map_blocks(ds, _CountsPickles(_make_keep_even()))
+    assert len(_rows(out)) == 500
+    assert _CountsPickles.pickles == 1

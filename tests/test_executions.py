@@ -1,10 +1,13 @@
 """Ray Data executions of one flagship job.
 
 Each execution costs a fixed ~150 ms of CPU however few rows it moves, so
-the flagship reads blocks already in the object store by ref and never
-builds a stage its checkpoint already holds.  These tests pin the number of
-executions with an operator besides the input buffer (``executions``
-fixture, conftest.py), and that a resume runs no sha exchange."""
+after sign the flagship runs raw tasks over block refs only (``map_blocks``,
+``concat_blocks``, ``hash_exchange``), reads each checkpointed stage from
+Parquet once, and never builds a stage its checkpoint already holds.  These
+tests pin the number of executions with an operator besides the input
+buffer (``executions`` fixture, conftest.py), the executions that read each
+stage's Parquet (``parquet_reads``), and that a resume runs no sha
+exchange."""
 
 import os
 
@@ -35,26 +38,43 @@ def _job(files, config) -> pa.Table:
 
 
 def test_job_without_checkpoint(ray_session, corpus_files, executions):
+    """Read + sign is the only execution a job needs; one more is allowed."""
     _job(corpus_files, PipelineConfig())
-    assert len(executions) <= 6, executions
+    assert len(executions) <= 2, executions
 
 
-def test_resume_skips_sha_exchange(ray_session, corpus_files, executions, monkeypatch, tmp_path):
-    """The checkpointed resume reads ``reps`` back without building the sha
-    exchange, runs at most 5 executions, and returns the write's output."""
+def _stage_reads(parquet_reads, ckpt) -> dict:
+    """Executions that read each pinned stage's Parquet directory."""
+    return {
+        stage: sum(os.path.join(ckpt, stage) in paths for paths in parquet_reads)
+        for stage in ("signed", "reps")
+    }
+
+
+def test_resume_skips_sha_exchange(
+    ray_session, corpus_files, executions, parquet_reads, monkeypatch, tmp_path
+):
+    """The checkpointed write runs at most 4 executions and hands its
+    stages on without reading them back.  The resume reads ``reps`` back
+    without building the sha exchange, reads each stage's Parquet in one
+    execution, runs at most 3 executions, and returns the write's output."""
     calls = []
     for name in ("exact_collapse", "_sha_exchange"):
         real = getattr(exact, name)
         monkeypatch.setattr(
             exact, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k)
         )
-    config = PipelineConfig(checkpoint_dir=str(tmp_path / "ckpt"))
+    ckpt = str(tmp_path / "ckpt")
+    config = PipelineConfig(checkpoint_dir=ckpt)
     written = _job(corpus_files, config)
     assert calls == ["exact_collapse", "_sha_exchange"]
-    assert len(executions) <= 8, executions
+    assert len(executions) <= 4, executions
+    assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
     calls.clear()
     executions.clear()
+    parquet_reads.clear()
     resumed = _job(corpus_files, config)
     assert calls == []
-    assert len(executions) <= 5, executions
+    assert len(executions) <= 3, executions
+    assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 1}, parquet_reads
     assert resumed.equals(written)
