@@ -276,7 +276,6 @@ def run_stages() -> dict:
         prepare(rd.read_parquet(corpus_paths), batch_size=2048),
         cfg=cfg.signature,
         batch_size=2048,
-        concurrency=cfg.execution.signer_concurrency,
     ).materialize()
     stages["sign"] = round(time.time() - t0, 3)
 

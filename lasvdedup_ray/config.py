@@ -13,12 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
-
-
-# Mersenne prime 2^61 - 1: modulus for the universal-hash MinHash permutations.
-MERSENNE_61 = (1 << 61) - 1
-MAX_HASH_32 = (1 << 32) - 1
+from typing import Any, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -40,10 +35,6 @@ class SignatureConfig:
     bands: int = 32
     rows: int = 4
     seed: int = 42
-    # "oph": densified one-permutation hashing, O(shingles) per doc — the
-    # scale default.  "classic": 128 independent permutations, O(shingles *
-    # num_perms) — the reference estimator, kept for comparison/tests.
-    scheme: str = "oph"
     # hash-based mod-sampling of shingles before sketching (keep shingles
     # with hash % sample_mod == 0).  The rule is GLOBAL and content-hash
     # based, so it samples any two documents' shingle sets consistently —
@@ -153,25 +144,18 @@ class LSHConfig:
 class ExecutionConfig:
     """Per-stage physical knobs, sized for a 32-CPU node by default."""
 
-    # rows per task bundle: Ray sizes map tasks to >= batch_size rows, so a
-    # large batch_size caps stage parallelism on small-block inputs (20k
-    # rows / 4096 = 5 tasks on a 32-CPU node).  512 rows ≈ 1 MiB of source
-    # text per call — plenty for vectorization, fine-grained for scheduling.
-    batch_size: int = 512
-    signer_concurrency: Tuple[int, int] = (2, 8)
-    prepare_batch_size: int = 512
     dsu_edge_limit: int = 2_000_000   # above this, use distributed label propagation
     max_label_rounds: int = 50
     # Below this many input rows (and with no checkpoint_dir, so resume
     # semantics stay exchange-based) the exact-dup sha collapse runs ON THE
     # DRIVER: one streamed (id, sha_hex) pass + a vectorized lexsort replace
-    # the sha groupby exchange, whose ~0.8 s fixed all-to-all cost dominates
-    # small inputs.  Representatives then come from a broadcast is_in filter
-    # (exact string membership — no hash-collision exposure).  Both plans
-    # pick the same min(id)-per-sha reps and star edges (pinned by
-    # tests/test_path_equivalence.py).
+    # the sha ``hash_exchange``: sending every job through the exchange
+    # cost +32% ``run_cpu_s`` on the 1000-file ``mixed_5kb`` benchmark
+    # (median of 6 alternating pairs).  Representatives then come from a
+    # broadcast is_in filter (exact string membership — no hash-collision
+    # exposure).  Both plans pick the same min(id)-per-sha reps and star
+    # edges (pinned by tests/test_path_equivalence.py).
     exact_driver_cap: int = 150_000
-    target_max_block_size: Optional[int] = None  # None = Ray default (128 MiB)
 
 
 @dataclass(frozen=True)
@@ -182,14 +166,6 @@ class PipelineConfig:
     default_thresholds: ClassThresholds = field(default_factory=ClassThresholds)
     # per-lang overrides, reference's per-segment THRESHOLDS (config.yaml:31-41)
     lang_thresholds: Mapping[str, ClassThresholds] = field(default_factory=dict)
-    # Sign only one row per distinct sha256 and propagate signatures by a
-    # sha join.  Worth it when exact duplication is heavy relative to
-    # signing cost (classic scheme / very dup-heavy corpora); with the
-    # O(shingles) OPH signer the extra groupby+join stages usually cost
-    # more than they save, so the default signs every row — identical
-    # content yields identical signatures and exact dups cluster through
-    # the same LSH path (distance 0 <= tau).
-    exact_first: bool = False
     # ranking: sort by [len_distance ASC] + [these DESC] + [id ASC]
     # (reference io_utils.py:48-55; tie-break on id is stricter than the
     # reference's insertion-order min() — Ray block order is nondeterministic)

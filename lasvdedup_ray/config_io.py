@@ -67,10 +67,29 @@ def load_config_file(path: str) -> Dict[str, Any]:
     return out
 
 
-def _replace_known(dc, mapping: Mapping[str, Any]):
+def _replace_known(dc, mapping: Mapping[str, Any], where: str):
     fields = {f.name for f in dataclasses.fields(dc)}
-    kwargs = {k: v for k, v in mapping.items() if k in fields}
-    return dataclasses.replace(dc, **kwargs) if kwargs else dc
+    unknown = sorted(set(mapping) - fields)
+    if unknown:
+        raise ValueError(f"unknown config key(s) in {where}: {unknown}")
+    return dataclasses.replace(dc, **mapping) if mapping else dc
+
+
+# top-level keys that replace one PipelineConfig field as they stand
+_SCALAR_KEYS = (
+    "selection_columns",
+    "checkpoint_dir",
+    "rank_miss_policy",
+    "group_regex",
+    "group_only",
+)
+# sections merged key by key over one PipelineConfig field
+_SECTIONS = {
+    "signature": "signature",
+    "lsh": "lsh",
+    "execution": "execution",
+    "thresholds": "default_thresholds",
+}
 
 
 def build_config(
@@ -79,16 +98,19 @@ def build_config(
 ) -> PipelineConfig:
     """defaults < config file < explicit overrides.
 
-    File/override shape (all keys optional)::
+    File/override shape (all keys optional; an unknown key at any level
+    raises ``ValueError``)::
 
-        signature: {k, num_perms, bands, rows, seed, scheme}
-        lsh: {band_cap, cap_neighbors, exact_verify, exact_margin}
-        execution: {batch_size, prepare_batch_size, dsu_edge_limit}
+        signature: {k, num_perms, bands, rows, seed, sample_mod, ...}
+        lsh: {band_cap, cap_neighbors, exact_verify, exact_margin_low, ...}
+        execution: {dsu_edge_limit, max_label_rounds, exact_driver_cap}
         thresholds: {tau, min_neighborhood, z_threshold, target_length}
         lang_thresholds: {"py": {tau: ...}, ...}
         selection_columns: [..]
         checkpoint_dir: str
-        exact_first: bool
+        rank_miss_policy: str
+        group_regex: str
+        group_only: bool
     """
     cfg = PipelineConfig()
     layers = []
@@ -97,36 +119,20 @@ def build_config(
     if overrides:
         layers.append(dict(overrides))
     for layer in layers:
-        if "signature" in layer:
-            cfg = dataclasses.replace(
-                cfg, signature=_replace_known(cfg.signature, layer["signature"])
-            )
-        if "lsh" in layer:
-            cfg = dataclasses.replace(cfg, lsh=_replace_known(cfg.lsh, layer["lsh"]))
-        if "execution" in layer:
-            cfg = dataclasses.replace(
-                cfg, execution=_replace_known(cfg.execution, layer["execution"])
-            )
-        if "thresholds" in layer:
-            cfg = dataclasses.replace(
-                cfg,
-                default_thresholds=_replace_known(
-                    cfg.default_thresholds, layer["thresholds"]
-                ),
-            )
+        unknown = sorted(set(layer) - {*_SCALAR_KEYS, *_SECTIONS, "lang_thresholds"})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {unknown}")
+        for key, name in _SECTIONS.items():
+            if key in layer:
+                merged = _replace_known(getattr(cfg, name), layer[key], key)
+                cfg = dataclasses.replace(cfg, **{name: merged})
         if "lang_thresholds" in layer:
             lt = dict(cfg.lang_thresholds)
             for lang, th in layer["lang_thresholds"].items():
                 base = lt.get(lang, cfg.default_thresholds)
-                lt[lang] = _replace_known(base, th)
+                lt[lang] = _replace_known(base, th, f"lang_thresholds.{lang}")
             cfg = dataclasses.replace(cfg, lang_thresholds=lt)
-        for key in (
-            "selection_columns",
-            "checkpoint_dir",
-            "exact_first",
-            "rank_miss_policy",
-            "group_regex",
-        ):
+        for key in _SCALAR_KEYS:
             if key in layer:
                 cfg = dataclasses.replace(cfg, **{key: layer[key]})
     return cfg
@@ -139,14 +145,8 @@ def config_to_dict(cfg: PipelineConfig) -> Dict[str, Any]:
     copy-edit; this is the equivalent self-describing surface)."""
     d = dataclasses.asdict(cfg)
     return {
-        "signature": d["signature"],
-        "lsh": d["lsh"],
-        "execution": d["execution"],
-        "thresholds": d["default_thresholds"],
+        **{key: d[name] for key, name in _SECTIONS.items()},
         "lang_thresholds": d["lang_thresholds"],
         "selection_columns": list(d["selection_columns"]),
-        "checkpoint_dir": d["checkpoint_dir"],
-        "exact_first": d["exact_first"],
-        "rank_miss_policy": d["rank_miss_policy"],
-        "group_regex": d["group_regex"],
+        **{key: d[key] for key in _SCALAR_KEYS if key != "selection_columns"},
     }

@@ -42,6 +42,35 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def bloom_build(
+    key_chunks: Iterable[np.ndarray], n_keys: int, bits_per_key: int, max_bits: int
+) -> np.ndarray:
+    """Two-probe bloom bitmap (uint64 words) over the uint64 keys of
+    ``key_chunks``, built one chunk at a time.  Size: the power of two at
+    or above ``n_keys * bits_per_key`` bits, capped at ``max_bits`` and
+    floored at one word.  Probes are ``key`` and ``splitmix64(key)``, each
+    masked to the bitmap size (``bloom_probe``)."""
+    bits = 1 << min(
+        int(n_keys * bits_per_key - 1).bit_length(), int(max_bits).bit_length() - 1
+    )
+    bitmap = np.zeros(max(1, bits >> 6), dtype=U64)
+    mask = U64(bitmap.shape[0] * 64 - 1)
+    for keys in key_chunks:
+        for probe in (keys & mask, splitmix64(keys) & mask):
+            np.bitwise_or.at(bitmap, probe >> U64(6), U64(1) << (probe & U64(63)))
+    return bitmap
+
+
+def bloom_probe(bitmap: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Bool mask: ``keys`` possibly in the ``bloom_build`` bitmap (no false
+    negatives)."""
+    mask = U64(bitmap.shape[0] * 64 - 1)
+    ok = np.ones(keys.shape[0], dtype=bool)
+    for probe in (keys & mask, splitmix64(keys) & mask):
+        ok &= (bitmap[probe >> U64(6)] >> (probe & U64(63))) & U64(1) != 0
+    return ok
+
+
 def sha256_bytes(values: Iterable[bytes]) -> List[bytes]:
     """sha256 digest per value.  hashlib releases the GIL-heavy work to C;
     the Python loop is unavoidable (no vectorized sha256 kernel in pyarrow)
@@ -234,7 +263,7 @@ def shingle_hashes_batch(
 
     ``buf``: uint8 view of the concatenated docs; ``starts``/``ends``:
     per-doc byte ranges.  Returns ``(hash_concat, offsets, counts)`` in
-    ``oph_signatures``/``minhash_signatures`` layout.
+    ``oph_signatures`` layout.
     """
     n_docs = int(starts.shape[0])
     if n_docs == 0 or int(ends[-1]) - int(starts[0]) <= slice_bytes:
@@ -345,50 +374,6 @@ def _shingle_hashes_slice(
         counts[d] = h.shape[0]
         pos += h.shape[0]
     return np.concatenate(parts), offsets, counts
-
-
-def minhash_permutation_params(num_perms: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(a, b) parameters for ``num_perms`` multiplicative-universal hashes
-    over Z_{2^64} (odd multipliers; natural uint64 wraparound — the standard
-    practical MinHash family, avoids the 61-bit-prime modular overflow)."""
-    rng = np.random.default_rng(seed)
-    a = rng.integers(1, 1 << 63, size=num_perms, dtype=np.uint64) * U64(2) + U64(1)
-    b = rng.integers(0, 1 << 63, size=num_perms, dtype=np.uint64)
-    return a, b
-
-
-def minhash_signatures(
-    hash_concat: np.ndarray,
-    offsets: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    perm_chunk: int = 32,
-) -> np.ndarray:
-    """MinHash signatures for many documents at once.
-
-    ``hash_concat``: uint64 shingle hashes of ALL docs in the batch,
-    concatenated; ``offsets``: start index of each doc (len = n_docs,
-    offsets[0] == 0).  Returns uint32 array (n_docs, num_perms): the top 32
-    bits of the minimum permuted hash per doc per permutation — compact
-    signatures (4 bytes/slot) at datasketch-equivalent fidelity.
-
-    Fully vectorized: permutations applied in chunks of ``perm_chunk`` to a
-    (chunk, total_shingles) matrix, reduced per doc with
-    ``np.minimum.reduceat`` — no per-document Python loop.
-    """
-    num_perms = a.shape[0]
-    n_docs = offsets.shape[0]
-    out = np.empty((n_docs, num_perms), dtype=np.uint32)
-    if hash_concat.shape[0] == 0:
-        out.fill(0)
-        return out
-    for p0 in range(0, num_perms, perm_chunk):
-        p1 = min(p0 + perm_chunk, num_perms)
-        # (chunk, total): wraparound multiply-add
-        phi = a[p0:p1, None] * hash_concat[None, :] + b[p0:p1, None]
-        mins = np.minimum.reduceat(phi, offsets, axis=1)
-        out[:, p0:p1] = (mins >> U64(32)).astype(np.uint32).T
-    return out
 
 
 OPH_EMPTY = np.uint32(0xFFFFFFFF)

@@ -4,7 +4,7 @@ classification over a Parquet source-code table.
 Ray-Data-first rebuild of the reference's analytical core
 (``lasvdedup/utils/determine_duplicates.py:52-153``), per SURVEY §3:
 
-Default stages (``exact_first=False``):
+Stages:
 
     read_parquet
       -> prepare + sign      (Ray Data map_batches: id, sha256, stats,
@@ -37,7 +37,6 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..stages.classify import classify_clusters
-from ..stages.exact import exact_dup_edges, exact_representatives
 from ..stages.exchange import concat_blocks, hash_exchange, map_blocks
 from ..stages.lsh import band_stats, candidate_pairs
 from ..stages.prepare import prepare
@@ -95,11 +94,8 @@ def plan_stages(
     config = config or PipelineConfig()
     fp = _input_fingerprint(ds, ds.count(), ds.schema().names, config)
     ck = StageCheckpointer(config.checkpoint_dir, fingerprint=fp)
-    pinned = (
-        ["prepared", "signed"] if config.exact_first else ["signed", "reps"]
-    )
     plan = []
-    for name in pinned:
+    for name in ("signed", "reps"):
         status = ck.status(name) if config.checkpoint_dir else "no checkpoint_dir"
         plan.append({"stage": name, "checkpoint": status})
     for name in ("candidates", "verify", "cluster", "classify"):
@@ -111,7 +107,6 @@ def dedup_pipeline(
     ds: ray.data.Dataset,
     config: Optional[PipelineConfig] = None,
     num_partitions: int = 32,
-    force_distributed_components: bool = False,
     rank_table: Optional[ray.data.Dataset] = None,
     edges_out: Optional[str] = None,
     force: bool = False,
@@ -155,151 +150,101 @@ def dedup_pipeline(
     tau = candidate_tau(config)
     emit_tau = tau + (config.lsh.exact_margin if config.lsh.exact_verify else 0.0)
 
-    if config.exact_first:
-        # sign once per distinct content, propagate signatures by sha join
-        prepared = ck.pin(prepare(ds, batch_size=ex.prepare_batch_size), "prepared")
-        if prepared.count() == 0:
-            from ..stages.classify import RESULT_SCHEMA
+    # sign every row (OPH signing is O(shingles); identical content yields
+    # identical signatures), then collapse exact dups at the SLIM level
+    # before banding: one slim shuffle on sha (ids + signatures, no
+    # content) keeps one representative per distinct content in the LSH
+    # stage and links members by zero-distance star edges.  On dup-heavy
+    # corpora (2/3 exact dups measured on the bench corpus) this cuts the
+    # band shuffle ~3x and the in-bucket pair verification ~9x — the
+    # single biggest scaling lever.  Batch size adapts to input size:
+    # small enough that every CPU gets tasks, large enough that driver
+    # scheduling (~ms per task) doesn't serialize the run at scale.
+    adaptive_bs = max(256, min(4096, n_rows_in // (num_partitions * 8) or 256))
+    signed = ck.pin(
+        add_signatures(
+            prepare(ds, batch_size=adaptive_bs),
+            cfg=config.signature,
+            batch_size=adaptive_bs,
+        ),
+        "signed",
+    )
+    _phase("prepare+sign")
+    if signed.count() == 0:
+        from ..stages.classify import RESULT_SCHEMA
 
-            return ray.data.from_arrow(RESULT_SCHEMA.empty_table())
-        slim_all = prepared.select_columns(SLIM_COLS)
-        reps = exact_representatives(prepared)
-        e_edges = exact_dup_edges(slim_all)
-        signed = ck.pin(
-            add_signatures(
-                reps,
-                cfg=config.signature,
-                batch_size=ex.batch_size,
-                concurrency=ex.signer_concurrency,
-            ),
-            "signed",
-        )
-        signed_slim = signed.select_columns(["id", "sha_hex", "minhash", "simhash"])
-        if config.group_only:
-            # reference-parity mode: no content-derived edges at all
-            from ..stages.lsh import PAIR_SCHEMA
+        return ray.data.from_arrow(RESULT_SCHEMA.empty_table())
+    meta = map_blocks(signed, None, cols=SLIM_COLS + ["minhash", "simhash"])
+    if config.group_only:
+        # reference-parity mode (sequence_grouping.py:29-37): clusters
+        # come from group_regex only; signatures still feed the
+        # in-cluster decision tree
+        from ..stages.lsh import PAIR_SCHEMA
 
-            edges = ray.data.from_arrow(PAIR_SCHEMA.empty_table())
-        else:
-            near_edges = verify_pairs(
-                candidate_pairs(
-                    signed_slim.select_columns(["id", "minhash", "simhash"]),
-                    config.signature,
-                    config.lsh,
-                    tau=emit_tau,
-                    n_rows_hint=signed.count(),  # pinned upstream: metadata count
-                ),
-                signed.select_columns(["id", "content"]),
-                config.signature,
-                config.lsh,
-                tau=tau,
-                num_partitions=num_partitions,
-            )
-            edges = near_edges.union(e_edges)
-        # propagate each sha-representative's signature to every member row
-        meta = slim_all.join(
-            signed_slim.select_columns(["sha_hex", "minhash", "simhash"]),
-            join_type="inner",
-            num_partitions=num_partitions,
-            on=("sha_hex",),
-        )
+        edges = ray.data.from_arrow(PAIR_SCHEMA.empty_table())
     else:
-        # default: sign every row (OPH signing is O(shingles); identical
-        # content yields identical signatures), then collapse exact dups at
-        # the SLIM level before banding: one slim shuffle on sha (ids +
-        # signatures, no content) keeps one representative per distinct
-        # content in the LSH stage and links members by zero-distance star
-        # edges.  On dup-heavy corpora (2/3 exact dups measured on the
-        # bench corpus) this cuts the band shuffle ~3x and the in-bucket
-        # pair verification ~9x — the single biggest scaling lever.
-        # Batch size adapts to input size: small enough that every CPU gets
-        # tasks, large enough that driver scheduling (~ms per task) doesn't
-        # serialize the run at scale.
-        adaptive_bs = max(256, min(4096, n_rows_in // (num_partitions * 8) or 256))
-        signed = ck.pin(
-            add_signatures(
-                prepare(ds, batch_size=adaptive_bs),
-                cfg=config.signature,
-                batch_size=adaptive_bs,
-                concurrency=ex.signer_concurrency,
-            ),
-            "signed",
-        )
-        _phase("prepare+sign")
-        if signed.count() == 0:
-            from ..stages.classify import RESULT_SCHEMA
+        if config.checkpoint_dir is None and n_rows_in <= ex.exact_driver_cap:
+            # small input: the sha collapse runs on the driver (one slim
+            # streamed pass + lexsort) instead of paying the sha
+            # exchange's tasks (see ``exact_driver_cap``); reps are
+            # recovered by an exact broadcast is_in filter over the pinned
+            # signed dataset
+            from ..stages.exact import exact_collapse_driver
 
-            return ray.data.from_arrow(RESULT_SCHEMA.empty_table())
-        meta = map_blocks(signed, None, cols=SLIM_COLS + ["minhash", "simhash"])
-        if config.group_only:
-            # reference-parity mode (sequence_grouping.py:29-37): clusters
-            # come from group_regex only; signatures still feed the
-            # in-cluster decision tree
-            from ..stages.lsh import PAIR_SCHEMA
+            rep_ids, edges_tbl = exact_collapse_driver(signed)
+            reps_hint = len(rep_ids)
+            # ship the rep-id set through plasma once (ray.put + per-worker
+            # cache), not pickled into every task closure
+            rep_ref = ray.put(pa.array(list(rep_ids), pa.string()))
 
-            edges = ray.data.from_arrow(PAIR_SCHEMA.empty_table())
-        else:
-            if config.checkpoint_dir is None and n_rows_in <= ex.exact_driver_cap:
-                # small input: the sha collapse runs on the driver (one slim
-                # streamed pass + lexsort) instead of paying the groupby
-                # exchange's fixed all-to-all cost; reps are recovered by an
-                # exact broadcast is_in filter over the pinned signed dataset
-                from ..stages.exact import exact_collapse_driver
-
-                rep_ids, edges_tbl = exact_collapse_driver(signed)
-                reps_hint = len(rep_ids)
-                # ship the rep-id set through plasma once (ray.put + per-worker
-                # cache), not pickled into every task closure
-                rep_ref = ray.put(pa.array(list(rep_ids), pa.string()))
-
-                def keep_reps(t: pa.Table) -> pa.Table:
-                    if rep_ref not in _WORKER_REP_CACHE:
-                        _WORKER_REP_CACHE.clear()
-                        _WORKER_REP_CACHE[rep_ref] = ray.get(rep_ref)
-                    return t.filter(
-                        pc.is_in(t["id"], value_set=_WORKER_REP_CACHE[rep_ref])
-                    )
-
-                reps_slim = map_blocks(
-                    signed, keep_reps, cols=["id", "minhash", "simhash"]
+            def keep_reps(t: pa.Table) -> pa.Table:
+                if rep_ref not in _WORKER_REP_CACHE:
+                    _WORKER_REP_CACHE.clear()
+                    _WORKER_REP_CACHE[rep_ref] = ray.get(rep_ref)
+                return t.filter(
+                    pc.is_in(t["id"], value_set=_WORKER_REP_CACHE[rep_ref])
                 )
-                e_edges = ray.data.from_arrow(edges_tbl)
-            else:
-                # ONE sha shuffle yields both the per-sha representatives and
-                # the zero-distance star edges (two separate groupbys before r3)
-                from ..stages.exact import exact_collapse, fused_edges, fused_reps
 
-                from .._phaselog import mark as _plmark2
+            reps_slim = map_blocks(
+                signed, keep_reps, cols=["id", "minhash", "simhash"]
+            )
+            e_edges = ray.data.from_arrow(edges_tbl)
+        else:
+            # ONE sha shuffle yields both the per-sha representatives and
+            # the zero-distance star edges (two separate groupbys before r3)
+            from ..stages.exact import exact_collapse, fused_edges, fused_reps
 
-                # a builder, not a dataset: the exchange starts when it is
-                # built, so a resume that reads "reps" back skips it
-                fused = ck.pin(lambda: exact_collapse(signed), "reps")
-                _plmark2("exact:fused_pin")
-                reps_slim = fused_reps(fused)
-                # one fused row per input row (a rep or a star edge): the
-                # pinned stage's metadata count bounds the rep count from
-                # above without a filter + count pass
-                reps_hint = fused.count()
-                e_edges = fused_edges(fused)
-                _phase("exact_collapse")
-            # candidates read (id, minhash, simhash) by name; verify
-            # projects signed to (id, content) inside its gather tasks
-            near_edges = verify_pairs(
-                candidate_pairs(
-                    reps_slim,
-                    config.signature,
-                    config.lsh,
-                    tau=emit_tau,
-                    n_rows_hint=reps_hint,
-                ),
-                signed,
+            from .._phaselog import mark as _plmark2
+
+            # a builder, not a dataset: the exchange starts when it is
+            # built, so a resume that reads "reps" back skips it
+            fused = ck.pin(lambda: exact_collapse(signed), "reps")
+            _plmark2("exact:fused_pin")
+            reps_slim = fused_reps(fused)
+            # one fused row per input row (a rep or a star edge): the
+            # pinned stage's metadata count bounds the rep count from
+            # above without a filter + count pass
+            reps_hint = fused.count()
+            e_edges = fused_edges(fused)
+            _phase("exact_collapse")
+        # candidates read (id, minhash, simhash) by name; verify
+        # projects signed to (id, content) inside its gather tasks
+        near_edges = verify_pairs(
+            candidate_pairs(
+                reps_slim,
                 config.signature,
                 config.lsh,
-                tau=tau,
-                num_partitions=num_partitions,
-            )
-            _phase("candidates+verify")
-            edges = concat_blocks(near_edges, e_edges)
+                tau=emit_tau,
+                n_rows_hint=reps_hint,
+            ),
+            signed,
+            config.signature,
+            config.lsh,
+            tau=tau,
+            num_partitions=num_partitions,
+        )
+        _phase("candidates+verify")
+        edges = concat_blocks(near_edges, e_edges)
 
     if rank_table is not None:
         # metadata/ranking side table (reference: contigs TSV joined per
@@ -332,7 +277,6 @@ def dedup_pipeline(
         dsu_edge_limit=ex.dsu_edge_limit,
         max_rounds=ex.max_label_rounds,
         num_partitions=num_partitions,
-        force_distributed=force_distributed_components,
     )
     _phase("unionfind")
     return classify_clusters(clustered, config)

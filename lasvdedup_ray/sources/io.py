@@ -171,7 +171,6 @@ def write_run_metrics(
             "num_perms": config.signature.num_perms,
             "bands": config.signature.bands,
             "rows": config.signature.rows,
-            "scheme": config.signature.scheme,
         },
     }
     path = os.path.join(out_dir, "run_metrics.json")

@@ -1,22 +1,21 @@
-"""Exact-duplicate fast path: hash-partition + per-group representative.
+"""Exact-duplicate collapse: one representative per distinct sha256.
 
 Exact dups are distance-0 pairs in the reference's model (below any
-threshold ⇒ same cluster, ``sequence_grouping.py:51-53``).  Handling them
-BEFORE signing means the expensive MinHash stage runs once per distinct
-content — at 100 TB scale with heavy exact duplication this is the single
-biggest saving in the pipeline.  The rep choice here is min(id): any member
-works because identical content ⇒ identical signature; final ranking
-happens in the classification stage over the whole cluster.
+threshold ⇒ same cluster, ``sequence_grouping.py:51-53``).  The flagship
+collapses them after signing, at the slim level (ids + signatures, no
+content): only one row per distinct content enters LSH, and the other
+members link to it by zero-distance star edges.  The rep choice is
+min(id): any member works because identical content ⇒ identical
+signature; final ranking happens in the classification stage over the
+whole cluster.
 
-Execution shape: rows are hash-partitioned on ``pkey = hash(sha_hex) % P``
-and each partition is processed as ONE vectorized call (sort by (sha, id),
-first-occurrence mask) — a per-sha ``groupby().map_groups`` would cost one
-Python call per distinct content hash.
+Two plans give the same reps and edges: ``exact_collapse`` (a
+``hash_exchange`` on ``pkey = hash(sha_hex) % P``, each partition one
+vectorized call: sort by (sha, id), first-occurrence mask) and, for small
+inputs, ``exact_collapse_driver`` (one lexsort on the driver).
 """
 
 from __future__ import annotations
-
-
 
 import numpy as np
 import pyarrow as pa
@@ -55,21 +54,6 @@ def _sha_sort(g: pa.Table):
     return order, first
 
 
-def exact_representatives(prepared: ray.data.Dataset) -> ray.data.Dataset:
-    """One full row (incl. content) per distinct sha256 — the min(id) row.
-    This is the one shuffle in the pipeline that moves content; everything
-    downstream of the signer is slim (ids + signatures only)."""
-
-    def keep_firsts(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return g.drop_columns(["pkey"])
-        order, first = _sha_sort(g)
-        take = pa.array(order[first], pa.int64())
-        return g.take(take).drop_columns(["pkey"])
-
-    return _sha_exchange(prepared, keep_firsts)
-
-
 FUSED_SCHEMA = pa.schema(
     [
         ("kind", pa.int8()),  # 0 = representative row, 1 = star edge row
@@ -86,10 +70,8 @@ FUSED_SCHEMA = pa.schema(
 def exact_collapse(signed: ray.data.Dataset) -> ray.data.Dataset:
     """ONE sha shuffle producing both the per-sha representative rows
     (kind=0: id, sha_hex, minhash, simhash) and the rep--member star edges
-    (kind=1: id_a, id_b).  ``exact_representatives`` + ``exact_dup_edges``
-    each shuffled the same keys separately — at the flagship's scale the
-    second exchange was pure overhead.  ``signed`` may carry content: only
-    the four slim columns enter the exchange.  Callers filter the
+    (kind=1: id_a, id_b).  ``signed`` may carry content: only the four
+    slim columns enter the exchange.  Callers filter the
     (materialized) fused output by ``kind``."""
 
     def emit_fused(g: pa.Table) -> pa.Table:
@@ -183,8 +165,7 @@ def exact_collapse_driver(signed_slim: ray.data.Dataset):
     where ``rep_ids`` is the min(id)-per-distinct-sha id array (object
     dtype, in sha-sorted order) and ``edges_table`` is the rep--member
     zero-distance star edge list in PAIR_SCHEMA — the exact output the
-    ``exact_collapse`` exchange produces, without its all-to-all fixed cost
-    (~0.8 s on a 32-CPU box, pure overhead at <100k rows).  The caller
+    ``exact_collapse`` exchange produces, without its exchange tasks.  The caller
     filters the signed dataset by id membership to recover the rep rows.
     The (id, sha_hex) columns are read by ref (``block_tables``): on the
     pinned signed dataset no Ray Data execution starts, and content stays
@@ -217,33 +198,3 @@ def exact_collapse_driver(signed_slim: ray.data.Dataset):
         schema=PAIR_SCHEMA,
     )
     return rep_ids, edges
-
-
-def exact_dup_edges(prepared_slim: ray.data.Dataset) -> ray.data.Dataset:
-    """(sha_hex, id) -> star edges rep--member with distance 0 (slim
-    shuffle: only ids + hashes move)."""
-
-    def emit_edges(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return PAIR_SCHEMA.empty_table()
-        order, first = _sha_sort(g)
-        ids = np.asarray(g.column("id").to_pylist(), dtype=object)[order]
-        # rep (first of group) repeated for each subsequent member
-        group_idx = np.cumsum(first) - 1
-        rep_positions = np.flatnonzero(first)
-        reps_for_row = ids[rep_positions[group_idx]]
-        members_mask = ~first
-        if not members_mask.any():
-            return PAIR_SCHEMA.empty_table()
-        return pa.table(
-            {
-                "id_a": pa.array(list(reps_for_row[members_mask]), pa.string()),
-                "id_b": pa.array(list(ids[members_mask]), pa.string()),
-                "est_distance": pa.array(
-                    np.zeros(int(members_mask.sum())), pa.float64()
-                ),
-            },
-            schema=PAIR_SCHEMA,
-        )
-
-    return _sha_exchange(prepared_slim, emit_edges, cols=["sha_hex", "id"])

@@ -29,7 +29,7 @@ import ray.data
 from ray.data.aggregate import Count, Min
 
 from ..config import LSHConfig, SignatureConfig
-from ..functions.hashing import band_hashes, splitmix64 as _smx64
+from ..functions.hashing import band_hashes, bloom_build, bloom_probe, splitmix64 as _smx64
 from .exchange import block_tables, cluster_cpus, hash_exchange, map_blocks
 from .signatures import sig_matrix_from_column, sigs_to_matrix
 
@@ -157,15 +157,10 @@ def _in_sorted(arr: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 def _member(struct, comb: np.ndarray) -> np.ndarray:
     """Hot-bucket membership against either representation: ("exact",
-    sorted-keys) or ("bloom", bitmap, mask)."""
+    sorted-keys) or ("bloom", bitmap)."""
     if struct[0] == "exact":
         return _in_sorted(struct[1], comb)
-    _, bitmap, bmask = struct
-    ok = np.ones(len(comb), dtype=bool)
-    for probe in (comb & bmask, _smx64(comb) & bmask):
-        word = bitmap[probe >> np.uint64(6)]
-        ok &= (word >> (probe & np.uint64(63))) & np.uint64(1) != 0
-    return ok
+    return bloom_probe(struct[1], comb)
 
 
 def _make_store_row_fn(sig_cfg: SignatureConfig):
@@ -801,8 +796,6 @@ def candidate_pairs(
     if bands > 64:
         raise ValueError("cmask capped-band bitmask supports at most 64 bands")
     band_cap = lsh_cfg.band_cap
-    from ..functions.hashing import splitmix64 as _smx
-
     # ---- phase 0: signature transport ------------------------------------
     # While the table fits the broadcast cap, ship signatures ONCE as a
     # hash-indexed store; band rows shrink to ~40 B (measured ~9x fewer
@@ -913,22 +906,18 @@ def candidate_pairs(
         # hot-key cardinality; built streaming one block at a time.  A
         # false positive ships one extra row into the band shuffle — never
         # drops a pair.
-        bits = 1 << min(
-            int(n_hot * lsh_cfg.bloom_bits_per_key - 1).bit_length(),
-            int(lsh_cfg.bloom_max_bits).bit_length() - 1,
+        def hot_keys():
+            for b in block_tables(hot_ds):
+                ck = b.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
+                cp = b.column("capped").to_numpy(zero_copy_only=False)
+                if cp.any():
+                    capped_parts.append(ck[cp])
+                yield ck
+
+        bitmap = bloom_build(
+            hot_keys(), n_hot, lsh_cfg.bloom_bits_per_key, lsh_cfg.bloom_max_bits
         )
-        bmask = np.uint64(bits - 1)
-        bitmap = np.zeros(bits >> 6, dtype=np.uint64)
-        for b in block_tables(hot_ds):
-            ck = b.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
-            cp = b.column("capped").to_numpy(zero_copy_only=False)
-            if cp.any():
-                capped_parts.append(ck[cp])
-            for probe in (ck & bmask, _smx(ck) & bmask):
-                np.bitwise_or.at(
-                    bitmap, probe >> np.uint64(6), np.uint64(1) << (probe & np.uint64(63))
-                )
-        hot_struct = ("bloom", bitmap, bmask)
+        hot_struct = ("bloom", bitmap)
     # capped buckets (> band_cap members) are rare by construction — keep
     # the exact sorted set so cmask is never approximate
     capped_sorted = (

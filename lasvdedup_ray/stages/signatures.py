@@ -1,11 +1,11 @@
-"""MinHash + SimHash signature stage — the canonical stateful actor pool.
+"""MinHash + SimHash signature stage: stateless ``map_batches`` tasks.
 
 Replaces the reference's global distance oracle (midpoint-rooted tree +
 dense n x n matrix, ``lasvdedup/utils/determine_duplicates.py:111-114``,
 ``distance_matrix.py:10-20``) with per-row sketches computed streaming:
-``ds.map_batches(MinHashSigner, concurrency=(min,max), batch_format="pyarrow")``
-where ``__init__`` builds the 128 permutation parameters + normalizer ONCE
-per actor and ``__call__`` does only vectorized numpy work per batch.
+``ds.map_batches(MinHashSigner(cfg), batch_format="pyarrow")``.  The
+densified one-permutation signer is O(shingles) per document and holds no
+per-worker state, so it runs as plain tasks (no actor-pool startup).
 """
 
 from __future__ import annotations
@@ -18,13 +18,9 @@ import ray.data
 
 from ..config import SignatureConfig
 from ..functions.hashing import (
-    minhash_permutation_params,
-    minhash_signatures,
     oph_signatures,
-    shingle_hashes,
     shingle_hashes_batch,
     simhash_from_sigs,
-    simhash_values,
 )
 from ..functions.text import normalize_for_shingling
 
@@ -49,83 +45,30 @@ def _string_array_bytes(
     )
     return data, offs[:-1], offs[1:]
 
-# cap on concatenated shingle hashes per vectorized minhash call: bounds the
-# (perm_chunk x total) intermediate to ~64 MiB regardless of batch size
-_SHINGLE_CHUNK = 1 << 18
-
-
-def compute_signatures(
-    docs: List[bytes], cfg: SignatureConfig, a: np.ndarray, b: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(signatures uint32 (n, num_perms), simhash uint64 (n,), n_shingles
-    int64 (n,)) for a list of normalized utf-8 documents."""
-    n = len(docs)
-    sigs = np.empty((n, cfg.num_perms), dtype=np.uint32)
-    sims = np.empty(n, dtype=np.uint64)
-    counts = np.empty(n, dtype=np.int64)
-
-    hash_arrays: List[np.ndarray] = []
-    lo = 0
-    total = 0
-    use_oph = getattr(cfg, "scheme", "oph") == "oph"
-    for i in range(n + 1):
-        flush = i == n or (total >= _SHINGLE_CHUNK and i > lo)
-        if flush and i > lo:
-            concat = np.concatenate(hash_arrays) if hash_arrays else np.empty(0, np.uint64)
-            cnts = np.array([h.shape[0] for h in hash_arrays], dtype=np.int64)
-            offsets = np.concatenate(([0], np.cumsum(cnts[:-1]))).astype(np.intp)
-            if use_oph:
-                chunk_sigs = oph_signatures(concat, offsets, cnts, cfg.num_perms)
-                sigs[lo:i] = chunk_sigs
-                sims[lo:i] = simhash_from_sigs(chunk_sigs)
-            else:
-                sigs[lo:i] = minhash_signatures(concat, offsets, a, b)
-                sims[lo:i] = simhash_values(concat, offsets, cnts)
-            counts[lo:i] = cnts
-            hash_arrays, lo, total = [], i, 0
-        if i == n:
-            break
-        h = shingle_hashes(docs[i], cfg.k)
-        mod = getattr(cfg, "sample_mod", 1)
-        if mod > 1 and h.shape[0] > 1:
-            s = h[(h & np.uint64(mod - 1)) == 0]
-            if s.shape[0]:
-                h = s
-        hash_arrays.append(h)
-        total += h.shape[0]
-    return sigs, sims, counts
-
 
 class MinHashSigner:
-    """Callable class for ``map_batches`` actor pools.
-
-    State built once per actor (``__init__``): permutation parameters.
-    Per batch (``__call__``): pyarrow normalization + vectorized signature
-    computation; appends ``minhash`` (large_binary, num_perms*4 bytes),
-    ``simhash`` (uint64), ``n_shingles`` (int64).
+    """Batch function for ``map_batches``: pyarrow normalization +
+    vectorized densified OPH signatures.  Appends ``minhash``
+    (large_binary, num_perms*4 bytes), ``simhash`` (uint64) and
+    ``n_shingles`` (int64).
     """
 
     def __init__(self, cfg: Optional[SignatureConfig] = None):
         self.cfg = cfg or SignatureConfig()
-        self.a, self.b = minhash_permutation_params(self.cfg.num_perms, self.cfg.seed)
 
     def __call__(self, t: pa.Table) -> pa.Table:
         cfg = self.cfg
         norm = normalize_for_shingling(t["content"], cfg.lowercase, cfg.collapse_ws)
         if isinstance(norm, pa.ChunkedArray):
             norm = norm.combine_chunks()
-        if cfg.scheme == "oph":
-            # zero-copy: shingle straight off the Arrow utf-8 data buffer
-            # (no per-row Python strings, no encode round-trip)
-            buf, starts, ends = _string_array_bytes(norm)
-            hashes, offsets, counts = shingle_hashes_batch(
-                buf, starts, ends, cfg.k, sample_mod=getattr(cfg, "sample_mod", 1)
-            )
-            sigs = oph_signatures(hashes, offsets, counts, cfg.num_perms)
-            sims = simhash_from_sigs(sigs)
-        else:
-            docs = [s.encode("utf-8") for s in norm.to_pylist()]
-            sigs, sims, counts = compute_signatures(docs, cfg, self.a, self.b)
+        # zero-copy: shingle straight off the Arrow utf-8 data buffer
+        # (no per-row Python strings, no encode round-trip)
+        buf, starts, ends = _string_array_bytes(norm)
+        hashes, offsets, counts = shingle_hashes_batch(
+            buf, starts, ends, cfg.k, sample_mod=cfg.sample_mod
+        )
+        sigs = oph_signatures(hashes, offsets, counts, cfg.num_perms)
+        sims = simhash_from_sigs(sigs)
         # one flat copy + an offsets buffer instead of n per-row bytes
         # objects: large_binary built directly from the (n, num_perms)
         # uint32 matrix's contiguous memory
@@ -148,29 +91,11 @@ def add_signatures(
     ds: ray.data.Dataset,
     cfg: Optional[SignatureConfig] = None,
     batch_size: int = 1024,
-    concurrency: Tuple[int, int] = (2, 8),
 ) -> ray.data.Dataset:
-    """Signature stage.  Scheme decides the execution shape:
-
-    - "classic": callable-class ACTOR POOL — the 128-permutation parameter
-      table is real per-worker state built once in ``__init__``.
-    - "oph" (default): the signer holds no heavy state, so stateless
-      map_batches TASKS are the idiomatic choice — elastic, no actor-pool
-      startup latency, workers already warm from upstream stages.
-    """
-    rcfg = cfg or SignatureConfig()
-    if rcfg.scheme == "oph":
-        signer = MinHashSigner(rcfg)  # tiny closure state, shipped per task
-        return ds.map_batches(
-            signer, batch_format="pyarrow", batch_size=batch_size
-        )
+    """Signature stage as stateless ``map_batches`` tasks (the signer's
+    only state is its config, shipped with each task)."""
     return ds.map_batches(
-        MinHashSigner,
-        fn_constructor_kwargs={"cfg": cfg},
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
+        MinHashSigner(cfg), batch_format="pyarrow", batch_size=batch_size
     )
 
 

@@ -242,7 +242,6 @@ def assign_clusters(
     dsu_edge_limit: int = 2_000_000,
     max_rounds: int = 50,
     num_partitions: int = 32,
-    force_distributed: bool = False,
 ) -> ray.data.Dataset:
     """Attach ``cluster_id`` (string, = min member id) to every node row.
     Nodes untouched by any edge become singleton clusters (cluster_id = id).
@@ -257,7 +256,7 @@ def assign_clusters(
     n_edges = 0 if compacted is None else compacted.count()
     if compacted is not None:
         edges = compacted
-    if not force_distributed and n_edges <= dsu_edge_limit:
+    if n_edges <= dsu_edge_limit:
         label_map = components_driver(edges) if n_edges else {}
         # ship as two Arrow string arrays, not a pickled dict: Arrow
         # buffers travel out-of-band through plasma (zero-copy), while a

@@ -71,6 +71,24 @@ def executions(monkeypatch):
 
 
 @pytest.fixture
+def tasks(monkeypatch):
+    """Function names of every Ray task submitted during the test
+    (``RemoteFunction._remote`` calls: Ray Data's tasks and the raw
+    ``map_blocks`` / ``hash_exchange`` tasks alike)."""
+    from ray.remote_function import RemoteFunction
+
+    submitted = []
+    remote = RemoteFunction._remote
+
+    def counted(self, *args, **kwargs):
+        submitted.append(self._function_name)
+        return remote(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counted)
+    return submitted
+
+
+@pytest.fixture
 def parquet_reads(monkeypatch):
     """The paths each Ray Data execution started during the test reads
     through a ``read_parquet`` operator, one list per execution that reads

@@ -39,16 +39,58 @@ def test_yaml_fallback_parser(tmp_path):
     p.write_text(
         "thresholds:\n  tau: 0.25\n  min_neighborhood: 4\n"
         "signature:\n  bands: 16\n  rows: 8\n"
-        "exact_first: true\n"
+        "group_only: true\n"
     )
     d = load_config_file(str(p))
     assert d["thresholds"]["tau"] == 0.25
     assert d["signature"]["bands"] == 16
-    assert d["exact_first"] is True
+    assert d["group_only"] is True
     cfg = build_config(str(p))
     assert cfg.default_thresholds.min_neighborhood == 4
     assert cfg.signature.bands == 16 and cfg.signature.rows == 8
-    assert cfg.exact_first is True
+    assert cfg.group_only is True
+
+
+@pytest.mark.parametrize(
+    "layer, key",
+    [
+        ({"exact_first": True}, "exact_first"),
+        ({"signature": {"scheme": "classic"}}, "scheme"),
+        ({"execution": {"batch_size": 512}}, "batch_size"),
+        ({"lang_thresholds": {"py": {"tua": 0.3}}}, "tua"),
+    ],
+)
+def test_build_config_rejects_unknown_keys(tmp_path, layer, key):
+    """A key the config does not have raises, naming the key, at the top
+    level and inside a section, from a file and from overrides alike."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(layer))
+    with pytest.raises(ValueError, match=key):
+        build_config(str(p))
+    with pytest.raises(ValueError, match=key):
+        build_config(None, layer)
+
+
+def test_config_dict_roundtrip(tmp_path):
+    """``config_to_dict`` output, written to a file, builds the same config
+    back (``--print-config`` then ``--config``), reference-parity grouping
+    and per-lang thresholds included."""
+    import dataclasses
+
+    from lasvdedup_ray.config import ClassThresholds, PipelineConfig
+    from lasvdedup_ray.config_io import config_to_dict
+
+    cfg = PipelineConfig(
+        group_only=True,
+        group_regex=r"^([^/]+)/",
+        lang_thresholds={"py": ClassThresholds(tau=0.3, min_neighborhood=3)},
+        lsh=dataclasses.replace(PipelineConfig().lsh, band_cap=64),
+    )
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config_to_dict(cfg)))
+    back = build_config(str(p))
+    assert config_to_dict(back) == config_to_dict(cfg)
+    assert back.group_only is True and back.lang_thresholds["py"].tau == 0.3
 
 
 def test_cli_end_to_end(tmp_path):

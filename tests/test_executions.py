@@ -5,9 +5,9 @@ after sign the flagship runs raw tasks over block refs only (``map_blocks``,
 ``concat_blocks``, ``hash_exchange``), reads each checkpointed stage from
 Parquet once, and never builds a stage its checkpoint already holds.  These
 tests pin the number of executions with an operator besides the input
-buffer (``executions`` fixture, conftest.py), the executions that read each
-stage's Parquet (``parquet_reads``), and that a resume runs no sha
-exchange."""
+buffer (``executions`` fixture, conftest.py), the Ray tasks submitted
+(``tasks``), the executions that read each stage's Parquet
+(``parquet_reads``), and that a resume runs no sha exchange."""
 
 import os
 
@@ -37,10 +37,16 @@ def _job(files, config) -> pa.Table:
     return out.select(["id", "cluster_id", "classification"]).sort_by("id")
 
 
-def test_job_without_checkpoint(ray_session, corpus_files, executions):
+# Ray tasks one job of each kind submitted on this corpus at 4 CPUs when
+# these bounds were set; a job may not submit more
+TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 64, 173, 76
+
+
+def test_job_without_checkpoint(ray_session, corpus_files, executions, tasks):
     """Read + sign is the only execution a job needs; one more is allowed."""
     _job(corpus_files, PipelineConfig())
     assert len(executions) <= 2, executions
+    assert len(tasks) <= TASKS_RUN, tasks
 
 
 def _stage_reads(parquet_reads, ckpt) -> dict:
@@ -52,7 +58,7 @@ def _stage_reads(parquet_reads, ckpt) -> dict:
 
 
 def test_resume_skips_sha_exchange(
-    ray_session, corpus_files, executions, parquet_reads, monkeypatch, tmp_path
+    ray_session, corpus_files, executions, parquet_reads, tasks, monkeypatch, tmp_path
 ):
     """The checkpointed write runs at most 4 executions and hands its
     stages on without reading them back.  The resume reads ``reps`` back
@@ -70,11 +76,14 @@ def test_resume_skips_sha_exchange(
     assert calls == ["exact_collapse", "_sha_exchange"]
     assert len(executions) <= 4, executions
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
+    assert len(tasks) <= TASKS_WRITE, tasks
     calls.clear()
     executions.clear()
     parquet_reads.clear()
+    tasks.clear()
     resumed = _job(corpus_files, config)
     assert calls == []
     assert len(executions) <= 3, executions
+    assert len(tasks) <= TASKS_RESUME, tasks
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 1}, parquet_reads
     assert resumed.equals(written)

@@ -8,6 +8,7 @@ literal inputs, pinned semantics.
 import itertools
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from lasvdedup_ray.config import SignatureConfig
@@ -15,11 +16,13 @@ from lasvdedup_ray.functions.hashing import (
     band_hashes,
     estimated_jaccard,
     hamming64,
-    minhash_permutation_params,
     shingle_hashes,
-    simhash_values,
 )
-from lasvdedup_ray.stages.signatures import compute_signatures, sigs_to_matrix
+from lasvdedup_ray.stages.signatures import (
+    MinHashSigner,
+    sig_matrix_from_column,
+    sigs_to_matrix,
+)
 
 
 def test_shingle_hashes_deterministic():
@@ -46,9 +49,9 @@ def test_shingle_position_invariance():
 
 
 def _sig_for(texts, cfg):
-    a, b = minhash_permutation_params(cfg.num_perms, cfg.seed)
-    sigs, sims, counts = compute_signatures([t.encode() for t in texts], cfg, a, b)
-    return sigs, sims, counts
+    t = MinHashSigner(cfg)(pa.table({"content": pa.array(texts, pa.string())}))
+    sigs = sig_matrix_from_column(t["minhash"], cfg.num_perms)
+    return sigs, t["simhash"].to_numpy(), t["n_shingles"].to_numpy()
 
 
 def test_minhash_estimate_tracks_exact_jaccard():
@@ -118,16 +121,6 @@ def test_sigs_to_matrix_roundtrip():
     blobs = [s.tobytes() for s in sigs]
     back = sigs_to_matrix(blobs, cfg.num_perms)
     np.testing.assert_array_equal(sigs, back)
-
-
-def test_permutation_params_deterministic():
-    a1, b1 = minhash_permutation_params(128, 42)
-    a2, b2 = minhash_permutation_params(128, 42)
-    np.testing.assert_array_equal(a1, a2)
-    np.testing.assert_array_equal(b1, b2)
-    a3, _ = minhash_permutation_params(128, 43)
-    assert not np.array_equal(a1, a3)
-    assert np.all(a1 % 2 == 1)  # odd multipliers
 
 
 def test_signature_config_validation():

@@ -1,11 +1,14 @@
-"""Execution-plan equivalence: the size-gated alternates must produce the
-same clusters/classifications as the defaults.
+"""Execution-plan equivalence: each size-gated alternate plan of the
+flagship, forced on at a small size, must give the same result as the
+default plan.
 
+- LSH hot sets: driver-derived (under hot_driver_cap) vs the distributed
+  count pass, with the hot-key set held exactly (under hot_exact_cap) or
+  as a bloom bitmap — the SAME candidate pair set.
 - LSH signature transport: broadcast store (under sig_broadcast_cap) vs
-  inline sig16 band rows must emit the SAME verified pair set.
-- exact_first=True (sha-dedup before signing + sha-join) vs the default
-  slim-collapse path must produce identical cluster membership and
-  classifications.
+  inline sig16 band rows — the SAME candidate pair set.
+- Exact-dup sha collapse: driver lexsort (under exact_driver_cap) vs the
+  sha hash exchange — identical cluster membership and classifications.
 """
 
 import dataclasses
@@ -44,12 +47,14 @@ def test_broadcast_and_inline_transport_same_pairs(signed_corpus):
         return set(zip(df["id_a"], df["id_b"]))
 
     # default: broadcast store + driver-side hot sets (300 rows is under
-    # both caps); force the distributed hot-prefilter pass and the inline
-    # signature transport and pin all three plans to the same pair set
+    # every cap); force the distributed hot-prefilter pass (with an exact
+    # and a bloom hot-key set) and the inline signature transport and pin
+    # all four plans to the same pair set
     default = pairset(cfg.lsh)
     dist_hot = pairset(dataclasses.replace(cfg.lsh, hot_driver_cap=0))
+    bloom_hot = pairset(dataclasses.replace(cfg.lsh, hot_driver_cap=0, hot_exact_cap=0))
     inline = pairset(dataclasses.replace(cfg.lsh, sig_broadcast_cap=0))
-    assert default == dist_hot == inline and len(default) > 0
+    assert default == dist_hot == bloom_hot == inline and len(default) > 0
 
 
 def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
@@ -148,21 +153,6 @@ def test_exchange_partition_count_invariant(signed_corpus, monkeypatch, tmp_path
         pd.testing.assert_frame_equal(digests[0], other)
     assert pairsets[0] == pairsets[1] == pairsets[2] and len(pairsets[0]) > 0
     assert len(digests[0]) == corpus.num_rows
-
-
-def test_exact_first_path_matches_default(signed_corpus):
-    corpus, _, _ = signed_corpus
-    a = _canon_results(
-        dedup_pipeline(ray.data.from_arrow(corpus), PipelineConfig(), num_partitions=4)
-    )
-    b = _canon_results(
-        dedup_pipeline(
-            ray.data.from_arrow(corpus),
-            PipelineConfig(exact_first=True),
-            num_partitions=4,
-        )
-    )
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_embedding_neardup_pairs_chunked_matches_broadcast():

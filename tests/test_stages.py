@@ -8,7 +8,7 @@ import ray.data
 
 from lasvdedup_ray.config import LSHConfig, SignatureConfig
 from lasvdedup_ray.sources.corpus import SOURCE_SCHEMA
-from lasvdedup_ray.stages.exact import exact_dup_edges, exact_representatives
+from lasvdedup_ray.stages.exact import exact_collapse, fused_edges, fused_reps
 from lasvdedup_ray.stages.lsh import band_stats, candidate_pairs
 from lasvdedup_ray.stages.prepare import prepare, prepare_batch
 from lasvdedup_ray.stages.signatures import MinHashSigner, add_signatures
@@ -45,10 +45,11 @@ def test_prepare_batch_fields():
 
 
 def test_exact_dedup_roundtrip():
-    ds = prepare(ray.data.from_arrow(small_table()))
-    reps = exact_representatives(ds).to_pandas()
+    ds = add_signatures(prepare(ray.data.from_arrow(small_table())))
+    fused = exact_collapse(ds).materialize()
+    reps = fused_reps(fused).to_pandas()
     assert len(reps) == 2  # a/b collapse
-    edges = exact_dup_edges(ds.select_columns(["id", "sha_hex"])).to_pandas()
+    edges = fused_edges(fused).to_pandas()
     assert len(edges) == 1
     assert edges.iloc[0]["est_distance"] == 0.0
     a, b = edges.iloc[0]["id_a"], edges.iloc[0]["id_b"]
@@ -81,7 +82,7 @@ def test_candidate_pairs_finds_near_dups():
         schema=SOURCE_SCHEMA,
     )
     cfg = SignatureConfig()
-    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg, concurrency=(1, 2))
+    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg)
     pairs = candidate_pairs(
         signed.select_columns(["id", "minhash", "simhash"]), cfg, LSHConfig(), tau=0.3,
         dedup_pairs=True,
@@ -108,7 +109,7 @@ def test_band_cap_keeps_connectivity():
     )
     cfg = SignatureConfig()
     lsh = LSHConfig(band_cap=4, cap_neighbors=2)
-    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg, concurrency=(1, 2))
+    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg)
     pairs = candidate_pairs(
         signed.select_columns(["id", "minhash", "simhash"]), cfg, lsh, tau=0.2
     ).to_pandas()
@@ -133,7 +134,7 @@ def test_band_stats_reports_drops():
         schema=SOURCE_SCHEMA,
     )
     cfg = SignatureConfig()
-    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg, concurrency=(1, 2))
+    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg)
     stats = band_stats(
         signed.select_columns(["id", "minhash", "simhash"]), cfg, LSHConfig(band_cap=4, cap_neighbors=2)
     ).to_pandas()

@@ -82,7 +82,7 @@ def test_distributed_matches_driver_on_random_graph():
 def test_assign_clusters_forced_distributed():
     nodes = nodes_ds(["A", "B", "C", "D", "E", "F"])
     e = edges_ds([("A", "B"), ("B", "C"), ("E", "F")])
-    out = assign_clusters(nodes, e, force_distributed=True, num_partitions=2).to_pandas()
+    out = assign_clusters(nodes, e, dsu_edge_limit=0, num_partitions=2).to_pandas()
     m = dict(zip(out["id"], out["cluster_id"]))
     assert m["A"] == m["B"] == m["C"] == "A"
     assert m["E"] == m["F"] == "E"
