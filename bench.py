@@ -268,7 +268,7 @@ def run_stages() -> dict:
 
     cfg = PipelineConfig()
     tau = candidate_tau(cfg)
-    emit_tau = tau + cfg.lsh.exact_margin
+    emit_tau = tau + cfg.lsh.exact_margin_high
     stages = {}
 
     t0 = time.time()

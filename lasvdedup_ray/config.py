@@ -92,7 +92,6 @@ class LSHConfig:
 
     band_cap: int = 256
     cap_neighbors: int = 4
-    pair_batch_rows: int = 65536
     # Below this many slim rows (and while the broadcast signature store is
     # in play) the hot/capped bucket sets are derived ON THE DRIVER from
     # the store's sig16 matrix — O(rows * bands) vectorized, no second
@@ -112,8 +111,6 @@ class LSHConfig:
     # memory — a false positive only ships one extra row into the shuffle,
     # never drops a pair).
     hot_exact_cap: int = 4_000_000
-    bloom_bits_per_key: int = 16
-    bloom_max_bits: int = 1 << 31  # 256 MiB bitmap ceiling
     # While the corpus' signature table fits this row budget (~256 B
     # sig16 + id per row -> ~1 GiB at the cap), signatures are BROADCAST
     # as one hash-indexed blob (ray.put once, zero-copy plasma reads, one
@@ -135,26 +132,21 @@ class LSHConfig:
     exact_margin_low: float = 0.04
     exact_margin_high: float = 0.1
 
-    @property
-    def exact_margin(self) -> float:  # back-compat alias (high side)
-        return self.exact_margin_high
-
 
 @dataclass(frozen=True)
 class ExecutionConfig:
     """Per-stage physical knobs, sized for a 32-CPU node by default."""
 
     dsu_edge_limit: int = 2_000_000   # above this, use distributed label propagation
-    max_label_rounds: int = 50
-    # Below this many input rows (and with no checkpoint_dir, so resume
-    # semantics stay exchange-based) the exact-dup sha collapse runs ON THE
+    # Below this many input rows the exact-dup sha collapse runs ON THE
     # DRIVER: one streamed (id, sha_hex) pass + a vectorized lexsort replace
     # the sha ``hash_exchange``: sending every job through the exchange
     # cost +32% ``run_cpu_s`` on the 1000-file ``mixed_5kb`` benchmark
     # (median of 6 alternating pairs).  Representatives then come from a
     # broadcast is_in filter (exact string membership — no hash-collision
     # exposure).  Both plans pick the same min(id)-per-sha reps and star
-    # edges (pinned by tests/test_path_equivalence.py).
+    # edges (pinned by tests/test_path_equivalence.py).  The driver
+    # collapse is not checkpointed: a resume redoes it from ``signed``.
     exact_driver_cap: int = 150_000
 
 

@@ -43,12 +43,15 @@ def splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def bloom_build(
-    key_chunks: Iterable[np.ndarray], n_keys: int, bits_per_key: int, max_bits: int
+    key_chunks: Iterable[np.ndarray],
+    n_keys: int,
+    bits_per_key: int = 16,
+    max_bits: int = 1 << 31,
 ) -> np.ndarray:
     """Two-probe bloom bitmap (uint64 words) over the uint64 keys of
     ``key_chunks``, built one chunk at a time.  Size: the power of two at
-    or above ``n_keys * bits_per_key`` bits, capped at ``max_bits`` and
-    floored at one word.  Probes are ``key`` and ``splitmix64(key)``, each
+    or above ``n_keys * bits_per_key`` bits, capped at ``max_bits`` (a
+    256 MiB bitmap by default) and floored at one word.  Probes are ``key`` and ``splitmix64(key)``, each
     masked to the bitmap size (``bloom_probe``)."""
     bits = 1 << min(
         int(n_keys * bits_per_key - 1).bit_length(), int(max_bits).bit_length() - 1

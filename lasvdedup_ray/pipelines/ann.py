@@ -403,7 +403,7 @@ def embedding_neardup_pairs(
     # file, ONE pass at a time — materialize each pass's slim pair blocks,
     # strip the plan (and with it the chunk-ref closure), then drop the
     # chunk ref so the store never holds more than one chunk concurrently
-    from ..state.unionfind import drop_empty_blocks
+    from ..stages.exchange import concat_blocks
 
     chunk_rows = max(1, broadcast_cap_bytes // (dim * 8))
     passes = []
@@ -420,8 +420,8 @@ def embedding_neardup_pairs(
         part = ds.map_batches(make_block(ref), batch_format="pyarrow").materialize()
         # rebuild from the pair block refs only: the materialized plan's
         # closure pins `ref`; the rebuilt dataset does not
-        part = drop_empty_blocks(part)
-        if part is not None:
+        part = concat_blocks(part)
+        if part.num_blocks():
             passes.append(part)
         del ref
 
@@ -1153,8 +1153,6 @@ def knn_graph_embeddings(
         hash_exchange,
         map_blocks,
     )
-    from ..state.unionfind import drop_empty_blocks
-
     n_part = exchange_partitions()
 
     def add_pkey(t: pa.Table) -> pa.Table:
@@ -1207,8 +1205,8 @@ def knn_graph_embeddings(
         ref = ray.put((ids, mat / norms))
         part = ds.map_batches(make_partial(ref, k), batch_format="pyarrow").materialize()
         del ref
-        part = drop_empty_blocks(part)
-        if part is None:
+        part = concat_blocks(part)
+        if not part.num_blocks():
             return
         # a single pass already holds at most k rows per query
         running = part if running is None else hash_exchange(

@@ -9,8 +9,9 @@ Stages:
     read_parquet
       -> prepare + sign      (Ray Data map_batches: id, sha256, stats,
                               OPH signatures)                  [pinned: signed]
-      -> sha collapse        (driver lexsort, or a sha hash_exchange:
-                              reps + 0-dist star edges)        [pinned: reps]
+      -> sha collapse        (driver lexsort under exact_driver_cap, else
+                              a sha hash_exchange: reps + 0-dist
+                              star edges)       [pinned above the cap: reps]
       -> LSH candidates      (sig store + band hash_exchange: pairs)
       -> verify              (sure filter + exact border re-check)
       -> union-find          (driver DSU / distributed label prop)
@@ -92,11 +93,17 @@ def plan_stages(
     checkpointable stage's resume status — nothing executes beyond the
     input's metadata row count."""
     config = config or PipelineConfig()
-    fp = _input_fingerprint(ds, ds.count(), ds.schema().names, config)
+    n_rows = ds.count()
+    fp = _input_fingerprint(ds, n_rows, ds.schema().names, config)
     ck = StageCheckpointer(config.checkpoint_dir, fingerprint=fp)
     plan = []
     for name in ("signed", "reps"):
-        status = ck.status(name) if config.checkpoint_dir else "no checkpoint_dir"
+        if not config.checkpoint_dir:
+            status = "no checkpoint_dir"
+        elif name == "reps" and n_rows <= config.execution.exact_driver_cap:
+            status = "not checkpointed (driver sha collapse)"
+        else:
+            status = ck.status(name)
         plan.append({"stage": name, "checkpoint": status})
     for name in ("candidates", "verify", "cluster", "classify"):
         plan.append({"stage": name, "checkpoint": "always runs"})
@@ -121,15 +128,6 @@ def dedup_pipeline(
     (missing rows rank last).  ``edges_out``: optional Parquet directory for
     the verified edge list — the scalable analog of the reference's dense
     ``.mldist`` distance-matrix sink (``io_utils.py:69-83``)."""
-    # scaling diagnostics only (LASVDEDUP_PHASE_LOG=1): wall time since
-    # the previous sync point, printed to stderr — no behavior change
-    from .._phaselog import mark as _plmark, reset as _plreset
-
-    _plreset("PHASE")
-
-    def _phase(name: str) -> None:
-        _plmark(name, prefix="PHASE")
-
     config = config or PipelineConfig()
     if config.group_only and not config.group_regex:
         raise ValueError("group_only=True requires group_regex")
@@ -148,7 +146,7 @@ def dedup_pipeline(
     # force (reference --force/forceall): recompute every pinned stage
     ck = StageCheckpointer(config.checkpoint_dir, fingerprint=fp, force=force)
     tau = candidate_tau(config)
-    emit_tau = tau + (config.lsh.exact_margin if config.lsh.exact_verify else 0.0)
+    emit_tau = tau + (config.lsh.exact_margin_high if config.lsh.exact_verify else 0.0)
 
     # sign every row (OPH signing is O(shingles); identical content yields
     # identical signatures), then collapse exact dups at the SLIM level
@@ -169,7 +167,6 @@ def dedup_pipeline(
         ),
         "signed",
     )
-    _phase("prepare+sign")
     if signed.count() == 0:
         from ..stages.classify import RESULT_SCHEMA
 
@@ -183,12 +180,13 @@ def dedup_pipeline(
 
         edges = ray.data.from_arrow(PAIR_SCHEMA.empty_table())
     else:
-        if config.checkpoint_dir is None and n_rows_in <= ex.exact_driver_cap:
+        if n_rows_in <= ex.exact_driver_cap:
             # small input: the sha collapse runs on the driver (one slim
             # streamed pass + lexsort) instead of paying the sha
             # exchange's tasks (see ``exact_driver_cap``); reps are
             # recovered by an exact broadcast is_in filter over the pinned
-            # signed dataset
+            # signed dataset.  Nothing here is checkpointed: a resume
+            # redoes the collapse from ``signed``.
             from ..stages.exact import exact_collapse_driver
 
             rep_ids, edges_tbl = exact_collapse_driver(signed)
@@ -214,19 +212,15 @@ def dedup_pipeline(
             # the zero-distance star edges (two separate groupbys before r3)
             from ..stages.exact import exact_collapse, fused_edges, fused_reps
 
-            from .._phaselog import mark as _plmark2
-
             # a builder, not a dataset: the exchange starts when it is
             # built, so a resume that reads "reps" back skips it
             fused = ck.pin(lambda: exact_collapse(signed), "reps")
-            _plmark2("exact:fused_pin")
             reps_slim = fused_reps(fused)
             # one fused row per input row (a rep or a star edge): the
             # pinned stage's metadata count bounds the rep count from
             # above without a filter + count pass
             reps_hint = fused.count()
             e_edges = fused_edges(fused)
-            _phase("exact_collapse")
         # candidates read (id, minhash, simhash) by name; verify
         # projects signed to (id, content) inside its gather tasks
         near_edges = verify_pairs(
@@ -243,7 +237,6 @@ def dedup_pipeline(
             tau=tau,
             num_partitions=num_partitions,
         )
-        _phase("candidates+verify")
         edges = concat_blocks(near_edges, e_edges)
 
     if rank_table is not None:
@@ -275,10 +268,8 @@ def dedup_pipeline(
         meta,
         edges,
         dsu_edge_limit=ex.dsu_edge_limit,
-        max_rounds=ex.max_label_rounds,
         num_partitions=num_partitions,
     )
-    _phase("unionfind")
     return classify_clusters(clustered, config)
 
 

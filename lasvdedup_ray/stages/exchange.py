@@ -301,19 +301,15 @@ def hash_exchange(
     ``empty_schema``: schema of the typed empty RESULT returned when the
     upstream has no rows at all (None -> a zero-block dataset, matching
     groupby's schemaless-empty behavior)."""
-    from .._phaselog import mark as _mark
-
     split = _split_by_pkey.options(num_returns=num_partitions + 1)
     parts_lists = [
         split.remote(ref, pkey_col, num_partitions) for ref in _block_refs(ds)
     ]
-    _mark(f"exchange[{pkey_col}]:upstream_exec")
     if parts_lists:
         totals = np.sum(ray.get([row[num_partitions] for row in parts_lists]), axis=0)
         live = [p for p in range(num_partitions) if totals[p] > 0]
     else:
         live = []
-    _mark(f"exchange[{pkey_col}]:split_wave")
     if not live:
         if empty_schema is not None:
             return ray.data.from_arrow(empty_schema.empty_table())

@@ -2,12 +2,24 @@
 
 Replaces the reference's all-vs-all dense distance matrix
 (``lasvdedup/utils/distance_matrix.py:10-43``) with a banded-MinHash
-self-join: each row explodes to ``bands`` (band, band_hash) rows, a
-``groupby(["band","bh"])`` shuffle co-locates colliding rows, and pairs are
-emitted + verified (estimated Jaccard from full signatures) inside
-``map_groups`` — one shuffle for candidate generation AND verification
-(signatures ride along in the band rows; at extreme scale trade this 16x
-signature amplification for a separate signature join).
+self-join keyed by ``(band, band_hash)``.  Every plan bands the low 16
+bits of each signature slot (``_sig16`` + ``_band_keys``, the one band-key
+kernel), and ``candidate_pairs`` runs three steps:
+
+1. signature transport: under ``sig_broadcast_cap`` rows the sig16
+   signatures ship once as a hash-indexed broadcast store (driver blob
+   under ``hot_driver_cap``, idh-sorted plasma blocks above it); above the
+   cap they ride inline in the band rows;
+2. hot/capped bucket sets: the combined (band, bh) keys with >= 2 members
+   (hot) and > ``band_cap`` members (capped), derived on the driver from
+   the store's sig16 matrix or by a key-count ``hash_exchange``;
+3. one band-row emitter (``_make_band_row_emitter``) ships only the
+   (row, band) rows of hot buckets — ``band, bh, simhash, cmask, pkey``
+   plus the payload, ``idh`` under the store or ``id`` + ``sig16`` inline
+   — through a ``hash_exchange`` on ``pkey = bh & (P-1)``, and
+   ``make_partition_pair_emitter`` verifies each partition's buckets
+   (estimated Jaccard over sig16) and emits each pair in its canonical
+   band.
 
 Skew handling (north_rule): a band bucket larger than ``band_cap``
 (boilerplate/license-header hot keys) is NOT expanded O(m^2); its members
@@ -19,19 +31,19 @@ observable via ``band_stats`` (bucket-size histogram + dropped-pair counts).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.aggregate import Count, Min
+from ray.data.aggregate import Count
 
 from ..config import LSHConfig, SignatureConfig
 from ..functions.hashing import band_hashes, bloom_build, bloom_probe, splitmix64 as _smx64
 from .exchange import block_tables, cluster_cpus, hash_exchange, map_blocks
-from .signatures import sig_matrix_from_column, sigs_to_matrix
+from .signatures import sig_matrix_from_column
 
 # worker-process-level caches for broadcast side data (hot-bucket keys and
 # the hash-indexed signature store) — ray.get once per worker, not per batch
@@ -39,67 +51,14 @@ _WORKER_HOT_CACHE: dict = {}
 _WORKER_SIG_CACHE: dict = {}
 _WORKER_BLOCK_CACHE: dict = {}
 
+# raw bucket pairs per compare chunk in the pair emitter: the chunk's
+# temporaries fit a core-private L2 (see make_partition_pair_emitter)
+_PAIR_CHUNK = 1024
+
 
 PAIR_SCHEMA = pa.schema(
     [("id_a", pa.string()), ("id_b", pa.string()), ("est_distance", pa.float64())]
 )
-
-
-def make_band_emitter(cfg: SignatureConfig):
-    """Stateless map_batches fn: (id, minhash, simhash) -> bands rows each.
-
-    Band rows carry a COMPRESSED signature (low 16 bits of each uint32
-    slot, num_perms*2 bytes instead of num_perms*4) used for BOTH in-bucket
-    verification and canonical-band pair emission: 16-bit slot-equality
-    false positives occur with probability 1/65536, biasing the Jaccard
-    estimate by ~1.5e-5 and mis-skipping canonical emission with
-    probability ~1e-4 per pair — both negligible against the recall budget
-    — while halving the band-shuffle payload.
-    """
-    bands, rows, num_perms = cfg.bands, cfg.rows, cfg.num_perms
-
-    def emit(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "band": pa.array([], pa.int32()),
-                    "bh": pa.array([], pa.uint64()),
-                    "id": pa.array([], pa.string()),
-                    "sig16": pa.array([], pa.binary(num_perms * 2)),
-                    "simhash": pa.array([], pa.uint64()),
-                }
-            )
-        sigs = sig_matrix_from_column(t.column("minhash"), num_perms)
-        sig16 = (sigs & np.uint32(0xFFFF)).astype(np.uint16)
-        # banding over the sig16 slots (consistent across every plan and
-        # with the driver-side hot-set derivation): a band whose low-16
-        # slot values agree hashes equal; false band collisions from the
-        # dropped high bits are ~2^-64 per pair-band — negligible, and
-        # every candidate is verified against the full sig16 anyway
-        bh = band_hashes(sig16, bands, rows)  # (n, bands)
-        band_idx = np.tile(np.arange(bands, dtype=np.int32), n)
-        # repeat ids/sig/simhash bands times (take with repeated indices —
-        # arrow-level, no python loop)
-        rep_np = np.repeat(np.arange(n, dtype=np.int64), bands)
-        rep_idx = pa.array(rep_np)
-        sig16_rep = np.ascontiguousarray(sig16[rep_np])  # (n*bands, num_perms)
-        sig16_arr = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(num_perms * 2),
-            n * bands,
-            [None, pa.py_buffer(sig16_rep.tobytes())],
-        )
-        return pa.table(
-            {
-                "band": pa.array(band_idx, pa.int32()),
-                "bh": pa.array(bh.reshape(-1), pa.uint64()),
-                "id": t.column("id").take(rep_idx),
-                "sig16": sig16_arr,
-                "simhash": t.column("simhash").take(rep_idx),
-            }
-        )
-
-    return emit
 
 
 def sig16_matrix(col: pa.ChunkedArray | pa.Array, num_perms: int) -> np.ndarray:
@@ -128,18 +87,6 @@ def _pairs_table(ids_a, ids_b, dists) -> pa.Table:
     )
 
 
-SLIM_BAND_SCHEMA = pa.schema(
-    [
-        ("band", pa.int32()),
-        ("bh", pa.uint64()),
-        ("idh", pa.uint64()),
-        ("simhash", pa.uint64()),
-        ("cmask", pa.uint64()),
-        ("pkey", pa.int32()),
-    ]
-)
-
-
 def _hash_combine(band_arr: np.ndarray, bh_arr: np.ndarray) -> np.ndarray:
     """64-bit combined (band, bh) bucket key; a false collision only ships
     one extra row into the shuffle (never drops a hot row)."""
@@ -163,26 +110,52 @@ def _member(struct, comb: np.ndarray) -> np.ndarray:
     return bloom_probe(struct[1], comb)
 
 
+def _sig16(minhash_col, num_perms: int) -> np.ndarray:
+    """(n, num_perms) uint16: the low 16 bits of each signature slot.
+
+    Every plan bands, verifies and canonically emits over these slots:
+    16-bit slot-equality false positives occur with probability 1/65536,
+    biasing the Jaccard estimate by ~1.5e-5 and mis-skipping canonical
+    emission with probability ~1e-4 per pair — both negligible against the
+    recall budget — while halving every signature payload."""
+    sigs = sig_matrix_from_column(minhash_col, num_perms)
+    return (sigs & np.uint32(0xFFFF)).astype(np.uint16)
+
+
+def _band_keys(sig16: np.ndarray, bands: int, rows: int):
+    """``(band, bh, comb)`` of every (row, band), row-major (row 0 bands
+    0..b-1, row 1 ...): the band index (int64), the band hash (uint64) and
+    the combined 64-bit bucket key.  A band whose sig16 slots agree hashes
+    equal; false band collisions from the dropped high bits are ~2^-64 per
+    pair-band, and every candidate is verified against the full sig16."""
+    bh = band_hashes(sig16, bands, rows).reshape(-1)
+    band = np.tile(np.arange(bands, dtype=np.int64), sig16.shape[0])
+    return band, bh, _hash_combine(band, bh)
+
+
+def _sig16_column(sig16: np.ndarray) -> pa.Array:
+    """fixed_size_binary(num_perms*2) column over a (n, num_perms) uint16
+    matrix (``sig16_matrix`` decodes it)."""
+    sig16 = np.ascontiguousarray(sig16)
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(sig16.shape[1] * 2), sig16.shape[0], [None, pa.py_buffer(sig16.tobytes())]
+    )
+
+
+def _id_hashes(ids) -> np.ndarray:
+    """64-bit hash of each id string (the store's ``idh`` key)."""
+    return pd.util.hash_array(np.asarray(ids, dtype=object), categorize=False)
+
+
 def _make_store_row_fn(sig_cfg: SignatureConfig):
     """Block fn: (id, minhash) -> (idh, sig16-binary, id) store rows;
     the sig16 + id-hash are computed on workers."""
-    import pandas as _pd
-
-    np_ = sig_cfg.num_perms
 
     def to_store_rows(t: pa.Table) -> pa.Table:
-        ids_b = np.asarray(t.column("id").to_pylist(), dtype=object)
-        sigs_b = sig_matrix_from_column(t.column("minhash"), np_)
-        s16 = np.ascontiguousarray((sigs_b & np.uint32(0xFFFF)).astype(np.uint16))
-        sig_arr = pa.FixedSizeBinaryArray.from_buffers(
-            pa.binary(np_ * 2), len(ids_b), [None, pa.py_buffer(s16.tobytes())]
-        )
         return pa.table(
             {
-                "idh": pa.array(
-                    _pd.util.hash_array(ids_b, categorize=False), pa.uint64()
-                ),
-                "sig": sig_arr,
+                "idh": pa.array(_id_hashes(t.column("id").to_pylist()), pa.uint64()),
+                "sig": _sig16_column(_sig16(t.column("minhash"), sig_cfg.num_perms)),
                 "id": t.column("id"),
             }
         )
@@ -325,10 +298,7 @@ def _build_sig_store(signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig):
 def _hot_chunk_split(sig16_chunk: np.ndarray, bands: int, rows: int, n_buckets: int):
     """Band-hash one row chunk and range-split the combined keys by their
     TOP bits into ``n_buckets`` sorted arrays (num_returns=n_buckets)."""
-    n = sig16_chunk.shape[0]
-    bh = band_hashes(sig16_chunk, bands, rows)
-    band_idx = np.tile(np.arange(bands, dtype=np.int64), n)
-    comb = np.sort(_hash_combine(band_idx, bh.reshape(-1)))
+    comb = np.sort(_band_keys(sig16_chunk, bands, rows)[2])
     # the top-bits shift only yields monotonic disjoint ranges for
     # power-of-two bucket counts; any other value wraps uint64 and
     # silently unsorts the merged hot-key set (searchsorted misses)
@@ -371,12 +341,9 @@ def _derive_hot_sets(sig16: np.ndarray, sig_cfg: SignatureConfig, band_cap: int)
     capped key array either way."""
     n = sig16.shape[0]
     if n <= 100_000 or not ray.is_initialized():
-        bh = band_hashes(sig16, sig_cfg.bands, sig_cfg.rows)  # (n, bands)
-        band_idx = np.tile(np.arange(sig_cfg.bands, dtype=np.int64), n)
-        comb = _hash_combine(band_idx, bh.reshape(-1))
+        comb = _band_keys(sig16, sig_cfg.bands, sig_cfg.rows)[2]
         uniq, cnt = np.unique(comb, return_counts=True)  # sorted keys
-        hot = cnt >= 2
-        return ("exact", uniq[hot]), uniq[cnt > band_cap]
+        return ("exact", uniq[cnt >= 2]), uniq[cnt > band_cap]
     n_chunks = max(2, min(16, cluster_cpus() // 2))
     n_buckets = 16
     bounds = np.linspace(0, n, n_chunks + 1, dtype=np.int64)
@@ -398,55 +365,44 @@ def _derive_hot_sets(sig16: np.ndarray, sig_cfg: SignatureConfig, band_cap: int)
     return ("exact", hot_keys), capped_keys
 
 
-def _make_slim_band_emitter(sig_cfg: SignatureConfig, num_partitions: int, hot_ref):
-    """Block fn: (id, minhash, simhash) -> slim ~40 B band rows
-    (band, bh, idh, simhash, cmask, pkey) for broadcast-store transport.
-    Only rows in hot (>= 2 member) buckets ship; cmask flags capped
-    bands."""
-    bands, rows = sig_cfg.bands, sig_cfg.rows
+def _make_band_row_emitter(sig_cfg: SignatureConfig, num_partitions: int, hot_ref, inline: bool):
+    """Block fn: (id, minhash, simhash) -> one row per (row, band) whose
+    bucket is hot (>= 2 members): ``band, bh, simhash, cmask, pkey`` plus
+    the signature payload — ``idh`` (~40 B rows; signatures come from the
+    broadcast store) or, ``inline``, ``id`` + ``sig16``.  ``cmask`` is the
+    row's bitmask of capped bands.  Hot rows are selected before any
+    payload is gathered."""
+    bands, num_perms = sig_cfg.bands, sig_cfg.num_perms
+    band_bits = np.arange(bands, dtype=np.uint64)
 
-    def emit_slim(t: pa.Table) -> pa.Table:
-        import pandas as _pd
-
-        n = t.num_rows
-        if n == 0:
-            return SLIM_BAND_SCHEMA.empty_table()
-        sigs = sig_matrix_from_column(t.column("minhash"), sig_cfg.num_perms)
-        sig16 = (sigs & np.uint32(0xFFFF)).astype(np.uint16)
-        bh = band_hashes(sig16, bands, rows)  # (n, bands)
-        band_idx = np.tile(np.arange(bands, dtype=np.int64), n)
-        bh_flat = bh.reshape(-1)
+    def emit(t: pa.Table) -> pa.Table:
+        sig16 = _sig16(t.column("minhash"), num_perms)
+        band, bh, comb = _band_keys(sig16, bands, sig_cfg.rows)
         if hot_ref not in _WORKER_HOT_CACHE:
             _WORKER_HOT_CACHE.clear()
             _WORKER_HOT_CACHE[hot_ref] = ray.get(hot_ref)
-        hot_struct_w, capped_w = _WORKER_HOT_CACHE[hot_ref]
-        comb = _hash_combine(band_idx, bh_flat)
-        capped_bits = _in_sorted(capped_w, comb).reshape(-1, bands)
-        cm = np.bitwise_or.reduce(
-            capped_bits.astype(np.uint64) << np.arange(bands, dtype=np.uint64),
-            axis=1,
-        )
-        keep = _member(hot_struct_w, comb)
-        ids_b = np.asarray(t.column("id").to_pylist(), dtype=object)
-        idh_b = _pd.util.hash_array(ids_b, categorize=False)
-        sim_b = t.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        rep = np.repeat(np.arange(n, dtype=np.int64), bands)[keep]
-        return pa.table(
-            {
-                "band": pa.array(band_idx[keep].astype(np.int32), pa.int32()),
-                "bh": pa.array(bh_flat[keep], pa.uint64()),
-                "idh": pa.array(idh_b[rep], pa.uint64()),
-                "simhash": pa.array(sim_b[rep], pa.uint64()),
-                "cmask": pa.array(cm[rep], pa.uint64()),
-                "pkey": pa.array(
-                    (bh_flat[keep] & np.uint64(num_partitions - 1)).astype(np.int32),
-                    pa.int32(),
-                ),
-            },
-            schema=SLIM_BAND_SCHEMA,
-        )
+        hot_struct, capped = _WORKER_HOT_CACHE[hot_ref]
+        capped_bits = _in_sorted(capped, comb).reshape(-1, bands).astype(np.uint64)
+        cmask = np.bitwise_or.reduce(capped_bits << band_bits, axis=1)
+        keep = _member(hot_struct, comb)
+        bh = bh[keep]
+        rep = np.repeat(np.arange(t.num_rows, dtype=np.int64), bands)[keep]
+        sim = t.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
+        cols = {
+            "band": pa.array(band[keep].astype(np.int32), pa.int32()),
+            "bh": pa.array(bh, pa.uint64()),
+            "simhash": pa.array(sim[rep], pa.uint64()),
+            "cmask": pa.array(cmask[rep], pa.uint64()),
+            "pkey": pa.array((bh & np.uint64(num_partitions - 1)).astype(np.int32), pa.int32()),
+        }
+        if inline:
+            cols["id"] = t.column("id").take(pa.array(rep))
+            cols["sig16"] = _sig16_column(sig16[rep])
+        else:
+            cols["idh"] = pa.array(_id_hashes(t.column("id").to_pylist())[rep], pa.uint64())
+        return pa.table(cols)
 
-    return emit_slim
+    return emit
 
 
 def make_partition_pair_emitter(
@@ -463,7 +419,7 @@ def make_partition_pair_emitter(
 
     Emits verified pairs (est Jaccard distance <= tau, inclusive — the
     reference pins ``<=`` at ``sequence_grouping.py:53``).  Callers pass
-    ``tau + exact_margin`` when borderline pairs get an exact re-check
+    ``tau + exact_margin_high`` when borderline pairs get an exact re-check
     downstream.
 
     CANONICAL-BAND EMISSION: a pair is emitted only by the FIRST band in
@@ -482,7 +438,11 @@ def make_partition_pair_emitter(
     earlier-band skip only trusts UNCAPPED earlier bands.  Pairs that a
     capped bucket did chain may then be emitted twice (capped band + a
     later uncapped band) — multiplicity, not loss; union-find is
-    insensitive and ``dedup_pairs=True`` restores exact uniqueness."""
+    insensitive to it.
+
+    ``sig_store_ref`` says which payload the band rows carry: ``idh`` to
+    resolve against the broadcast store, or (None) inline ``id`` +
+    ``sig16``."""
     num_perms = sig_cfg.num_perms
     cap = lsh_cfg.band_cap
     w = lsh_cfg.cap_neighbors
@@ -501,11 +461,8 @@ def make_partition_pair_emitter(
         band = g.column("band").to_numpy(zero_copy_only=False).astype(np.int64)
         bh = g.column("bh").to_numpy(zero_copy_only=False).astype(np.uint64)
         sim = g.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        if "cmask" in g.column_names:
-            cmask = g.column("cmask").to_numpy(zero_copy_only=False).astype(np.uint64)
-        else:  # band rows emitted without the hot/capped prefilter
-            cmask = np.zeros(m, dtype=np.uint64)
-        if sig_store_ref is not None and "idh" in g.column_names:
+        cmask = g.column("cmask").to_numpy(zero_copy_only=False).astype(np.uint64)
+        if sig_store_ref is not None:
             # broadcast-signature mode: resolve sigs + ids from the shared
             # hash-indexed store (one plasma object per node, zero-copy).
             # Two layouts: ("blob", idh, sig, ids) — driver-assembled under
@@ -515,10 +472,12 @@ def make_partition_pair_emitter(
                 _WORKER_SIG_CACHE.clear()
                 _WORKER_SIG_CACHE[sig_store_ref] = ray.get(sig_store_ref)
             store = _WORKER_SIG_CACHE[sig_store_ref]
-            idh_vals = g.column("idh").to_numpy(zero_copy_only=False).astype(np.uint64)
+            # the rows' idh IS the id hash the tie-break below needs (the
+            # store is collision-checked): no re-hash of resolved strings
+            idh = g.column("idh").to_numpy(zero_copy_only=False).astype(np.uint64)
             if store[0] == "blocks":
-                sigs, ids_obj = _resolve_from_blocks(store, idh_vals, num_perms)
-                ids_src, ids_idx, idh_pre = None, None, None
+                sigs, ids_obj = _resolve_from_blocks(store, idh, num_perms)
+                ids_src = ids_idx = None
             else:
                 # blob layout: sigs/idh are zero-copy numpy views and ids an
                 # Arrow string array straight out of plasma.  Rows carry
@@ -526,17 +485,14 @@ def make_partition_pair_emitter(
                 # materialized only for the few emitted pairs (fetch()),
                 # never for all m band rows.
                 _, IDH, SIG, IDS = store
-                pos = np.searchsorted(IDH, idh_vals)
+                pos = np.searchsorted(IDH, idh)
                 sigs = SIG[pos]
                 ids_obj, ids_src, ids_idx = None, IDS, pos
-                # idh_vals IS pd.util.hash_array(id) per store construction
-                # (collision-checked), so the tie-break hash below needs no
-                # re-hash of resolved strings
-                idh_pre = idh_vals
         else:
             ids_obj = np.asarray(g.column("id").to_pylist(), dtype=object)
-            ids_src, ids_idx, idh_pre = None, None, None
+            ids_src = ids_idx = None
             sigs = sig16_matrix(g.column("sig16"), num_perms)
+            idh = _id_hashes(ids_obj)
 
         def fetch(ridx: np.ndarray) -> np.ndarray:
             # row indices -> id strings (object ndarray); reads the CURRENT
@@ -554,8 +510,6 @@ def make_partition_pair_emitter(
         # then runs over DISTINCT signatures only, and identical followers
         # attach by star edges (single-linkage components are preserved:
         # a star reaches everything a clique reaches).
-        from ..functions.hashing import splitmix64 as _smx64
-
         # fold 4 uint16 slots at a time via a uint64 view (32 passes, not 128)
         sig64 = np.ascontiguousarray(sigs).view(np.uint64).reshape(m, num_perms // 4)
         sigh = np.zeros(m, dtype=np.uint64)
@@ -566,12 +520,6 @@ def make_partition_pair_emitter(
         # deterministic rep choice WITHOUT sorting object strings (an
         # object-dtype lexsort key costs more than the whole pair pass):
         # a 64-bit id hash breaks run-internal ties reproducibly
-        import pandas as _pd
-
-        if idh_pre is not None:
-            idh = idh_pre
-        else:
-            idh = _pd.util.hash_array(ids_obj, categorize=False)
         order = np.lexsort((idh, sigh, bh, band))
         band, bh, sim, sigs = band[order], bh[order], sim[order], sigs[order]
         if ids_obj is not None:
@@ -689,7 +637,6 @@ def make_partition_pair_emitter(
         # small set — the emitted pair sequence is bit-identical to the
         # naive expansion (pinned by tests/test_skew.py / the flagship
         # oracle).
-        pair_chunk = max(1, int(lsh_cfg.pair_batch_rows) // 64)
         multi = sizes >= 2
         small = multi & (sizes <= cap)
         fperms = float(num_perms)
@@ -698,10 +645,10 @@ def make_partition_pair_emitter(
             ss = starts[sizes == sz]
             iu_l, ju_l = np.triu_indices(sz, k=1)
             npl = iu_l.size
-            if npl <= pair_chunk:
+            if npl <= _PAIR_CHUNK:
                 # many buckets per chunk: block gather (nb, sz, perms),
                 # broadcast-compare all triu pairs of every bucket at once
-                step = max(1, pair_chunk // npl)
+                step = max(1, _PAIR_CHUNK // npl)
                 col = np.arange(sz, dtype=np.int64)
                 for c0 in range(0, ss.size, step):
                     sc = ss[c0 : c0 + step]
@@ -720,9 +667,9 @@ def make_partition_pair_emitter(
                 # cache-resident view; chunk the triu pair list instead
                 for s in ss:
                     blk = sigs[s : s + sz]
-                    for p0 in range(0, npl, pair_chunk):
-                        il = iu_l[p0 : p0 + pair_chunk]
-                        jl = ju_l[p0 : p0 + pair_chunk]
+                    for p0 in range(0, npl, _PAIR_CHUNK):
+                        il = iu_l[p0 : p0 + _PAIR_CHUNK]
+                        jl = ju_l[p0 : p0 + _PAIR_CHUNK]
                         cnt = (blk[il] == blk[jl]).sum(axis=1)
                         sel = (1.0 - cnt / fperms) <= tau
                         if sel.any():
@@ -748,12 +695,64 @@ def make_partition_pair_emitter(
     return emit_partition
 
 
+def _count_hot_sets(
+    signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig, lsh_cfg: LSHConfig, num_partitions: int
+):
+    """``_derive_hot_sets`` without a driver-side sig16 matrix: a
+    ``hash_exchange`` on the combined key counts every bucket.  The hot
+    set comes back exact while it fits ``hot_exact_cap`` keys, else as a
+    bloom bitmap (a false positive ships one extra row into the band
+    shuffle, never drops a pair); the capped set is always exact, so
+    ``cmask`` is never approximate."""
+    band_cap = lsh_cfg.band_cap
+
+    def emit_keys(t: pa.Table) -> pa.Table:
+        sig16 = _sig16(t.column("minhash"), sig_cfg.num_perms)
+        ckey = _band_keys(sig16, sig_cfg.bands, sig_cfg.rows)[2]
+        pk = (ckey & np.uint64(num_partitions - 1)).astype(np.int32)
+        return pa.table({"pkey": pa.array(pk, pa.int32()), "ckey": pa.array(ckey, pa.uint64())})
+
+    def dup_keys(g: pa.Table) -> pa.Table:
+        # vectorized within one hash partition: keys appearing >= 2 times,
+        # flagged capped when the bucket exceeds band_cap (a per-key
+        # groupby would be millions of tiny Ray groups).  pkey is derived
+        # from ckey, so partition-local counts are global counts.
+        ck = g.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
+        uniq, cnt = np.unique(ck, return_counts=True)
+        hot = cnt >= 2
+        return pa.table(
+            {
+                "ckey": pa.array(uniq[hot], pa.uint64()),
+                "capped": pa.array(cnt[hot] > band_cap, pa.bool_()),
+            }
+        )
+
+    # materialize once: the hot-key set is O(colliding buckets), far smaller
+    # than the input, and is consumed twice (count + collect/stream)
+    hot_ds = hash_exchange(
+        map_blocks(signed_slim, emit_keys), "pkey", num_partitions, dup_keys
+    ).materialize()
+    n_hot = hot_ds.count()
+    capped_parts: list = [np.empty(0, dtype=np.uint64)]
+
+    def hot_keys():
+        for b in block_tables(hot_ds):
+            ck = b.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
+            capped_parts.append(ck[b.column("capped").to_numpy(zero_copy_only=False)])
+            yield ck
+
+    if n_hot <= lsh_cfg.hot_exact_cap:
+        hot_struct = ("exact", np.sort(np.concatenate([np.empty(0, np.uint64), *hot_keys()])))
+    else:
+        hot_struct = ("bloom", bloom_build(hot_keys(), n_hot))
+    return hot_struct, np.sort(np.concatenate(capped_parts))
+
+
 def candidate_pairs(
     signed_slim: ray.data.Dataset,
     sig_cfg: SignatureConfig,
     lsh_cfg: Optional[LSHConfig] = None,
     tau: float = 0.2,
-    dedup_pairs: bool = False,
     n_rows_hint: Optional[int] = None,
 ) -> ray.data.Dataset:
     """(id, minhash, simhash) dataset -> verified near-dup pairs
@@ -785,7 +784,6 @@ def candidate_pairs(
     # is not the straggler of a single wave (measured: emit-partition
     # max/mean ~3x); rounded up to a power of two for the ``bh & (P-1)`` mask
     num_partitions = 1 << (exchange_partitions() - 1).bit_length()
-    bands, rows = sig_cfg.bands, sig_cfg.rows
 
     n_rows_slim = int(n_rows_hint) if n_rows_hint is not None else signed_slim.count()
     if n_rows_slim < 2:
@@ -793,9 +791,8 @@ def candidate_pairs(
         # downstream would be schemaless)
         return ray.data.from_arrow(PAIR_SCHEMA.empty_table())
 
-    if bands > 64:
+    if sig_cfg.bands > 64:
         raise ValueError("cmask capped-band bitmask supports at most 64 bands")
-    band_cap = lsh_cfg.band_cap
     # ---- phase 0: signature transport ------------------------------------
     # While the table fits the broadcast cap, ship signatures ONCE as a
     # hash-indexed store; band rows shrink to ~40 B (measured ~9x fewer
@@ -804,212 +801,42 @@ def candidate_pairs(
     # matrix doubles as the hot-set source below); above it the assembly
     # is a distributed idh sort whose blocks stay in plasma — the driver
     # never holds the matrix (VERDICT r2 #7).
-    from .._phaselog import mark as _mark
-
-    _mark("cand:enter")
     sig_store_ref = sig16_drv = None
     if n_rows_slim <= lsh_cfg.sig_broadcast_cap:
         if n_rows_slim <= lsh_cfg.hot_driver_cap:
             sig_store_ref, sig16_drv = _build_sig_store(signed_slim, sig_cfg)
         else:
             sig_store_ref = _build_sig_store_blocks(signed_slim, sig_cfg)
-    use_bcast = sig_store_ref is not None
-    _mark("cand:sig_store")
 
     # ---- phase 1: hot/capped bucket sets ---------------------------------
     # Nearly all band buckets are singletons and can never form a pair, yet
     # their rows would dominate the band shuffle.  Only rows in hot (>= 2
     # member) buckets enter it (~85-95% volume cut on realistic corpora).
-    if use_bcast and n_rows_slim <= lsh_cfg.hot_driver_cap:
+    if sig16_drv is not None:
         # the store build already collected every sig16 on the driver:
         # derive the EXACT hot/capped key sets locally — no second
         # distributed pass, no materialize/count barriers
-        hot_struct, capped_sorted = _derive_hot_sets(sig16_drv, sig_cfg, band_cap)
-        _mark("cand:hot_derive")
-        if hot_struct[1].size == 0:
-            return ray.data.from_arrow(PAIR_SCHEMA.empty_table())
-        hot_ref = ray.put((hot_struct, capped_sorted))
-        return _banded_pairs(
-            signed_slim,
-            sig_cfg,
-            lsh_cfg,
-            tau,
-            num_partitions,
-            dedup_pairs,
-            hot_ref,
-            sig_store_ref,
-            use_bcast=True,
-        )
-
-    def emit_keys(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {"pkey": pa.array([], pa.int32()), "ckey": pa.array([], pa.uint64())}
-            )
-        sigs = sig_matrix_from_column(t.column("minhash"), sig_cfg.num_perms)
-        sig16 = (sigs & np.uint32(0xFFFF)).astype(np.uint16)
-        bh = band_hashes(sig16, bands, rows)
-        band_idx = np.tile(np.arange(bands, dtype=np.int64), n)
-        ckey = _hash_combine(band_idx, bh.reshape(-1))
-        pk = (ckey & np.uint64(num_partitions - 1)).astype(np.int32)
-        return pa.table(
-            {"pkey": pa.array(pk, pa.int32()), "ckey": pa.array(ckey, pa.uint64())}
-        )
-
-    def dup_keys(g: pa.Table) -> pa.Table:
-        # vectorized within one hash partition: keys appearing >= 2 times,
-        # flagged capped when the bucket exceeds band_cap (a per-key
-        # groupby would be millions of tiny Ray groups).  pkey is derived
-        # from ckey, so partition-local counts are global counts.
-        ck = g.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
-        if ck.shape[0] < 2:
-            return pa.table(
-                {"ckey": pa.array([], pa.uint64()), "capped": pa.array([], pa.bool_())}
-            )
-        uniq, cnt = np.unique(ck, return_counts=True)
-        hot = cnt >= 2
-        return pa.table(
-            {
-                "ckey": pa.array(uniq[hot], pa.uint64()),
-                "capped": pa.array(cnt[hot] > band_cap, pa.bool_()),
-            }
-        )
-
-    # materialize once: the hot-key set is O(colliding buckets), far smaller
-    # than the input, and is consumed twice (count + collect/stream)
-    hot_ds = hash_exchange(
-        map_blocks(signed_slim, emit_keys),
-        "pkey",
-        num_partitions,
-        dup_keys,
-    ).materialize()
-    n_hot = hot_ds.count()
-    if n_hot == 0:
-        # no bucket has >= 2 members -> no candidate pairs at all (also the
-        # 0/1-row input path: a zero-block dataset here would be schemaless)
+        hot_struct, capped_sorted = _derive_hot_sets(sig16_drv, sig_cfg, lsh_cfg.band_cap)
+    else:
+        hot_struct, capped_sorted = _count_hot_sets(signed_slim, sig_cfg, lsh_cfg, num_partitions)
+    if hot_struct[0] == "exact" and hot_struct[1].size == 0:
+        # no bucket has >= 2 members -> no candidate pairs at all
         return ray.data.from_arrow(PAIR_SCHEMA.empty_table())
 
-    capped_parts: list = []
-    if n_hot <= lsh_cfg.hot_exact_cap:
-        # exact sorted key array (fast path, small/moderate cardinality)
-        hot_parts: list = []
-        for b in block_tables(hot_ds):
-            ck = b.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
-            cp = b.column("capped").to_numpy(zero_copy_only=False)
-            hot_parts.append(ck)
-            if cp.any():
-                capped_parts.append(ck[cp])
-        hot_struct = ("exact", np.sort(np.concatenate(hot_parts)))
-    else:
-        # two-probe bloom bitmap: fixed-size driver memory regardless of
-        # hot-key cardinality; built streaming one block at a time.  A
-        # false positive ships one extra row into the band shuffle — never
-        # drops a pair.
-        def hot_keys():
-            for b in block_tables(hot_ds):
-                ck = b.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
-                cp = b.column("capped").to_numpy(zero_copy_only=False)
-                if cp.any():
-                    capped_parts.append(ck[cp])
-                yield ck
-
-        bitmap = bloom_build(
-            hot_keys(), n_hot, lsh_cfg.bloom_bits_per_key, lsh_cfg.bloom_max_bits
-        )
-        hot_struct = ("bloom", bitmap)
-    # capped buckets (> band_cap members) are rare by construction — keep
-    # the exact sorted set so cmask is never approximate
-    capped_sorted = (
-        np.sort(np.concatenate(capped_parts))
-        if capped_parts
-        else np.empty(0, dtype=np.uint64)
-    )
-    hot_ref = ray.put((hot_struct, capped_sorted))
-    _mark("cand:hot_derive")
-    return _banded_pairs(
-        signed_slim,
-        sig_cfg,
-        lsh_cfg,
-        tau,
-        num_partitions,
-        dedup_pairs,
-        hot_ref,
-        sig_store_ref,
-        use_bcast=use_bcast,
-    )
-
-
-def _banded_pairs(
-    signed_slim: ray.data.Dataset,
-    sig_cfg: SignatureConfig,
-    lsh_cfg: LSHConfig,
-    tau: float,
-    num_partitions: int,
-    dedup_pairs: bool,
-    hot_ref,
-    sig_store_ref,
-    use_bcast: bool,
-) -> ray.data.Dataset:
-    """Phase 2 of candidate generation: band shuffle over hot-bucket rows
-    only (slim rows + broadcast store under the cap, inline sig16 above),
-    then in-partition verification + canonical emission."""
-    bands = sig_cfg.bands
-    emit = make_band_emitter(sig_cfg)
-
-    def emit_with_pkey(t: pa.Table) -> pa.Table:
-        bt = emit(t)
-        if bt.num_rows:
-            if hot_ref not in _WORKER_HOT_CACHE:
-                _WORKER_HOT_CACHE.clear()
-                _WORKER_HOT_CACHE[hot_ref] = ray.get(hot_ref)
-            hot_struct_w, capped_w = _WORKER_HOT_CACHE[hot_ref]
-            bnd = bt["band"].to_numpy(zero_copy_only=False).astype(np.int64)
-            bhv = bt["bh"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            comb = _hash_combine(bnd, bhv)
-            # per-row bitmask of capped bands (band rows are row-major:
-            # row0 band0..b-1, row1 band0..b-1, ...)
-            capped_bits = _in_sorted(capped_w, comb).reshape(-1, bands)
-            cmask = np.bitwise_or.reduce(
-                capped_bits.astype(np.uint64) << np.arange(bands, dtype=np.uint64),
-                axis=1,
-            )
-            bt = bt.append_column(
-                "cmask", pa.array(np.repeat(cmask, bands), pa.uint64())
-            )
-            bt = bt.filter(pa.array(_member(hot_struct_w, comb)))
-        else:
-            bt = bt.append_column("cmask", pa.array([], pa.uint64()))
-        pkey = pc.cast(
-            pc.bit_wise_and(bt["bh"], pa.scalar(np.uint64(num_partitions - 1), pa.uint64())),
-            pa.int32(),
-        )
-        return bt.append_column("pkey", pkey)
-
-    bands_ds = map_blocks(
-        signed_slim,
-        _make_slim_band_emitter(sig_cfg, num_partitions, hot_ref=hot_ref)
-        if use_bcast
-        else emit_with_pkey,
-    )
+    # ---- phase 2: band shuffle over hot-bucket rows ----------------------
     # pkey is a hash residue in [0, num_partitions): use the raw-Ray hash
     # exchange (stages/exchange.py) instead of the sort-based groupby —
     # same co-location contract, no sampling pass / sort barrier (the
     # barrier was ~15 s of CPU-count-independent wall at 600k files)
-    pairs = hash_exchange(
-        bands_ds,
+    hot_ref = ray.put((hot_struct, capped_sorted))
+    emit = _make_band_row_emitter(sig_cfg, num_partitions, hot_ref, inline=sig_store_ref is None)
+    return hash_exchange(
+        map_blocks(signed_slim, emit),
         "pkey",
         num_partitions,
         make_partition_pair_emitter(sig_cfg, lsh_cfg, tau, sig_store_ref=sig_store_ref),
         empty_schema=PAIR_SCHEMA,
     )
-    if dedup_pairs:
-        # canonical-band emission already reduces multiplicity to ~1; this
-        # extra all-to-all guarantees exact uniqueness for metrics use.
-        return pairs.groupby(["id_a", "id_b"]).aggregate(
-            Min("est_distance", alias_name="est_distance")
-        )
-    return pairs
 
 
 def band_stats(
@@ -1020,9 +847,15 @@ def band_stats(
     (skewed) buckets are observable, never silent."""
     lsh_cfg = lsh_cfg or LSHConfig()
     cap, w = lsh_cfg.band_cap, lsh_cfg.cap_neighbors
-    bands_ds = signed_slim.map_batches(
-        make_band_emitter(sig_cfg), batch_format="pyarrow", batch_size=4096
-    ).select_columns(["band", "bh"])
+
+    def band_keys(t: pa.Table) -> pa.Table:
+        sig16 = _sig16(t.column("minhash"), sig_cfg.num_perms)
+        band, bh, _ = _band_keys(sig16, sig_cfg.bands, sig_cfg.rows)
+        return pa.table(
+            {"band": pa.array(band.astype(np.int32), pa.int32()), "bh": pa.array(bh, pa.uint64())}
+        )
+
+    bands_ds = signed_slim.map_batches(band_keys, batch_format="pyarrow", batch_size=4096)
     counts = bands_ds.groupby(["band", "bh"]).aggregate(Count(alias_name="bucket_size"))
 
     def derive(t: pa.Table) -> pa.Table:

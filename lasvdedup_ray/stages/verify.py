@@ -4,8 +4,8 @@ MinHash estimates have sigma ≈ sqrt(J(1-J)/num_perms) ≈ 0.035 at the
 J = 1-tau boundary with 128 perms — enough to flip pairs across the
 reference's inclusive ``<=`` threshold (``sequence_grouping.py:53``).  To
 hold dup-pair recall >= 0.99 *at* the boundary, pairs whose estimated
-distance lies within ``exact_margin`` of tau are re-checked with the exact
-shingle-set Jaccard.
+distance lies within ``exact_margin_low`` / ``exact_margin_high`` of tau
+are re-checked with the exact shingle-set Jaccard.
 
 Execution shape (fully distributed — no driver-size degradation):
 - the sure set (est <= tau - margin_low) passes through a filter of one
@@ -59,8 +59,6 @@ logger = logging.getLogger(__name__)
 # ~100 MB of pair rows + contents; one broadcast filter pass beats two
 # content-join shuffles); above it, go fully distributed (bloom + joins)
 BORDER_DRIVER_CAP = 100_000
-_BLOOM_BITS_PER_KEY = 16
-_BLOOM_MAX_BITS = 1 << 31
 
 
 def _normalize(s: str, cfg: SignatureConfig) -> bytes:
@@ -184,8 +182,6 @@ def _attach_distributed(
             for c in ("id_a", "id_b")
         ),
         2 * n_pairs,
-        _BLOOM_BITS_PER_KEY,
-        _BLOOM_MAX_BITS,
     )
     bloom_ref = ray.put(bitmap)
 
@@ -261,16 +257,12 @@ def verify_pairs(
     """Split candidate pairs into sure / borderline; exact-verify the
     borderline slice.  Returns the verified edge list (id_a, id_b,
     est_distance) with d <= tau (inclusive boundary)."""
-    from .._phaselog import mark as _mark
-    from ..state.unionfind import drop_empty_blocks
-
     lsh_cfg = lsh_cfg or LSHConfig()
     # pairs feed two consumers (sure + borderline); read once, by ref, with
     # zero-row blocks (selective in-bucket filters leave many) dropped so
     # neither pass schedules a task for them.  Block refs move, bytes don't.
-    pairs = drop_empty_blocks(pairs)
-    _mark("verify:pairs_materialize")
-    if pairs is None:
+    pairs = concat_blocks(pairs)
+    if pairs.num_blocks() == 0:
         return ray.data.from_arrow(PAIR_SCHEMA.empty_table())
 
     if not lsh_cfg.exact_verify:
@@ -282,7 +274,6 @@ def verify_pairs(
         return t.filter(pc.greater(t["est_distance"], low))
 
     border_parts, n_border = _probe(pairs, border_driver_cap, border_of)
-    _mark("verify:border_probe")
     if n_border == 0:
         return sure
 
@@ -308,7 +299,6 @@ def verify_pairs(
         "id",
         ["content"],
     )
-    _mark("verify:border_content_fetch")
     # split into blocks on the driver so the exact checks parallelize
     # (one block = one serial task) without an all-to-all repartition
     n_blocks = max(1, min(64, border_t.num_rows // 512))

@@ -26,7 +26,7 @@ instead, per SURVEY §7 "determinism without row order").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -38,6 +38,10 @@ from ray.data.aggregate import Min
 # worker-process-level cache for the broadcast label map (module global:
 # survives across tasks within a worker)
 _WORKER_LABEL_CACHE: Dict = {}
+
+# round budget of the distributed label propagation (pointer jumping
+# converges in O(log diameter) rounds)
+MAX_LABEL_ROUNDS = 50
 
 
 def strict_project(ds: ray.data.Dataset, cols: List[str]) -> ray.data.Dataset:
@@ -53,22 +57,6 @@ def strict_project(ds: ray.data.Dataset, cols: List[str]) -> ray.data.Dataset:
         return t.select(cols)
 
     return ds.map_batches(proj, batch_format="pyarrow")
-
-
-def drop_empty_blocks(ds: ray.data.Dataset) -> Optional[ray.data.Dataset]:
-    """Rebuild a MATERIALIZED dataset from its non-empty blocks only
-    (block refs move, bytes don't).  Zero-row blocks — left behind by
-    selective filters — ride through every downstream operator as
-    schemaless RefBundles (mixed-schema warnings, wasted tasks); filters
-    can't remove them because a map task with empty output still emits a
-    bundle.  Blocks of UNKNOWN row count are kept (ADVICE r4).  Returns
-    None when every block is empty."""
-    from ..stages.exchange import _live_blocks, dataset_from_blocks
-
-    blocks = _live_blocks(ds)
-    if not blocks:
-        return None
-    return dataset_from_blocks([r for r, _ in blocks], [m for _, m in blocks])
 
 
 class DSU:
@@ -134,7 +122,6 @@ def _label_table(ids: List[str], labels: List[str]) -> pa.Table:
 
 def components_distributed(
     edges: ray.data.Dataset,
-    max_rounds: int = 50,
     num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """Min-label propagation entirely in Ray Data; returns (id, cluster_id)
@@ -142,7 +129,8 @@ def components_distributed(
 
     Each round: labels of both endpoints flow across edges (two hash joins),
     then ``groupby(id).min(label)``; a pointer-jumping self-join follows.
-    Terminates when a neighbor round leaves every label unchanged.
+    Terminates when a neighbor round leaves every label unchanged, or
+    after ``MAX_LABEL_ROUNDS`` rounds.
     """
     e = strict_project(edges, ["id_a", "id_b"]).materialize()
     # symmetric edge view: (src, dst)
@@ -171,7 +159,7 @@ def components_distributed(
     )
     labels = nodes
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_LABEL_ROUNDS):
         # neighbor-min: label(dst) candidates for src
         nb = sym.join(
             labels.map_batches(
@@ -240,7 +228,6 @@ def assign_clusters(
     nodes: ray.data.Dataset,
     edges: ray.data.Dataset,
     dsu_edge_limit: int = 2_000_000,
-    max_rounds: int = 50,
     num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """Attach ``cluster_id`` (string, = min member id) to every node row.
@@ -249,13 +236,10 @@ def assign_clusters(
     block (``map_blocks``): no Ray Data execution starts on materialized
     inputs.
     """
-    from ..stages.exchange import map_blocks
+    from ..stages.exchange import concat_blocks, map_blocks
 
-    edges = edges.materialize()
-    compacted = drop_empty_blocks(edges)
-    n_edges = 0 if compacted is None else compacted.count()
-    if compacted is not None:
-        edges = compacted
+    edges = concat_blocks(edges.materialize())
+    n_edges = edges.count()
     if n_edges <= dsu_edge_limit:
         label_map = components_driver(edges) if n_edges else {}
         # ship as two Arrow string arrays, not a pickled dict: Arrow
@@ -285,7 +269,7 @@ def assign_clusters(
 
         return map_blocks(nodes, attach)
 
-    labels = components_distributed(edges, max_rounds, num_partitions).materialize()
+    labels = components_distributed(edges, num_partitions).materialize()
     joined = nodes.join(
         labels,
         join_type="left_outer",

@@ -7,7 +7,7 @@ import os
 import pyarrow as pa
 import ray.data
 
-from lasvdedup_ray.config import PipelineConfig
+from lasvdedup_ray.config import ExecutionConfig, PipelineConfig
 from lasvdedup_ray.pipelines.dedup import dedup_pipeline
 from lasvdedup_ray.sources.corpus import CorpusSpec, generate_corpus
 from lasvdedup_ray.state.checkpoint import StageCheckpointer
@@ -110,7 +110,11 @@ def test_plan_stages_dry_run(tmp_path):
     from lasvdedup_ray.pipelines.dedup import plan_stages
 
     corpus, _ = generate_corpus(CorpusSpec(n_files=60, seed=3))
-    cfg = PipelineConfig(checkpoint_dir=str(tmp_path / "ck"))
+    # exact_driver_cap=0: the sha collapse goes through the exchange and
+    # pins ``reps`` (below the cap it runs on the driver, unpinned)
+    cfg = PipelineConfig(
+        checkpoint_dir=str(tmp_path / "ck"), execution=ExecutionConfig(exact_driver_cap=0)
+    )
     plan = plan_stages(ray.data.from_arrow(corpus), cfg)
     stages = [p["stage"] for p in plan]
     assert stages == ["signed", "reps", "candidates", "verify", "cluster", "classify"]

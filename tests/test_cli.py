@@ -58,6 +58,7 @@ def test_yaml_fallback_parser(tmp_path):
         ({"signature": {"scheme": "classic"}}, "scheme"),
         ({"execution": {"batch_size": 512}}, "batch_size"),
         ({"lang_thresholds": {"py": {"tua": 0.3}}}, "tua"),
+        ({"lsh": {"pair_batch_rows": 1}}, "pair_batch_rows"),
     ],
 )
 def test_build_config_rejects_unknown_keys(tmp_path, layer, key):

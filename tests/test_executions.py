@@ -15,7 +15,7 @@ import pyarrow as pa
 import pytest
 import ray
 
-from lasvdedup_ray.config import PipelineConfig
+from lasvdedup_ray.config import ExecutionConfig, PipelineConfig
 from lasvdedup_ray.pipelines import dedup
 from lasvdedup_ray.sources.corpus import CorpusSpec, write_corpus
 from lasvdedup_ray.sources.readers import read_parquet_clean
@@ -38,8 +38,11 @@ def _job(files, config) -> pa.Table:
 
 
 # Ray tasks one job of each kind submitted on this corpus at 4 CPUs when
-# these bounds were set; a job may not submit more
+# these bounds were set; a job may not submit more.  The exchange pair is
+# the sha-exchange collapse (``exact_driver_cap=0``), the driver pair the
+# default driver collapse of this 300-row corpus.
 TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 64, 173, 76
+TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 65, 73
 
 
 def test_job_without_checkpoint(ray_session, corpus_files, executions, tasks):
@@ -60,10 +63,12 @@ def _stage_reads(parquet_reads, ckpt) -> dict:
 def test_resume_skips_sha_exchange(
     ray_session, corpus_files, executions, parquet_reads, tasks, monkeypatch, tmp_path
 ):
-    """The checkpointed write runs at most 4 executions and hands its
-    stages on without reading them back.  The resume reads ``reps`` back
-    without building the sha exchange, reads each stage's Parquet in one
-    execution, runs at most 3 executions, and returns the write's output."""
+    """With the sha collapse forced through the exchange
+    (``exact_driver_cap=0``), the checkpointed write runs at most 4
+    executions and hands its stages on without reading them back.  The
+    resume reads ``reps`` back without building the sha exchange, reads
+    each stage's Parquet in one execution, runs at most 3 executions, and
+    returns the write's output."""
     calls = []
     for name in ("exact_collapse", "_sha_exchange"):
         real = getattr(exact, name)
@@ -71,7 +76,7 @@ def test_resume_skips_sha_exchange(
             exact, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k)
         )
     ckpt = str(tmp_path / "ckpt")
-    config = PipelineConfig(checkpoint_dir=ckpt)
+    config = PipelineConfig(checkpoint_dir=ckpt, execution=ExecutionConfig(exact_driver_cap=0))
     written = _job(corpus_files, config)
     assert calls == ["exact_collapse", "_sha_exchange"]
     assert len(executions) <= 4, executions
@@ -86,4 +91,38 @@ def test_resume_skips_sha_exchange(
     assert len(executions) <= 3, executions
     assert len(tasks) <= TASKS_RESUME, tasks
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 1}, parquet_reads
+    assert resumed.equals(written)
+
+
+def test_driver_collapse_resume(
+    ray_session, corpus_files, executions, parquet_reads, tasks, monkeypatch, tmp_path
+):
+    """Below ``exact_driver_cap`` (the default at this size) a checkpointed
+    job collapses exact dups on the driver and pins ``signed`` only: the
+    write runs at most 2 executions, reads no stage back and writes no
+    ``reps``; the resume runs one execution, which reads ``signed``,
+    redoes the driver collapse from it, and returns the write's output."""
+    calls = []
+    for name in ("exact_collapse", "exact_collapse_driver"):
+        real = getattr(exact, name)
+        monkeypatch.setattr(
+            exact, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k)
+        )
+    ckpt = str(tmp_path / "ckpt")
+    config = PipelineConfig(checkpoint_dir=ckpt)
+    written = _job(corpus_files, config)
+    assert calls == ["exact_collapse_driver"]
+    assert not os.path.exists(os.path.join(ckpt, "reps"))
+    assert len(executions) <= 2, executions
+    assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
+    assert len(tasks) <= TASKS_DRIVER_WRITE, tasks
+    calls.clear()
+    executions.clear()
+    parquet_reads.clear()
+    tasks.clear()
+    resumed = _job(corpus_files, config)
+    assert calls == ["exact_collapse_driver"]
+    assert len(executions) <= 1, executions
+    assert len(tasks) <= TASKS_DRIVER_RESUME, tasks
+    assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 0}, parquet_reads
     assert resumed.equals(written)

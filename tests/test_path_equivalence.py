@@ -19,7 +19,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from lasvdedup_ray.config import PipelineConfig
+from lasvdedup_ray.config import ExecutionConfig, PipelineConfig
 from lasvdedup_ray.pipelines.dedup import candidate_tau, dedup_pipeline
 from lasvdedup_ray.sources.corpus import CorpusSpec, generate_corpus
 from lasvdedup_ray.stages.lsh import candidate_pairs
@@ -37,10 +37,14 @@ def signed_corpus():
     return corpus, cfg, signed
 
 
-def test_broadcast_and_inline_transport_same_pairs(signed_corpus):
+@pytest.mark.parametrize("band_cap", [256, 4])
+def test_broadcast_and_inline_transport_same_pairs(signed_corpus, band_cap):
+    """At band_cap 4 the corpus has capped buckets, so the plans' cmask
+    (capped-band bitmask) is compared too."""
     _, cfg, signed = signed_corpus
     slim = signed.select_columns(["id", "minhash", "simhash"])
-    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin
+    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin_high
+    base = dataclasses.replace(cfg.lsh, band_cap=band_cap)
 
     def pairset(lsh_cfg):
         df = candidate_pairs(slim, cfg.signature, lsh_cfg, tau=emit_tau).to_pandas()
@@ -50,10 +54,10 @@ def test_broadcast_and_inline_transport_same_pairs(signed_corpus):
     # every cap); force the distributed hot-prefilter pass (with an exact
     # and a bloom hot-key set) and the inline signature transport and pin
     # all four plans to the same pair set
-    default = pairset(cfg.lsh)
-    dist_hot = pairset(dataclasses.replace(cfg.lsh, hot_driver_cap=0))
-    bloom_hot = pairset(dataclasses.replace(cfg.lsh, hot_driver_cap=0, hot_exact_cap=0))
-    inline = pairset(dataclasses.replace(cfg.lsh, sig_broadcast_cap=0))
+    default = pairset(base)
+    dist_hot = pairset(dataclasses.replace(base, hot_driver_cap=0))
+    bloom_hot = pairset(dataclasses.replace(base, hot_driver_cap=0, hot_exact_cap=0))
+    inline = pairset(dataclasses.replace(base, sig_broadcast_cap=0))
     assert default == dist_hot == bloom_hot == inline and len(default) > 0
 
 
@@ -66,7 +70,7 @@ def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
 
     _, cfg, signed = signed_corpus
     slim = signed.select_columns(["id", "minhash", "simhash"])
-    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin
+    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin_high
 
     def pairset(ds, hint):
         df = candidate_pairs(ds, cfg.signature, cfg.lsh, tau=emit_tau, n_rows_hint=hint).to_pandas()
@@ -119,25 +123,24 @@ def test_driver_collapse_matches_exchange_collapse(signed_corpus):
 
 
 @pytest.mark.parametrize("collapse", ["driver", "exchange"])
-def test_exchange_partition_count_invariant(signed_corpus, monkeypatch, tmp_path, collapse):
+def test_exchange_partition_count_invariant(signed_corpus, monkeypatch, collapse):
     """The flagship's output and candidate pair set do not depend on how
     many partitions its hash exchanges use (``exchange_partitions``): 1, a
     non-power-of-two (LSH rounds it up to 4) and 64.  ``exchange`` runs the
-    sha collapse through ``hash_exchange`` (a checkpoint dir turns the
-    driver collapse off)."""
+    sha collapse through ``hash_exchange`` (``exact_driver_cap=0`` turns
+    the driver collapse off)."""
     from lasvdedup_ray.stages import exchange
 
     corpus, cfg, signed = signed_corpus
     slim = signed.select_columns(["id", "minhash", "simhash"])
-    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin
+    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin_high
     digests, pairsets, calls = [], [], []
     for n_parts in (1, 3, 64):
         monkeypatch.setattr(
             exchange, "exchange_partitions", lambda n=n_parts: calls.append(n) or n
         )
-        run_cfg = PipelineConfig(
-            checkpoint_dir=str(tmp_path / f"ckpt-{n_parts}") if collapse == "exchange" else None
-        )
+        driver_cap = 0 if collapse == "exchange" else ExecutionConfig().exact_driver_cap
+        run_cfg = PipelineConfig(execution=ExecutionConfig(exact_driver_cap=driver_cap))
         df = dedup_pipeline(ray.data.from_arrow(corpus), run_cfg, num_partitions=4).to_pandas()
         digests.append(
             df[["id", "cluster_id", "classification"]]

@@ -84,8 +84,7 @@ def test_candidate_pairs_finds_near_dups():
     cfg = SignatureConfig()
     signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg)
     pairs = candidate_pairs(
-        signed.select_columns(["id", "minhash", "simhash"]), cfg, LSHConfig(), tau=0.3,
-        dedup_pairs=True,
+        signed.select_columns(["id", "minhash", "simhash"]), cfg, LSHConfig(), tau=0.3
     ).to_pandas()
     assert len(pairs) == 1
     assert pairs.iloc[0]["id_a"].startswith("o/r:a.py")
