@@ -92,33 +92,22 @@ class LSHConfig:
 
     band_cap: int = 256
     cap_neighbors: int = 4
-    # Below this many slim rows (and while the broadcast signature store is
-    # in play) the hot/capped bucket sets are derived ON THE DRIVER from
-    # the store's sig16 matrix — O(rows * bands) vectorized, no second
-    # distributed pass and none of its materialize/count barriers, whose
-    # fixed serial cost caused the r2 small-scale regression.  Above the
-    # cap (or with inline transport) a distributed (band, bh) count pass
-    # finds them instead.  Both plans emit identical pair sets (pinned by
-    # tests/test_path_equivalence.py).  Interleaved A/B at 540k reps
-    # (repeat minima, the only sound comparison on this high-variance box)
-    # measured driver-hot 31.0 s vs distributed 35.0 s, so the driver pass
-    # wins through the whole broadcast range; the cap bounds driver RAM
-    # (~8 B * rows * bands transient for the unique) rather than time.
-    hot_driver_cap: int = 1_000_000
     # hot-bucket key set: collected exactly (sorted uint64 array) while the
     # distinct colliding-key count fits this cap; above it, a fixed-size
     # two-probe bloom bitmap is built instead (streaming, bounded driver
     # memory — a false positive only ships one extra row into the shuffle,
     # never drops a pair).
     hot_exact_cap: int = 4_000_000
-    # While the corpus' signature table fits this row budget (~256 B
-    # sig16 + id per row -> ~1 GiB at the cap), signatures are BROADCAST
-    # as one hash-indexed blob (ray.put once, zero-copy plasma reads, one
-    # copy per node) and band rows shrink to ~40 B (band, bh, id-hash,
-    # simhash, cmask) — a ~9x band-shuffle byte cut.  Beyond the cap,
-    # signatures ride inline in the band rows (no single-node structure
-    # scales to 10^12 rows).
-    sig_broadcast_cap: int = 3_000_000
+    # While the corpus' signature table fits this row budget, signatures
+    # are BROADCAST as one hash-indexed blob (ray.put once, zero-copy
+    # plasma reads, one copy per node) and band rows shrink to ~40 B
+    # (band, bh, id-hash, simhash, cmask) — a ~9x band-shuffle byte cut.
+    # The cap bounds DRIVER RAM: the driver assembles the blob, ~300 MB of
+    # sig16 (256 B per row) + ids + id hashes at 1M rows, held up to three
+    # times while it concatenates and sorts.  Beyond the cap, signatures
+    # ride inline in the band rows and the driver never holds them.  Both
+    # transports emit identical pair sets (tests/test_path_equivalence.py).
+    sig_broadcast_cap: int = 1_000_000
     # pairs with est_distance in (tau - exact_margin_low, tau +
     # exact_margin_high] get an exact-Jaccard re-check: removes MinHash
     # estimator noise at the inclusive <= boundary the reference pins

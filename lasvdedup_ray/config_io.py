@@ -102,9 +102,8 @@ def build_config(
     raises ``ValueError``)::
 
         signature: {k, num_perms, bands, rows, seed, sample_mod, ...}
-        lsh: {band_cap, cap_neighbors, hot_driver_cap, hot_exact_cap,
-              sig_broadcast_cap, exact_verify, exact_margin_low,
-              exact_margin_high}
+        lsh: {band_cap, cap_neighbors, hot_exact_cap, sig_broadcast_cap,
+              exact_verify, exact_margin_low, exact_margin_high}
         execution: {dsu_edge_limit, exact_driver_cap}
         thresholds: {tau, min_neighborhood, z_threshold, target_length}
         lang_thresholds: {"py": {tau: ...}, ...}

@@ -74,6 +74,15 @@ def bloom_probe(bitmap: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return ok
 
 
+def id_hash64(ids) -> np.ndarray:
+    """Vectorized, process-stable uint64 hash of each id string (pandas'
+    cython siphash with its fixed default key).  ``ids``: a sequence of
+    str or an Arrow string array."""
+    import pandas as pd
+
+    return pd.util.hash_array(np.asarray(ids, dtype=object), categorize=False)
+
+
 def sha256_bytes(values: Iterable[bytes]) -> List[bytes]:
     """sha256 digest per value.  hashlib releases the GIL-heavy work to C;
     the Python loop is unavoidable (no vectorized sha256 kernel in pyarrow)

@@ -26,6 +26,7 @@ from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..functions.hashing import sha256_bytes, sha256_column, splitmix64
 from ..functions.text import TOKEN_REGEX
+from ..stages.exchange import worker_get
 from .relational import quantize
 from ..sources.readers import read_parquet_clean
 
@@ -591,10 +592,8 @@ def dsir_weights(sf_dir: str) -> ray.data.Dataset:
     lr_e6 = quantize_half_away(lr, 1e6)
     ref = ray.put(lr_e6)
 
-    from .relational import _cached_get
-
     def score(t: pa.Table) -> pa.Table:
-        lrv = _cached_get(ref)
+        lrv = worker_get(ref, "dsir_weights.logratio")
         buckets, parent = _dsir_features(t)
         nd = len(t)
         # int64 scores as float64 bincount weights: |sum| < 2^53, exact
@@ -686,10 +685,8 @@ def lm_perplexity_docs(sf_dir: str) -> ray.data.Dataset:
     q_ctx = quantize_half_away(np.log(c_ctx + float(m)), 1e6)
     ref = ray.put((q_pair, q_ctx))
 
-    from .relational import _cached_get
-
     def score(t: pa.Table) -> pa.Table:
-        qp, qc = _cached_get(ref)
+        qp, qc = worker_get(ref, "lm_perplexity_docs.model")
         _, _, ctx_b, pair_b, bparent = _lm_buckets(t)
         nd = len(t)
         vals = (qp[pair_b] - qc[ctx_b]).astype(np.float64)  # |sum| < 2^53

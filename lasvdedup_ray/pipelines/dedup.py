@@ -38,7 +38,7 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..stages.classify import classify_clusters
-from ..stages.exchange import concat_blocks, hash_exchange, map_blocks
+from ..stages.exchange import concat_blocks, hash_exchange, map_blocks, worker_get
 from ..stages.lsh import band_stats, candidate_pairs
 from ..stages.prepare import prepare
 from ..stages.signatures import add_signatures
@@ -47,11 +47,6 @@ from ..state.checkpoint import StageCheckpointer
 from ..state.unionfind import assign_clusters
 
 SLIM_COLS = ["id", "sha_hex", "lang", "n_chars", "n_lines", "sha256"]
-
-# per-worker-process cache for the broadcast rep-id filter set (small-input
-# driver-collapse plan): ray.get once per worker, not per task
-_WORKER_REP_CACHE: dict = {}
-
 
 def candidate_tau(config: PipelineConfig) -> float:
     """Candidate-generation threshold: the loosest tau across partition
@@ -196,12 +191,8 @@ def dedup_pipeline(
             rep_ref = ray.put(pa.array(list(rep_ids), pa.string()))
 
             def keep_reps(t: pa.Table) -> pa.Table:
-                if rep_ref not in _WORKER_REP_CACHE:
-                    _WORKER_REP_CACHE.clear()
-                    _WORKER_REP_CACHE[rep_ref] = ray.get(rep_ref)
-                return t.filter(
-                    pc.is_in(t["id"], value_set=_WORKER_REP_CACHE[rep_ref])
-                )
+                reps = worker_get(rep_ref, "dedup.reps")
+                return t.filter(pc.is_in(t["id"], value_set=reps))
 
             reps_slim = map_blocks(
                 signed, keep_reps, cols=["id", "minhash", "simhash"]

@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
-from ..stages.exchange import cluster_cpus, hash_exchange
+from ..stages.exchange import cluster_cpus, hash_exchange, worker_get
 from ..sources.readers import read_parquet_clean
 
 # ---- size-gated join planning ---------------------------------------------
@@ -34,18 +34,6 @@ from ..sources.readers import read_parquet_clean
 # budget; beyond it the plan switches to a distributed hash join — a
 # fact-sized table must never become driver state (VERDICT r1 #1).
 BROADCAST_BUDGET_BYTES = 64 * (1 << 20)
-
-_BCAST_CACHE: dict = {}
-
-
-def _cached_get(ref):
-    """Per-worker-process cache for broadcast refs: ray.get once per worker,
-    not once per batch."""
-    if ref not in _BCAST_CACHE:
-        _BCAST_CACHE.clear()
-        _BCAST_CACHE[ref] = ray.get(ref)
-    return _BCAST_CACHE[ref]
-
 
 def _fits_broadcast(*paths: str, budget: int) -> bool:
     try:
@@ -186,7 +174,7 @@ def q3_top_orders(
         oref = ray.put(omap)
 
         def attach_order(t: pa.Table) -> pa.Table:
-            om = _cached_get(oref)
+            om = worker_get(oref, "q3.orders")
             keys = t["l_orderkey"].to_pylist()
             hits = [om.get(int(k)) for k in keys]
             mask = pa.array([h is not None for h in hits])
@@ -273,7 +261,7 @@ def q5_nation_revenue(
         ref = ray.put((order2cust, cust2nat, nat_names))
 
         def partial(t: pa.Table) -> pa.Table:
-            o2c, c2n, nn = _cached_get(ref)
+            o2c, c2n, nn = worker_get(ref, "q5.maps")
             okeys = t["l_orderkey"].to_numpy(zero_copy_only=False)
             rev = (
                 t["l_extendedprice"].to_numpy(zero_copy_only=False)
@@ -339,7 +327,7 @@ def q5_nation_revenue(
         nref = ray.put(nmap)
 
         def attach_name(t: pa.Table) -> pa.Table:
-            nn = _cached_get(nref)
+            nn = worker_get(nref, "q5.nations")
             keys = [int(k) for k in t["c_nationkey"].to_pylist()]
             return pa.table(
                 {
@@ -450,7 +438,7 @@ def brand_revenue(sf_dir: str) -> ray.data.Dataset:
     )
 
     def to_brand(t: pa.Table) -> pa.Table:
-        ks, brands = _cached_get(ref)
+        ks, brands = worker_get(ref, "brand_revenue.brands")
         keys = t["l_partkey"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
         if len(ks) == 0:
             # empty dimension table: inner join drops every fact row.

@@ -17,7 +17,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Min, Sum
 
-from ..stages.exchange import hash_exchange
+from ..stages.exchange import hash_exchange, worker_get
 from ..config import SignatureConfig
 from ..functions.hashing import hamming64, sha256_bytes, sha256_column
 from ..functions.text import (
@@ -1414,8 +1414,6 @@ def decontam_overlap(sf_dir: str, k: int = SHINGLE_K) -> ray.data.Dataset:
     """
     import ray
 
-    from .relational import _cached_get
-
     path = f"{sf_dir}/documents.parquet"
     n_docs = read_parquet_clean(path, columns=["doc_id"]).count()  # metadata
     cut = n_docs // DECONTAM_BENCH_DIVISOR
@@ -1450,7 +1448,7 @@ def decontam_overlap(sf_dir: str, k: int = SHINGLE_K) -> ray.data.Dataset:
     EMPTY = pa.schema([("doc_id", pa.int64()), ("n_overlap", pa.int64())])
 
     def overlap(t: pa.Table) -> pa.Table:
-        bh = _cached_get(ref)
+        bh = worker_get(ref, "decontam_overlap.bench")
         s = _doc_shingles(t, k)
         if s.num_rows == 0 or bh.size == 0:
             return EMPTY.empty_table()
@@ -1515,8 +1513,6 @@ def bloom_decontam_docs(
 
     import pyarrow.dataset as pads
 
-    from .relational import _cached_get
-
     path = f"{sf_dir}/documents.parquet"
     n_docs = read_parquet_clean(path, columns=["doc_id"]).count()  # metadata
     cut = n_docs // DECONTAM_BENCH_DIVISOR
@@ -1557,7 +1553,7 @@ def bloom_decontam_docs(
     )
 
     def probe(t: pa.Table) -> pa.Table:
-        bb = _cached_get(ref)
+        bb = worker_get(ref, "bloom_decontam_docs.bloom")
         s = _doc_shingles(t, k)
         if s.num_rows == 0:
             return EMPTY.empty_table()

@@ -83,6 +83,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from ..functions.hashing import id_hash64
+
 
 def cluster_cpus() -> int:
     """CPUs of the connected Ray cluster (8 before ``ray.init``)."""
@@ -97,14 +99,29 @@ def exchange_partitions() -> int:
     return 4 * max(1, cluster_cpus())
 
 
+# per-worker-process broadcast values: call-site slot -> (ref, value)
+_WORKER_BROADCAST: dict = {}
+
+
+def worker_get(ref, slot: str, build: Optional[Callable] = None):
+    """``ray.get(ref)`` once per worker process, keyed by ref, for side data
+    that many tasks read.  ``slot`` names the call site and holds one ref:
+    interleaved tasks of different call sites on one worker do not evict
+    each other's value, and a new ref at the same site frees the old one.
+    ``build`` runs once on the fetched value (e.g. a dict over Arrow
+    arrays)."""
+    hit = _WORKER_BROADCAST.get(slot)
+    if hit is None or hit[0] != ref:
+        value = ray.get(ref)
+        hit = _WORKER_BROADCAST[slot] = (ref, value if build is None else build(value))
+    return hit[1]
+
+
 def string_pkey(column, num_partitions: int) -> pa.Array:
     """int32 ``pkey`` in ``[0, num_partitions)`` for a string column: a
     vectorized 64-bit hash of each value, so equal values share a
     partition."""
-    import pandas as _pd
-
-    keys = np.asarray(column.to_pylist(), dtype=object)
-    pk = _pd.util.hash_array(keys, categorize=False) % np.uint64(num_partitions)
+    pk = id_hash64(column) % np.uint64(num_partitions)
     return pa.array(pk.astype(np.int32), pa.int32())
 
 

@@ -6,13 +6,13 @@ self-join keyed by ``(band, band_hash)``.  Every plan bands the low 16
 bits of each signature slot (``_sig16`` + ``_band_keys``, the one band-key
 kernel), and ``candidate_pairs`` runs three steps:
 
-1. signature transport: under ``sig_broadcast_cap`` rows the sig16
-   signatures ship once as a hash-indexed broadcast store (driver blob
-   under ``hot_driver_cap``, idh-sorted plasma blocks above it); above the
-   cap they ride inline in the band rows;
+1. signature transport: at or below ``sig_broadcast_cap`` rows the sig16
+   signatures ship once as a driver-assembled, hash-indexed broadcast blob;
+   above the cap they ride inline in the band rows;
 2. hot/capped bucket sets: the combined (band, bh) keys with >= 2 members
    (hot) and > ``band_cap`` members (capped), derived on the driver from
-   the store's sig16 matrix or by a key-count ``hash_exchange``;
+   the blob's sig16 matrix while it has at most ``_DRIVER_HOT_ROWS`` rows,
+   else counted by a key ``hash_exchange`` (``_count_hot_sets``);
 3. one band-row emitter (``_make_band_row_emitter``) ships only the
    (row, band) rows of hot buckets — ``band, bh, simhash, cmask, pkey``
    plus the payload, ``idh`` under the store or ``id`` + ``sig16`` inline
@@ -34,22 +34,20 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
 from ray.data.aggregate import Count
 
 from ..config import LSHConfig, SignatureConfig
-from ..functions.hashing import band_hashes, bloom_build, bloom_probe, splitmix64 as _smx64
-from .exchange import block_tables, cluster_cpus, hash_exchange, map_blocks
+from ..functions.hashing import band_hashes, bloom_build, bloom_probe, id_hash64, splitmix64 as _smx64
+from .exchange import block_tables, hash_exchange, map_blocks, worker_get
 from .signatures import sig_matrix_from_column
 
-# worker-process-level caches for broadcast side data (hot-bucket keys and
-# the hash-indexed signature store) — ray.get once per worker, not per batch
-_WORKER_HOT_CACHE: dict = {}
-_WORKER_SIG_CACHE: dict = {}
-_WORKER_BLOCK_CACHE: dict = {}
+# the hot/capped bucket sets come from the driver-held sig16 matrix (one
+# serial np.unique over rows * bands keys, ~3.4 s at 600k rows) only up to
+# this many rows; larger inputs count them with a key hash_exchange
+_DRIVER_HOT_ROWS = 100_000
 
 # raw bucket pairs per compare chunk in the pair emitter: the chunk's
 # temporaries fit a core-private L2 (see make_partition_pair_emitter)
@@ -142,11 +140,6 @@ def _sig16_column(sig16: np.ndarray) -> pa.Array:
     )
 
 
-def _id_hashes(ids) -> np.ndarray:
-    """64-bit hash of each id string (the store's ``idh`` key)."""
-    return pd.util.hash_array(np.asarray(ids, dtype=object), categorize=False)
-
-
 def _make_store_row_fn(sig_cfg: SignatureConfig):
     """Block fn: (id, minhash) -> (idh, sig16-binary, id) store rows;
     the sig16 + id-hash are computed on workers."""
@@ -154,100 +147,13 @@ def _make_store_row_fn(sig_cfg: SignatureConfig):
     def to_store_rows(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "idh": pa.array(_id_hashes(t.column("id").to_pylist()), pa.uint64()),
+                "idh": pa.array(id_hash64(t.column("id")), pa.uint64()),
                 "sig": _sig16_column(_sig16(t.column("minhash"), sig_cfg.num_perms)),
                 "id": t.column("id"),
             }
         )
 
     return to_store_rows
-
-
-@ray.remote(num_cpus=0)
-def _block_bounds(tbl: pa.Table):
-    """(first_idh, last_idh, num_rows, has_internal_dup) of one sorted
-    store block — runs where the block lives; ships 4 scalars back."""
-    n = tbl.num_rows
-    if n == 0:
-        return (0, 0, 0, False)
-    idh = tbl.column("idh").to_numpy(zero_copy_only=False).astype(np.uint64)
-    dup = bool(np.any(idh[1:] == idh[:-1])) if n > 1 else False
-    return (int(idh[0]), int(idh[-1]), n, dup)
-
-
-def _build_sig_store_blocks(signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig):
-    """Distributed broadcast-store assembly (VERDICT r2 #7): an idh sort
-    SHUFFLE orders the store rows, the blocks stay in plasma, and the
-    driver holds only (first-idh boundaries, block refs) — it never
-    concatenates the signature matrix (the blob builder costs ~800 MB of
-    driver RAM + a serial collect pass at the 3M-row cap).  Workers
-    resolve an idh by boundary searchsorted -> zero-copy block read ->
-    in-block searchsorted.  Returns None on an id-hash collision (same
-    inline fallback as the blob builder)."""
-    sorted_ds = (
-        signed_slim.select_columns(["id", "minhash"])
-        .map_batches(_make_store_row_fn(sig_cfg), batch_format="pyarrow", batch_size=8192)
-        .sort("idh")
-        .materialize()
-    )
-    refs = sorted_ds.to_arrow_refs()
-    bounds = ray.get([_block_bounds.remote(r) for r in refs])
-    firsts, lasts, kept_refs = [], [], []
-    for (f, l, n, dup), r in zip(bounds, refs):
-        if n == 0:
-            continue
-        if dup:
-            import logging
-
-            logging.getLogger(__name__).warning(
-                "id-hash collision in block signature store: falling back "
-                "to inline signature transport"
-            )
-            return None
-        firsts.append(f)
-        lasts.append(l)
-        kept_refs.append(r)
-    if not kept_refs:
-        return None
-    firsts_np = np.asarray(firsts, dtype=np.uint64)
-    lasts_np = np.asarray(lasts, dtype=np.uint64)
-    if np.any(lasts_np[:-1] == firsts_np[1:]):  # cross-block boundary dup
-        import logging
-
-        logging.getLogger(__name__).warning(
-            "id-hash collision at a block boundary: falling back to inline "
-            "signature transport"
-        )
-        return None
-    return ray.put(("blocks", firsts_np, kept_refs))
-
-
-def _resolve_from_blocks(store, idh_vals: np.ndarray, num_perms: int):
-    """Worker-side lookup against the block store: per-block zero-copy
-    decode (cached per worker process), searchsorted within."""
-    _, firsts, refs = store
-    n = len(idh_vals)
-    sigs = np.empty((n, num_perms), dtype=np.uint16)
-    ids = np.empty(n, dtype=object)
-    bidx = np.searchsorted(firsts, idh_vals, side="right") - 1
-    bidx[bidx < 0] = 0
-    for b in np.unique(bidx):
-        ref = refs[int(b)]
-        key = ref.hex()
-        if key not in _WORKER_BLOCK_CACHE:
-            tbl = ray.get(ref)
-            _WORKER_BLOCK_CACHE[key] = (
-                tbl.column("idh").to_numpy(zero_copy_only=False).astype(np.uint64),
-                sig16_matrix(tbl.column("sig"), num_perms),
-                np.asarray(tbl.column("id").to_pylist(), dtype=object),
-            )
-        idh_b, sig_b, ids_b = _WORKER_BLOCK_CACHE[key]
-        mask = bidx == b
-        pos = np.searchsorted(idh_b, idh_vals[mask])
-        pos[pos >= len(idh_b)] = len(idh_b) - 1
-        sigs[mask] = sig_b[pos]
-        ids[mask] = ids_b[pos]
-    return sigs, ids
 
 
 def _build_sig_store(signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig):
@@ -258,8 +164,8 @@ def _build_sig_store(signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig):
     driver-side without a second distributed pass.  Returns ``(None,
     None)`` on a 64-bit id-hash collision between two distinct ids (ADVICE
     r2: searchsorted would silently resolve both to one signature and emit
-    pairs with wrong ids) — callers must then fall back to inline
-    signature transport."""
+    pairs with wrong ids) — callers then fall back to inline signature
+    transport."""
     np_ = sig_cfg.num_perms
     idh_parts, sig_parts, id_parts = [], [], []
     for b in block_tables(
@@ -290,79 +196,17 @@ def _build_sig_store(signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig):
     ids_sorted = pa.concat_arrays(
         [c.cast(pa.string()) for c in id_parts]
     ).take(pa.array(order, pa.int64()))
-    ref = ray.put(("blob", idh_sorted, sig16_sorted, ids_sorted))
+    ref = ray.put((idh_sorted, sig16_sorted, ids_sorted))
     return ref, sig16_sorted
 
 
-@ray.remote
-def _hot_chunk_split(sig16_chunk: np.ndarray, bands: int, rows: int, n_buckets: int):
-    """Band-hash one row chunk and range-split the combined keys by their
-    TOP bits into ``n_buckets`` sorted arrays (num_returns=n_buckets)."""
-    comb = np.sort(_band_keys(sig16_chunk, bands, rows)[2])
-    # the top-bits shift only yields monotonic disjoint ranges for
-    # power-of-two bucket counts; any other value wraps uint64 and
-    # silently unsorts the merged hot-key set (searchsorted misses)
-    assert n_buckets & (n_buckets - 1) == 0, (
-        f"_hot_chunk_split requires power-of-two n_buckets, got {n_buckets}"
-    )
-    shift = np.uint64(64 - int(n_buckets).bit_length() + 1)
-    bounds = np.searchsorted(
-        comb, np.arange(1, n_buckets, dtype=np.uint64) << shift
-    )
-    return tuple(np.split(comb, bounds))
-
-
-@ray.remote
-def _hot_bucket_merge(band_cap: int, *parts: np.ndarray):
-    """Global per-key counts within one key RANGE: sorted concat + run
-    lengths -> (hot keys sorted, capped keys sorted)."""
-    allk = np.concatenate(parts)
-    if allk.size == 0:
-        e = np.empty(0, dtype=np.uint64)
-        return e, e
-    allk.sort()
-    first = np.ones(allk.size, dtype=bool)
-    first[1:] = allk[1:] != allk[:-1]
-    starts = np.flatnonzero(first)
-    cnt = np.diff(np.append(starts, allk.size))
-    uniq = allk[starts]
-    return uniq[cnt >= 2], uniq[cnt > band_cap]
-
-
 def _derive_hot_sets(sig16: np.ndarray, sig_cfg: SignatureConfig, band_cap: int):
-    """Hot/capped bucket derivation from the full sig16 matrix (the
-    broadcast store already collected it).  Small inputs run one
-    vectorized band-hash + unique pass on the driver; larger ones fan the
-    band hashing + counting out as a two-wave distributed unique (row
-    chunks split keys by top bits into range buckets; one merge task per
-    bucket), so the driver only concatenates the already-sorted hot-key
-    ranges — the serial pass was ~3.4 s of CPU-count-independent wall at
-    600k rows.  Returns the same exact ("exact", sorted-keys) structure +
-    capped key array either way."""
-    n = sig16.shape[0]
-    if n <= 100_000 or not ray.is_initialized():
-        comb = _band_keys(sig16, sig_cfg.bands, sig_cfg.rows)[2]
-        uniq, cnt = np.unique(comb, return_counts=True)  # sorted keys
-        return ("exact", uniq[cnt >= 2]), uniq[cnt > band_cap]
-    n_chunks = max(2, min(16, cluster_cpus() // 2))
-    n_buckets = 16
-    bounds = np.linspace(0, n, n_chunks + 1, dtype=np.int64)
-    splits = [
-        _hot_chunk_split.options(num_returns=n_buckets).remote(
-            sig16[bounds[i] : bounds[i + 1]], sig_cfg.bands, sig_cfg.rows, n_buckets
-        )
-        for i in range(n_chunks)
-    ]
-    merged = ray.get(
-        [
-            _hot_bucket_merge.remote(band_cap, *[row[b] for row in splits])
-            for b in range(n_buckets)
-        ]
-    )
-    # buckets are disjoint ascending key RANGES: concatenation stays sorted
-    hot_keys = np.concatenate([m[0] for m in merged])
-    capped_keys = np.concatenate([m[1] for m in merged])
-    return ("exact", hot_keys), capped_keys
+    """Hot/capped bucket sets from the driver's sig16 matrix: one vectorized
+    band-hash + unique pass.  Returns ``(("exact", sorted hot keys), sorted
+    capped keys)``, the shape ``_count_hot_sets`` returns."""
+    comb = _band_keys(sig16, sig_cfg.bands, sig_cfg.rows)[2]
+    uniq, cnt = np.unique(comb, return_counts=True)  # sorted keys
+    return ("exact", uniq[cnt >= 2]), uniq[cnt > band_cap]
 
 
 def _make_band_row_emitter(sig_cfg: SignatureConfig, num_partitions: int, hot_ref, inline: bool):
@@ -378,10 +222,7 @@ def _make_band_row_emitter(sig_cfg: SignatureConfig, num_partitions: int, hot_re
     def emit(t: pa.Table) -> pa.Table:
         sig16 = _sig16(t.column("minhash"), num_perms)
         band, bh, comb = _band_keys(sig16, bands, sig_cfg.rows)
-        if hot_ref not in _WORKER_HOT_CACHE:
-            _WORKER_HOT_CACHE.clear()
-            _WORKER_HOT_CACHE[hot_ref] = ray.get(hot_ref)
-        hot_struct, capped = _WORKER_HOT_CACHE[hot_ref]
+        hot_struct, capped = worker_get(hot_ref, "lsh.hot_sets")
         capped_bits = _in_sorted(capped, comb).reshape(-1, bands).astype(np.uint64)
         cmask = np.bitwise_or.reduce(capped_bits << band_bits, axis=1)
         keep = _member(hot_struct, comb)
@@ -399,7 +240,7 @@ def _make_band_row_emitter(sig_cfg: SignatureConfig, num_partitions: int, hot_re
             cols["id"] = t.column("id").take(pa.array(rep))
             cols["sig16"] = _sig16_column(sig16[rep])
         else:
-            cols["idh"] = pa.array(_id_hashes(t.column("id").to_pylist())[rep], pa.uint64())
+            cols["idh"] = pa.array(id_hash64(t.column("id"))[rep], pa.uint64())
         return pa.table(cols)
 
     return emit
@@ -441,8 +282,8 @@ def make_partition_pair_emitter(
     insensitive to it.
 
     ``sig_store_ref`` says which payload the band rows carry: ``idh`` to
-    resolve against the broadcast store, or (None) inline ``id`` +
-    ``sig16``."""
+    resolve against the broadcast store (``_build_sig_store``), or (None)
+    inline ``id`` + ``sig16``."""
     num_perms = sig_cfg.num_perms
     cap = lsh_cfg.band_cap
     w = lsh_cfg.cap_neighbors
@@ -462,47 +303,29 @@ def make_partition_pair_emitter(
         bh = g.column("bh").to_numpy(zero_copy_only=False).astype(np.uint64)
         sim = g.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
         cmask = g.column("cmask").to_numpy(zero_copy_only=False).astype(np.uint64)
+        # ``ids`` is an Arrow string array and ``pos`` each row's index in
+        # it: rows carry ``pos`` through the sort and emission below, and
+        # strings are materialized only for the emitted pairs (``fetch``)
         if sig_store_ref is not None:
-            # broadcast-signature mode: resolve sigs + ids from the shared
-            # hash-indexed store (one plasma object per node, zero-copy).
-            # Two layouts: ("blob", idh, sig, ids) — driver-assembled under
-            # hot_driver_cap — and ("blocks", boundaries, refs) — the
-            # distributed sort assembly (VERDICT r2 #7).
-            if sig_store_ref not in _WORKER_SIG_CACHE:
-                _WORKER_SIG_CACHE.clear()
-                _WORKER_SIG_CACHE[sig_store_ref] = ray.get(sig_store_ref)
-            store = _WORKER_SIG_CACHE[sig_store_ref]
-            # the rows' idh IS the id hash the tie-break below needs (the
-            # store is collision-checked): no re-hash of resolved strings
+            # broadcast store (one plasma object per node): sigs and idh are
+            # zero-copy numpy views, ids an Arrow array.  The rows' idh IS
+            # the id hash the tie-break below needs (the store is
+            # collision-checked): no re-hash of resolved strings
+            store_idh, store_sigs, ids = worker_get(sig_store_ref, "lsh.sig_store")
             idh = g.column("idh").to_numpy(zero_copy_only=False).astype(np.uint64)
-            if store[0] == "blocks":
-                sigs, ids_obj = _resolve_from_blocks(store, idh, num_perms)
-                ids_src = ids_idx = None
-            else:
-                # blob layout: sigs/idh are zero-copy numpy views and ids an
-                # Arrow string array straight out of plasma.  Rows carry
-                # STORE INDICES through the sort/emission below; strings are
-                # materialized only for the few emitted pairs (fetch()),
-                # never for all m band rows.
-                _, IDH, SIG, IDS = store
-                pos = np.searchsorted(IDH, idh)
-                sigs = SIG[pos]
-                ids_obj, ids_src, ids_idx = None, IDS, pos
+            pos = np.searchsorted(store_idh, idh)
+            sigs = store_sigs[pos]
         else:
-            ids_obj = np.asarray(g.column("id").to_pylist(), dtype=object)
-            ids_src = ids_idx = None
+            # one chunk: a ChunkedArray take concatenates its chunks per call
+            ids = g.column("id").combine_chunks()
+            pos = np.arange(m)
             sigs = sig16_matrix(g.column("sig16"), num_perms)
-            idh = _id_hashes(ids_obj)
+            idh = id_hash64(ids)
 
         def fetch(ridx: np.ndarray) -> np.ndarray:
             # row indices -> id strings (object ndarray); reads the CURRENT
-            # ids_obj/ids_idx bindings (they are reindexed alongside sigs)
-            if ids_obj is not None:
-                return ids_obj[ridx]
-            return np.asarray(
-                ids_src.take(pa.array(ids_idx[ridx], pa.int64())).to_pylist(),
-                dtype=object,
-            )
+            # ``pos`` binding (it is reindexed alongside sigs)
+            return np.asarray(ids.take(pa.array(pos[ridx], pa.int64())).to_pylist(), dtype=object)
 
         # 64-bit hash of each row's full signature: identical signatures
         # (exact dups and sketch-identical near-dups) collapse to ONE
@@ -522,11 +345,7 @@ def make_partition_pair_emitter(
         # a 64-bit id hash breaks run-internal ties reproducibly
         order = np.lexsort((idh, sigh, bh, band))
         band, bh, sim, sigs = band[order], bh[order], sim[order], sigs[order]
-        if ids_obj is not None:
-            ids_obj = ids_obj[order]
-        else:
-            ids_idx = ids_idx[order]
-        cmask, sigh = cmask[order], sigh[order]
+        pos, cmask, sigh = pos[order], cmask[order], sigh[order]
         boundary = np.ones(m, dtype=bool)
         boundary[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
 
@@ -561,10 +380,7 @@ def make_partition_pair_emitter(
         # representative-only view: rebuild bucket boundaries over reps
         band = band[rep_pos]
         bh = bh[rep_pos]
-        if ids_obj is not None:
-            ids_obj = ids_obj[rep_pos]
-        else:
-            ids_idx = ids_idx[rep_pos]
+        pos = pos[rep_pos]
         sim = sim[rep_pos]
         sigs = sigs[rep_pos]
         cmask = cmask[rep_pos]
@@ -761,17 +577,17 @@ def candidate_pairs(
     One band-shuffle plan with two size-gated ingredients (all variants
     emit identical pair sets, pinned by ``tests/test_path_equivalence.py``):
 
-    - SIGNATURE TRANSPORT: under ``sig_broadcast_cap`` rows, signatures
-      ship once as a hash-indexed broadcast store and band rows are ~40 B
-      slim; above it they ride inline (nothing node-sized exists at 10^12
-      rows).
-    - HOT/CAPPED BUCKET SETS: under ``hot_driver_cap`` rows (broadcast
-      mode only) they are derived driver-side from the store's sig16
-      matrix — no second distributed pass, none of its materialize/count
-      barriers (the r2 small-scale regression).  Above it, a slim
-      (band, bh) count pass finds them distributed.  Only rows in hot
-      (>= 2 member) buckets enter the band shuffle, and canonical-band
-      emission keeps pair multiplicity ~1 with no pair-dedup shuffle.
+    - SIGNATURE TRANSPORT: at or below ``sig_broadcast_cap`` rows,
+      signatures ship once as the driver-assembled broadcast blob and band
+      rows are ~40 B slim; above it (or on an id-hash collision in the
+      blob) they ride inline, and the driver never holds the matrix.
+    - HOT/CAPPED BUCKET SETS: while the driver holds the blob's sig16
+      matrix of at most ``_DRIVER_HOT_ROWS`` rows they are derived from it
+      (``_derive_hot_sets``) — no second pass, none of its barriers.
+      Otherwise a slim key-count ``hash_exchange`` finds them
+      (``_count_hot_sets``).  Only rows in hot (>= 2 member) buckets enter
+      the band shuffle, and canonical-band emission keeps pair
+      multiplicity ~1 with no pair-dedup shuffle.
 
     ``n_rows_hint``: caller-known UPPER BOUND on the row count of
     ``signed_slim`` (skips a count pass).  It feeds only the ``< 2`` early
@@ -795,30 +611,23 @@ def candidate_pairs(
         raise ValueError("cmask capped-band bitmask supports at most 64 bands")
     # ---- phase 0: signature transport ------------------------------------
     # While the table fits the broadcast cap, ship signatures ONCE as a
-    # hash-indexed store; band rows shrink to ~40 B (measured ~9x fewer
+    # hash-indexed blob; band rows shrink to ~40 B (measured ~9x fewer
     # bytes through the sort exchange than inline sig16 + id strings).
-    # Under hot_driver_cap the store is a driver-assembled blob (the sig16
-    # matrix doubles as the hot-set source below); above it the assembly
-    # is a distributed idh sort whose blocks stay in plasma — the driver
-    # never holds the matrix (VERDICT r2 #7).
     sig_store_ref = sig16_drv = None
     if n_rows_slim <= lsh_cfg.sig_broadcast_cap:
-        if n_rows_slim <= lsh_cfg.hot_driver_cap:
-            sig_store_ref, sig16_drv = _build_sig_store(signed_slim, sig_cfg)
-        else:
-            sig_store_ref = _build_sig_store_blocks(signed_slim, sig_cfg)
+        sig_store_ref, sig16_drv = _build_sig_store(signed_slim, sig_cfg)
 
     # ---- phase 1: hot/capped bucket sets ---------------------------------
     # Nearly all band buckets are singletons and can never form a pair, yet
     # their rows would dominate the band shuffle.  Only rows in hot (>= 2
     # member) buckets enter it (~85-95% volume cut on realistic corpora).
-    if sig16_drv is not None:
+    if sig16_drv is not None and sig16_drv.shape[0] <= _DRIVER_HOT_ROWS:
         # the store build already collected every sig16 on the driver:
-        # derive the EXACT hot/capped key sets locally — no second
-        # distributed pass, no materialize/count barriers
+        # derive the EXACT hot/capped key sets locally
         hot_struct, capped_sorted = _derive_hot_sets(sig16_drv, sig_cfg, lsh_cfg.band_cap)
     else:
         hot_struct, capped_sorted = _count_hot_sets(signed_slim, sig_cfg, lsh_cfg, num_partitions)
+    del sig16_drv  # plasma holds the blob: free the driver's copy before the band exchange
     if hot_struct[0] == "exact" and hot_struct[1].size == 0:
         # no bucket has >= 2 members -> no candidate pairs at all
         return ray.data.from_arrow(PAIR_SCHEMA.empty_table())

@@ -36,19 +36,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .exchange import cluster_cpus
+from .exchange import cluster_cpus, worker_get
 
 RANK_BROADCAST_ROW_CAP = 1_000_000
-
-_WORKER_CACHE: dict = {}
-
-
-def _cached_get(ref):
-    if ref not in _WORKER_CACHE:
-        _WORKER_CACHE.clear()
-        _WORKER_CACHE[ref] = ray.get(ref)
-    return _WORKER_CACHE[ref]
-
 
 def canonical_base(name: str) -> str:
     """Stage-2 key: ``_R_`` marker strip + first-dot suffix strip
@@ -105,7 +95,7 @@ def attach_rank_table(
         ref = ray.put(table)
 
         def resolve(t: pa.Table) -> pa.Table:
-            tab = _cached_get(ref)
+            tab = worker_get(ref, "ranktab.table")
             names = [str(x) for x in t[id_col].to_pylist()]
             resolved = []
             misses = []

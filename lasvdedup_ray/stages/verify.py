@@ -35,7 +35,6 @@ import logging
 from typing import Optional
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -43,7 +42,7 @@ import ray.data
 from ray.data.block import BlockMetadataWithSchema
 
 from ..config import LSHConfig, SignatureConfig
-from ..functions.hashing import bloom_build, bloom_probe, shingle_hashes
+from ..functions.hashing import bloom_build, bloom_probe, id_hash64, shingle_hashes
 from .exchange import (
     block_tables,
     cluster_cpus,
@@ -67,12 +66,6 @@ def _normalize(s: str, cfg: SignatureConfig) -> bytes:
     if cfg.collapse_ws:
         s = " ".join(s.split())
     return s.encode("utf-8")
-
-
-def _id_hash64(ids) -> np.ndarray:
-    """Vectorized, process-stable 64-bit hash of an id string array
-    (pandas' cython siphash with its fixed default key)."""
-    return pd.util.hash_array(np.asarray(ids, dtype=object), categorize=False)
 
 
 def exact_jaccard_for_pairs(contents_a, contents_b, cfg: SignatureConfig) -> np.ndarray:
@@ -177,7 +170,7 @@ def _attach_distributed(
     miss is impossible — and two distributed hash joins attach it."""
     bitmap = bloom_build(
         (
-            _id_hash64(b.column(c).to_pylist())
+            id_hash64(b.column(c))
             for b in block_tables(pairs)
             for c in ("id_a", "id_b")
         ),
@@ -186,7 +179,7 @@ def _attach_distributed(
     bloom_ref = ray.put(bitmap)
 
     def grab_bloom(t: pa.Table) -> pa.Table:
-        ok = bloom_probe(ray.get(bloom_ref), _id_hash64(t[id_col].to_pylist()))
+        ok = bloom_probe(ray.get(bloom_ref), id_hash64(t[id_col]))
         return t.filter(pa.array(ok))
 
     sub_ds = map_blocks(content, grab_bloom, cols=[id_col, *cols])

@@ -35,10 +35,6 @@ import ray.data
 from ray.data.aggregate import Min
 
 
-# worker-process-level cache for the broadcast label map (module global:
-# survives across tasks within a worker)
-_WORKER_LABEL_CACHE: Dict = {}
-
 # round budget of the distributed label propagation (pointer jumping
 # converges in O(log diameter) rounds)
 MAX_LABEL_ROUNDS = 50
@@ -236,7 +232,7 @@ def assign_clusters(
     block (``map_blocks``): no Ray Data execution starts on materialized
     inputs.
     """
-    from ..stages.exchange import concat_blocks, map_blocks
+    from ..stages.exchange import concat_blocks, map_blocks, worker_get
 
     edges = concat_blocks(edges.materialize())
     n_edges = edges.count()
@@ -255,13 +251,9 @@ def assign_clusters(
         )
 
         def attach(t: pa.Table) -> pa.Table:
-            if ref not in _WORKER_LABEL_CACHE:
-                _WORKER_LABEL_CACHE.clear()
-                keys_arr, vals_arr = ray.get(ref)
-                _WORKER_LABEL_CACHE[ref] = dict(
-                    zip(keys_arr.to_pylist(), vals_arr.to_pylist())
-                )
-            lm = _WORKER_LABEL_CACHE[ref]
+            lm = worker_get(
+                ref, "unionfind.labels", lambda kv: dict(zip(kv[0].to_pylist(), kv[1].to_pylist()))
+            )
             ids = t["id"].to_pylist()
             return t.append_column(
                 "cluster_id", pa.array([lm.get(i, i) for i in ids], pa.string())

@@ -59,6 +59,7 @@ def test_yaml_fallback_parser(tmp_path):
         ({"execution": {"batch_size": 512}}, "batch_size"),
         ({"lang_thresholds": {"py": {"tua": 0.3}}}, "tua"),
         ({"lsh": {"pair_batch_rows": 1}}, "pair_batch_rows"),
+        ({"lsh": {"hot_driver_cap": 1}}, "hot_driver_cap"),
     ],
 )
 def test_build_config_rejects_unknown_keys(tmp_path, layer, key):

@@ -2,11 +2,13 @@
 flagship, forced on at a small size, must give the same result as the
 default plan.
 
-- LSH hot sets: driver-derived (under hot_driver_cap) vs the distributed
-  count pass, with the hot-key set held exactly (under hot_exact_cap) or
-  as a bloom bitmap — the SAME candidate pair set.
-- LSH signature transport: broadcast store (under sig_broadcast_cap) vs
-  inline sig16 band rows — the SAME candidate pair set.
+- LSH hot sets: derived on the driver from the broadcast blob's sig16
+  matrix (at most ``lsh._DRIVER_HOT_ROWS`` rows) vs the key-count
+  hash_exchange, with the hot-key set held exactly (under hot_exact_cap)
+  or as a bloom bitmap — the SAME candidate pair set.
+- LSH signature transport: broadcast blob (under sig_broadcast_cap, and
+  while its id hashes do not collide) vs inline sig16 band rows — the
+  SAME candidate pair set.
 - Exact-dup sha collapse: driver lexsort (under exact_driver_cap) vs the
   sha hash exchange — identical cluster membership and classifications.
 """
@@ -37,28 +39,63 @@ def signed_corpus():
     return corpus, cfg, signed
 
 
+def _pairset(slim, cfg, lsh_cfg, hint=None):
+    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin_high
+    df = candidate_pairs(
+        slim, cfg.signature, lsh_cfg, tau=emit_tau, n_rows_hint=hint
+    ).to_pandas()
+    # an empty result may come back without columns
+    return set(zip(df["id_a"], df["id_b"])) if len(df) else set()
+
+
 @pytest.mark.parametrize("band_cap", [256, 4])
-def test_broadcast_and_inline_transport_same_pairs(signed_corpus, band_cap):
+def test_broadcast_and_inline_transport_same_pairs(signed_corpus, monkeypatch, band_cap):
     """At band_cap 4 the corpus has capped buckets, so the plans' cmask
     (capped-band bitmask) is compared too."""
+    from lasvdedup_ray.stages import lsh
+
     _, cfg, signed = signed_corpus
     slim = signed.select_columns(["id", "minhash", "simhash"])
-    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin_high
     base = dataclasses.replace(cfg.lsh, band_cap=band_cap)
 
-    def pairset(lsh_cfg):
-        df = candidate_pairs(slim, cfg.signature, lsh_cfg, tau=emit_tau).to_pandas()
-        return set(zip(df["id_a"], df["id_b"]))
+    # default: broadcast blob + driver-side hot sets (300 rows is under
+    # every cap); then the blob with counted hot sets, and the inline
+    # transport (always counted) with an exact and a bloom hot-key set
+    default = _pairset(slim, cfg, base)
+    inline = _pairset(slim, cfg, dataclasses.replace(base, sig_broadcast_cap=0))
+    bloom = _pairset(slim, cfg, dataclasses.replace(base, sig_broadcast_cap=0, hot_exact_cap=0))
+    monkeypatch.setattr(lsh, "_DRIVER_HOT_ROWS", 0)
+    counted = _pairset(slim, cfg, base)
+    assert default == counted == inline == bloom and len(default) > 0
 
-    # default: broadcast store + driver-side hot sets (300 rows is under
-    # every cap); force the distributed hot-prefilter pass (with an exact
-    # and a bloom hot-key set) and the inline signature transport and pin
-    # all four plans to the same pair set
-    default = pairset(base)
-    dist_hot = pairset(dataclasses.replace(base, hot_driver_cap=0))
-    bloom_hot = pairset(dataclasses.replace(base, hot_driver_cap=0, hot_exact_cap=0))
-    inline = pairset(dataclasses.replace(base, sig_broadcast_cap=0))
-    assert default == dist_hot == bloom_hot == inline and len(default) > 0
+
+def test_sig_store_id_hash_collision_falls_back_inline(signed_corpus, monkeypatch, caplog):
+    """Two ids with one 64-bit hash would resolve to one signature in the
+    broadcast blob: ``_build_sig_store`` must refuse the blob, and
+    ``candidate_pairs`` then gives the default pair set by inline transport.
+    The collision is forced by folding every store-row id hash to 4 values."""
+    from lasvdedup_ray.stages import lsh
+
+    _, cfg, signed = signed_corpus
+    slim = signed.select_columns(["id", "minhash", "simhash"])
+    default = _pairset(slim, cfg, cfg.lsh)
+
+    real_row_fn = lsh._make_store_row_fn
+
+    def colliding_row_fn(sig_cfg):
+        to_store_rows = real_row_fn(sig_cfg)
+
+        def collide(t: pa.Table) -> pa.Table:
+            out = to_store_rows(t)
+            idh = out["idh"].to_numpy() & np.uint64(3)
+            return out.set_column(0, "idh", pa.array(idh, pa.uint64()))
+
+        return collide
+
+    monkeypatch.setattr(lsh, "_make_store_row_fn", colliding_row_fn)
+    assert lsh._build_sig_store(slim, cfg.signature) == (None, None)
+    assert "id-hash collision" in caplog.text
+    assert _pairset(slim, cfg, cfg.lsh) == default and len(default) > 0
 
 
 def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
@@ -70,16 +107,10 @@ def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
 
     _, cfg, signed = signed_corpus
     slim = signed.select_columns(["id", "minhash", "simhash"])
-    emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin_high
 
-    def pairset(ds, hint):
-        df = candidate_pairs(ds, cfg.signature, cfg.lsh, tau=emit_tau, n_rows_hint=hint).to_pandas()
-        # an empty result may come back without columns
-        return set(zip(df["id_a"], df["id_b"])) if len(df) else set()
-
-    # a hint past hot_driver_cap switches to the distributed store + hot-set plan
-    exact_hint = pairset(slim, signed.count())
-    loose_hint = pairset(slim, cfg.lsh.hot_driver_cap + 1)
+    # a hint past sig_broadcast_cap switches to inline transport + counted hot sets
+    exact_hint = _pairset(slim, cfg, cfg.lsh, signed.count())
+    loose_hint = _pairset(slim, cfg, cfg.lsh, cfg.lsh.sig_broadcast_cap + 1)
     assert exact_hint == loose_hint and len(exact_hint) > 0
 
     corpus, _ = generate_corpus(CorpusSpec(n_files=30, seed=3))
@@ -94,7 +125,7 @@ def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
     ).materialize()
     reps = fused_reps(fused).select_columns(["id", "minhash", "simhash"])
     assert reps.count() == 1 and fused.count() == corpus.num_rows
-    assert pairset(reps, fused.count()) == pairset(reps, None) == set()
+    assert _pairset(reps, cfg, cfg.lsh, fused.count()) == _pairset(reps, cfg, cfg.lsh, None) == set()
 
 
 def _canon_results(ds) -> pd.DataFrame:
