@@ -38,7 +38,13 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..stages.classify import classify_clusters
-from ..stages.exchange import concat_blocks, hash_exchange, map_blocks, worker_get
+from ..stages.exchange import (
+    concat_blocks,
+    dataset_from_tables,
+    hash_exchange,
+    map_blocks,
+    worker_get,
+)
 from ..stages.lsh import band_stats, candidate_pairs
 from ..stages.prepare import prepare
 from ..stages.signatures import add_signatures
@@ -165,7 +171,7 @@ def dedup_pipeline(
     if signed.count() == 0:
         from ..stages.classify import RESULT_SCHEMA
 
-        return ray.data.from_arrow(RESULT_SCHEMA.empty_table())
+        return dataset_from_tables([RESULT_SCHEMA.empty_table()])
     meta = map_blocks(signed, None, cols=SLIM_COLS + ["minhash", "simhash"])
     if config.group_only:
         # reference-parity mode (sequence_grouping.py:29-37): clusters
@@ -173,7 +179,7 @@ def dedup_pipeline(
         # in-cluster decision tree
         from ..stages.lsh import PAIR_SCHEMA
 
-        edges = ray.data.from_arrow(PAIR_SCHEMA.empty_table())
+        edges = dataset_from_tables([PAIR_SCHEMA.empty_table()])
     else:
         if n_rows_in <= ex.exact_driver_cap:
             # small input: the sha collapse runs on the driver (one slim
@@ -197,7 +203,7 @@ def dedup_pipeline(
             reps_slim = map_blocks(
                 signed, keep_reps, cols=["id", "minhash", "simhash"]
             )
-            e_edges = ray.data.from_arrow(edges_tbl)
+            e_edges = dataset_from_tables([edges_tbl])
         else:
             # ONE sha shuffle yields both the per-sha representatives and
             # the zero-distance star edges (two separate groupbys before r3)

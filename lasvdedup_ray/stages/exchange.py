@@ -54,22 +54,34 @@ returns its block's metadata alongside the block, and the result dataset is
 built from it directly (``dataset_from_blocks``) — no per-block metadata
 task wave as in ``ray.data.from_arrow_refs``.
 
-Reading by ref: ``block_tables`` hands a materialized dataset's non-empty
-blocks to the driver by their refs, the way ``hash_exchange`` reads its
-upstream, instead of starting a Ray Data execution (``iter_batches``,
-``limit(n).to_pandas()``) whose fixed cost is ~150 ms of CPU per call no
-matter how few rows it moves.  When only narrow columns of wide blocks are
-needed it projects inside one raw task per block, so the wide columns never
-reach the driver.
+Computed snapshot: every dataset ``dataset_from_blocks`` builds records its
+blocks as the plan's computed output, so reading it
+(``iter_internal_ref_bundles``, ``materialize``, ``count``,
+``to_arrow_refs``) hands back the refs without a Ray Data executor.  A
+dataset without that snapshot -- ``ray.data.from_arrow``, or a plan that
+never ran -- starts a ``StreamingExecutor`` on every read, even when its DAG
+is only the input buffer: each start exports topology metadata, registers
+with Ray's stats actor and shuts down (on a 4-vCPU VM at 3 Ray CPUs, 50
+reads of a 12-block dataset took ~0.9 s of wall time without the snapshot,
+~0.01 s with it).  Tables built
+on the driver enter through ``dataset_from_tables``.
+
+Reading by ref: ``block_tables`` hands a dataset's non-empty blocks to the
+driver by their refs, the way ``hash_exchange`` reads its upstream, instead
+of running a Ray Data read (``iter_batches``, ``limit(n).to_pandas()``)
+whose fixed cost is ~150 ms of CPU per call no matter how few rows it
+moves.  When only narrow columns of wide blocks are needed it projects
+inside one raw task per block, so the wide columns never reach the driver.
 
 Mapping and concatenating by ref: ``map_blocks`` is ``map_batches`` as one
 raw task per non-empty block (the function ships once through ``ray.put``,
 ``cols`` projects inside the task, and each task returns its block's
 metadata, so the result is built with ``dataset_from_blocks`` and
 known-empty outputs are dropped).  ``concat_blocks`` is ``union`` as a
-concatenation of block-ref lists.  Neither starts a Ray Data execution on a
-materialized input, so a chain of them between exchanges runs as raw tasks
-only; its output is a materialized dataset any consumer can read by ref.
+concatenation of block-ref lists.  On an input with a computed snapshot
+(theirs, ``hash_exchange``'s, or a ``materialize()`` result) neither starts
+an executor, so a chain of them between exchanges runs as raw tasks only,
+and its output is again a snapshot any consumer reads by ref.
 ``hash_exchange`` likewise ships its reduce function once per call, not
 pickled into each of its reduce tasks.
 """
@@ -126,10 +138,14 @@ def string_pkey(column, num_partitions: int) -> pa.Array:
 
 
 def dataset_from_blocks(refs: list, metas: list) -> ray.data.Dataset:
-    """``ray.data.from_arrow_refs`` for blocks whose
-    ``BlockMetadataWithSchema`` is already known: the same ``FromArrow``
-    plan, without the one metadata task per block that ``from_arrow_refs``
-    submits to compute it."""
+    """A materialized dataset of blocks whose ``BlockMetadataWithSchema`` is
+    already known: the ``FromArrow`` plan of ``ray.data.from_arrow_refs``
+    without its one metadata task per block, with the blocks recorded as
+    the plan's computed output.  Reading it (``iter_internal_ref_bundles``,
+    ``materialize``, ``count``, ``to_arrow_refs``) hands back these refs
+    and starts no Ray Data executor; a dataset without that snapshot starts
+    one on every read, even over an input-only DAG."""
+    from ray.data._internal.execution.interfaces import RefBundle
     from ray.data._internal.logical.interfaces import LogicalPlan
     from ray.data._internal.logical.operators.from_operators import FromArrow
     from ray.data._internal.plan import ExecutionPlan
@@ -137,21 +153,47 @@ def dataset_from_blocks(refs: list, metas: list) -> ray.data.Dataset:
     from ray.data.context import DataContext
     from ray.data.dataset import MaterializedDataset
 
-    plan = ExecutionPlan(
-        DatasetStats(metadata={"FromArrow": metas}, parent=None),
-        DataContext.get_current().copy(),
+    stats = DatasetStats(metadata={"FromArrow": metas}, parent=None)
+    plan = ExecutionPlan(stats, DataContext.get_current().copy())
+    op = FromArrow(refs, metas)
+    ds = MaterializedDataset(plan, LogicalPlan(op, plan._context))
+    plan._snapshot_bundle = RefBundle(
+        list(zip(refs, metas)), owns_blocks=False, schema=op.infer_schema()
     )
-    return MaterializedDataset(plan, LogicalPlan(FromArrow(refs, metas), plan._context))
+    plan._snapshot_operator = op
+    plan._snapshot_stats = stats
+    # fails loudly if a Ray upgrade renames the snapshot fields
+    assert plan.has_computed_output()
+    return ds
+
+
+def dataset_from_tables(tables: Sequence[pa.Table]) -> ray.data.Dataset:
+    """``ray.data.from_arrow(tables)`` as ``dataset_from_blocks``: the
+    driver puts each table and computes its metadata itself, so no
+    metadata task runs and reading the result starts no executor."""
+    from ray.data.block import BlockMetadataWithSchema
+
+    return dataset_from_blocks(
+        [ray.put(t) for t in tables],
+        [BlockMetadataWithSchema.from_block(t) for t in tables],
+    )
 
 
 def _live_blocks(ds: ray.data.Dataset) -> list:
     """``(ref, BlockMetadataWithSchema)`` of the blocks of ``ds`` whose
     metadata does not say zero rows (an unknown count is kept: dropping it
-    could lose rows), from ``iter_internal_ref_bundles``."""
+    could lose rows), from ``iter_internal_ref_bundles``: on a dataset
+    that ``dataset_from_blocks`` built these are its recorded blocks, and
+    no executor starts."""
     from ray.data.block import BlockMetadataWithSchema
 
     return [
-        (ref, BlockMetadataWithSchema(meta, schema=bundle.schema))
+        (
+            ref,
+            meta
+            if isinstance(meta, BlockMetadataWithSchema)
+            else BlockMetadataWithSchema(meta, schema=bundle.schema),
+        )
         for bundle in ds.iter_internal_ref_bundles()
         for ref, meta in bundle.blocks
         if meta.num_rows != 0
@@ -164,8 +206,8 @@ def _block_refs(ds: ray.data.Dataset) -> list:
 
 def concat_blocks(*dss: ray.data.Dataset) -> ray.data.Dataset:
     """``dss[0].union(*dss[1:])`` as a concatenation of the inputs'
-    non-empty block refs: block refs move, bytes don't, and on materialized
-    inputs no Ray Data execution starts (a lazy input runs once)."""
+    non-empty block refs: block refs move, bytes don't, and on inputs with
+    a computed snapshot no executor starts (a lazy input runs once)."""
     refs, metas = [], []
     for ds in dss:
         for ref, meta in _live_blocks(ds):
@@ -187,7 +229,7 @@ def block_tables(
 ) -> Iterator[pa.Table]:
     """The non-empty blocks of ``ds`` as Arrow tables, in block order, read
     by ref: the refs and metadata come from ``iter_internal_ref_bundles``,
-    so on a materialized dataset no Ray Data execution starts (a lazy one
+    so on a dataset with a computed snapshot no executor starts (a lazy one
     runs once, as any consumer would run it).  Blocks whose metadata
     says zero rows are skipped unread.  ``cols``: project to these columns
     inside one raw task per block (all tasks are submitted before the first
@@ -225,13 +267,13 @@ def map_blocks(
     cols: Optional[Sequence[str]] = None,
 ) -> ray.data.Dataset:
     """``ds.map_batches(fn, batch_format="pyarrow")`` with one batch per
-    block, as one raw task per non-empty block of ``ds``: no Ray Data
-    execution starts on a materialized ``ds`` (a lazy one runs once).
+    block, as one raw task per non-empty block of ``ds``: no executor
+    starts on a ``ds`` with a computed snapshot (a lazy one runs once).
     ``fn`` ships once through ``ray.put``; ``cols`` projects each block
     inside its task, so the other columns never leave the object store
-    (``fn=None``: the projection alone).  Returns a materialized dataset of
-    the non-empty outputs, in block order; it waits for every task, since
-    the outputs' metadata build it."""
+    (``fn=None``: the projection alone).  Returns a ``dataset_from_blocks``
+    dataset of the non-empty outputs, in block order; it waits for every
+    task, since the outputs' metadata build it."""
     blocks = _block_refs(ds)
     if not blocks:
         return dataset_from_blocks([], [])
@@ -329,7 +371,7 @@ def hash_exchange(
         live = []
     if not live:
         if empty_schema is not None:
-            return ray.data.from_arrow(empty_schema.empty_table())
+            return dataset_from_tables([empty_schema.empty_table()])
         return dataset_from_blocks([], [])
     # one pickle of the reducer per call, not one per live partition
     fn_ref = ray.put(reduce_fn)

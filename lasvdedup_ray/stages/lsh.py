@@ -41,7 +41,13 @@ from ray.data.aggregate import Count
 
 from ..config import LSHConfig, SignatureConfig
 from ..functions.hashing import band_hashes, bloom_build, bloom_probe, id_hash64, splitmix64 as _smx64
-from .exchange import block_tables, hash_exchange, map_blocks, worker_get
+from .exchange import (
+    block_tables,
+    dataset_from_tables,
+    hash_exchange,
+    map_blocks,
+    worker_get,
+)
 from .signatures import sig_matrix_from_column
 
 # the hot/capped bucket sets come from the driver-held sig16 matrix (one
@@ -605,7 +611,7 @@ def candidate_pairs(
     if n_rows_slim < 2:
         # 0/1-row input: no pair can exist (and a zero-block dataset
         # downstream would be schemaless)
-        return ray.data.from_arrow(PAIR_SCHEMA.empty_table())
+        return dataset_from_tables([PAIR_SCHEMA.empty_table()])
 
     if sig_cfg.bands > 64:
         raise ValueError("cmask capped-band bitmask supports at most 64 bands")
@@ -630,7 +636,7 @@ def candidate_pairs(
     del sig16_drv  # plasma holds the blob: free the driver's copy before the band exchange
     if hot_struct[0] == "exact" and hot_struct[1].size == 0:
         # no bucket has >= 2 members -> no candidate pairs at all
-        return ray.data.from_arrow(PAIR_SCHEMA.empty_table())
+        return dataset_from_tables([PAIR_SCHEMA.empty_table()])
 
     # ---- phase 2: band shuffle over hot-bucket rows ----------------------
     # pkey is a hash residue in [0, num_partitions): use the raw-Ray hash

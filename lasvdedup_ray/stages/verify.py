@@ -39,7 +39,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 import ray.data
-from ray.data.block import BlockMetadataWithSchema
 
 from ..config import LSHConfig, SignatureConfig
 from ..functions.hashing import bloom_build, bloom_probe, id_hash64, shingle_hashes
@@ -47,7 +46,7 @@ from .exchange import (
     block_tables,
     cluster_cpus,
     concat_blocks,
-    dataset_from_blocks,
+    dataset_from_tables,
     map_blocks,
 )
 from .lsh import PAIR_SCHEMA
@@ -232,7 +231,7 @@ def attach_pair_contents(
     cols = [c for c in content.schema().names if c != id_col]
     if n <= driver_cap:
         pairs_t = pa.concat_tables(parts, promote_options="permissive")
-        return ray.data.from_arrow(_attach_driver(pairs_t, content, id_col, cols))
+        return dataset_from_tables([_attach_driver(pairs_t, content, id_col, cols)])
     # the probe stopped at cap+1 rows; bloom sizing needs the true count
     # (metadata-only on the materialized pairs)
     return _attach_distributed(pairs, pairs.count(), content, id_col, cols, num_partitions)
@@ -256,7 +255,7 @@ def verify_pairs(
     # neither pass schedules a task for them.  Block refs move, bytes don't.
     pairs = concat_blocks(pairs)
     if pairs.num_blocks() == 0:
-        return ray.data.from_arrow(PAIR_SCHEMA.empty_table())
+        return dataset_from_tables([PAIR_SCHEMA.empty_table()])
 
     if not lsh_cfg.exact_verify:
         return map_blocks(pairs, lambda t: t.filter(pc.less_equal(t["est_distance"], tau)))
@@ -297,11 +296,5 @@ def verify_pairs(
     n_blocks = max(1, min(64, border_t.num_rows // 512))
     step = -(-border_t.num_rows // n_blocks)
     slices = [border_t.slice(i * step, step) for i in range(n_blocks)]
-    checked = map_blocks(
-        dataset_from_blocks(
-            [ray.put(t) for t in slices],
-            [BlockMetadataWithSchema.from_block(t) for t in slices],
-        ),
-        check_batch,
-    )
+    checked = map_blocks(dataset_from_tables(slices), check_batch)
     return concat_blocks(sure, checked)

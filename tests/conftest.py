@@ -51,10 +51,22 @@ def _on_execute(monkeypatch, record):
 
 
 @pytest.fixture
+def executor_starts(monkeypatch):
+    """Operator names of every Ray Data ``StreamingExecutor`` started during
+    the test (one list per start), input-only DAGs included: reading a
+    dataset without a computed snapshot starts one even when it only hands
+    back blocks that already exist."""
+    started = []
+    _on_execute(monkeypatch, lambda ops: started.append([op.name for op in ops]))
+    return started
+
+
+@pytest.fixture
 def executions(monkeypatch):
     """Operator names of every Ray Data execution started during the test
     whose DAG has an operator besides ``InputDataBuffer`` (one list per
-    execution).  Reading a materialized dataset's blocks starts none."""
+    execution).  Executors over an input-only DAG are not listed here;
+    ``executor_starts`` counts them."""
     from ray.data._internal.execution.operators.input_data_buffer import (
         InputDataBuffer,
     )

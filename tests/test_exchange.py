@@ -14,6 +14,7 @@ from lasvdedup_ray.stages.exchange import (
     block_tables,
     concat_blocks,
     dataset_from_blocks,
+    dataset_from_tables,
     hash_exchange,
     map_blocks,
 )
@@ -302,9 +303,11 @@ def test_no_metadata_tasks_and_empty_blocks_skipped(ray_session, submitted):
     assert submitted["get_table_block_metadata_schema"] == 0
 
 
-def test_block_tables_reads_materialized_blocks_by_ref(ray_session, executions):
+def test_block_tables_reads_materialized_blocks_by_ref(
+    ray_session, executions, executor_starts
+):
     """``block_tables`` yields the non-empty blocks of a materialized dataset
-    in block order without starting an execution; a block whose metadata
+    in block order without starting an executor; a block whose metadata
     says zero rows is never read (here its ref is not even a table)."""
     import ray
     from ray.data.block import BlockMetadataWithSchema
@@ -320,10 +323,13 @@ def test_block_tables_reads_materialized_blocks_by_ref(ray_session, executions):
     projected = list(block_tables(ds, ["id"]))
     assert [t.column_names for t in projected] == [["id"], ["id"]]
     assert pa.concat_tables(projected)["id"].to_pylist() == ["x", "y", "z"]
+    assert executor_starts == []
     mat = rd.range(100, override_num_blocks=4).map_batches(lambda t: t).materialize()
     executions.clear()
+    executor_starts.clear()
     assert sum(t.num_rows for t in block_tables(mat, ["id"])) == 100
     assert executions == []
+    assert executor_starts == []
 
 
 def test_block_tables_runs_lazy_input_once(ray_session, executions):
@@ -350,13 +356,16 @@ def _make_keep_even():
     return keep_even
 
 
-def test_map_blocks_on_materialized_input(ray_session, executions, submitted):
-    """No execution starts, one raw task runs per non-empty input block,
+def test_map_blocks_on_materialized_input(
+    ray_session, executions, executor_starts, submitted
+):
+    """No executor starts, one raw task runs per non-empty input block,
     and the known-empty outputs are dropped from the result."""
     odd = pa.table({"pkey": pa.array([0, 0], pa.int32()), "v": pa.array([1, 3], pa.int64())})
     mixed = pa.table({"pkey": pa.array([0, 1], pa.int32()), "v": pa.array([2, 5], pa.int64())})
     ds = rd.from_arrow([odd, mixed, odd.slice(0, 0), mixed]).materialize()
     executions.clear()
+    executor_starts.clear()
     submitted.clear()
     out = map_blocks(ds, _make_keep_even())
     assert executions == []
@@ -364,6 +373,7 @@ def test_map_blocks_on_materialized_input(ray_session, executions, submitted):
     metas = [m for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
     assert [m.num_rows for m in metas] == [1, 1]
     assert _rows(out) == [(0, 2), (0, 2)]
+    assert executor_starts == []
 
 
 def test_map_blocks_projects_cols(ray_session):
@@ -396,16 +406,44 @@ def test_map_blocks_runs_lazy_input_once(ray_session, executions):
     assert len(_rows(out)) == 100
 
 
-def test_concat_blocks_keeps_every_row(ray_session, executions):
+def test_concat_blocks_keeps_every_row(ray_session, executions, executor_starts):
     a = _mk(300, 4, n_blocks=3).materialize()
-    b = rd.from_arrow(pa.table({"pkey": pa.array([1], pa.int32()), "v": pa.array([-1], pa.int64())}))
+    b = rd.from_arrow(
+        pa.table({"pkey": pa.array([1], pa.int32()), "v": pa.array([-1], pa.int64())})
+    ).materialize()
     none = dataset_from_blocks([], [])
     executions.clear()
+    executor_starts.clear()
     out = concat_blocks(a, none, b, a)
     assert executions == []
     assert _rows(out) == sorted(_rows(a) * 2 + _rows(b))
     assert out.count() == 601
     assert _rows(concat_blocks(none)) == []
+    assert executor_starts == []
+
+
+def test_reading_block_task_outputs_starts_no_executor(ray_session, executor_starts):
+    """``materialize``, ``count`` and ``to_arrow_refs`` on a ``map_blocks``
+    and on a ``hash_exchange`` output hand back the tasks' blocks without
+    starting an executor, also after ``materialize``; so does a
+    ``dataset_from_tables`` dataset."""
+    import ray
+
+    ds = _mk(400, 4, n_blocks=4).materialize()
+    t = pa.table({"pkey": pa.array([3, 1], pa.int32()), "v": pa.array([7, 8], pa.int64())})
+    outs = [
+        map_blocks(ds, _make_keep_even()),
+        hash_exchange(ds, "pkey", 4, _make_summarize()),
+        dataset_from_tables([t, t.slice(0, 0), t]),
+    ]
+    executor_starts.clear()
+    for out, rows in zip(outs, (200, 4, 4)):
+        for read in (out, out.materialize()):
+            assert read.count() == rows
+            tables = ray.get(read.to_arrow_refs())
+            assert sum(b.num_rows for b in tables) == rows
+    assert executor_starts == []
+    assert _rows(outs[2]) == [(1, 8), (1, 8), (3, 7), (3, 7)]
 
 
 class _CountsPickles:

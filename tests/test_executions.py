@@ -3,11 +3,16 @@
 Each execution costs a fixed ~150 ms of CPU however few rows it moves, so
 after sign the flagship runs raw tasks over block refs only (``map_blocks``,
 ``concat_blocks``, ``hash_exchange``), reads each checkpointed stage from
-Parquet once, and never builds a stage its checkpoint already holds.  These
-tests pin the number of executions with an operator besides the input
-buffer (``executions`` fixture, conftest.py), the Ray tasks submitted
-(``tasks``), the executions that read each stage's Parquet
-(``parquet_reads``), and that a resume runs no sha exchange."""
+Parquet once, and never builds a stage its checkpoint already holds.  A
+block-ref dataset carries its blocks as a computed snapshot
+(``dataset_from_blocks``), so reading it starts no executor either; without
+the snapshot every read would start one over an input-only DAG.  These
+tests pin every executor start (``executor_starts`` fixture, conftest.py):
+after sign a job starts none beyond its checkpoint's Parquet writes and
+reads.  They also pin the executions with an operator besides the input
+buffer (``executions``), the Ray tasks submitted (``tasks``), the
+executions that read each stage's Parquet (``parquet_reads``), and that a
+resume runs no sha exchange."""
 
 import os
 
@@ -41,14 +46,18 @@ def _job(files, config) -> pa.Table:
 # these bounds were set; a job may not submit more.  The exchange pair is
 # the sha-exchange collapse (``exact_driver_cap=0``), the driver pair the
 # default driver collapse of this 300-row corpus.
-TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 64, 173, 76
-TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 65, 73
+TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 63, 173, 76
+TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 64, 72
 
 
-def test_job_without_checkpoint(ray_session, corpus_files, executions, tasks):
-    """Read + sign is the only execution a job needs; one more is allowed."""
+def test_job_without_checkpoint(
+    ray_session, corpus_files, executions, executor_starts, tasks
+):
+    """Read + sign is the only execution a job needs, and the only executor
+    it starts, reading the result by ``to_arrow_refs`` included."""
     _job(corpus_files, PipelineConfig())
     assert len(executions) <= 2, executions
+    assert len(executor_starts) == 1, executor_starts
     assert len(tasks) <= TASKS_RUN, tasks
 
 
@@ -61,14 +70,22 @@ def _stage_reads(parquet_reads, ckpt) -> dict:
 
 
 def test_resume_skips_sha_exchange(
-    ray_session, corpus_files, executions, parquet_reads, tasks, monkeypatch, tmp_path
+    ray_session,
+    corpus_files,
+    executions,
+    executor_starts,
+    parquet_reads,
+    tasks,
+    monkeypatch,
+    tmp_path,
 ):
     """With the sha collapse forced through the exchange
     (``exact_driver_cap=0``), the checkpointed write runs at most 4
-    executions and hands its stages on without reading them back.  The
-    resume reads ``reps`` back without building the sha exchange, reads
-    each stage's Parquet in one execution, runs at most 3 executions, and
-    returns the write's output."""
+    executions and hands its stages on without reading them back; it starts
+    3 executors (read + sign, one Parquet write per stage).  The resume
+    reads ``reps`` back without building the sha exchange, reads each
+    stage's Parquet in one execution, runs at most 3 executions, starts 2
+    executors (the two Parquet reads), and returns the write's output."""
     calls = []
     for name in ("exact_collapse", "_sha_exchange"):
         real = getattr(exact, name)
@@ -80,28 +97,39 @@ def test_resume_skips_sha_exchange(
     written = _job(corpus_files, config)
     assert calls == ["exact_collapse", "_sha_exchange"]
     assert len(executions) <= 4, executions
+    assert len(executor_starts) == 3, executor_starts
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
     assert len(tasks) <= TASKS_WRITE, tasks
     calls.clear()
     executions.clear()
+    executor_starts.clear()
     parquet_reads.clear()
     tasks.clear()
     resumed = _job(corpus_files, config)
     assert calls == []
     assert len(executions) <= 3, executions
+    assert len(executor_starts) == 2, executor_starts
     assert len(tasks) <= TASKS_RESUME, tasks
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 1}, parquet_reads
     assert resumed.equals(written)
 
 
 def test_driver_collapse_resume(
-    ray_session, corpus_files, executions, parquet_reads, tasks, monkeypatch, tmp_path
+    ray_session,
+    corpus_files,
+    executions,
+    executor_starts,
+    parquet_reads,
+    tasks,
+    monkeypatch,
+    tmp_path,
 ):
     """Below ``exact_driver_cap`` (the default at this size) a checkpointed
     job collapses exact dups on the driver and pins ``signed`` only: the
-    write runs at most 2 executions, reads no stage back and writes no
-    ``reps``; the resume runs one execution, which reads ``signed``,
-    redoes the driver collapse from it, and returns the write's output."""
+    write runs at most 2 executions and starts 2 executors (read + sign,
+    the Parquet write), reads no stage back and writes no ``reps``; the
+    resume starts one executor, which reads ``signed``, redoes the driver
+    collapse from it, and returns the write's output."""
     calls = []
     for name in ("exact_collapse", "exact_collapse_driver"):
         real = getattr(exact, name)
@@ -114,15 +142,18 @@ def test_driver_collapse_resume(
     assert calls == ["exact_collapse_driver"]
     assert not os.path.exists(os.path.join(ckpt, "reps"))
     assert len(executions) <= 2, executions
+    assert len(executor_starts) == 2, executor_starts
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
     assert len(tasks) <= TASKS_DRIVER_WRITE, tasks
     calls.clear()
     executions.clear()
+    executor_starts.clear()
     parquet_reads.clear()
     tasks.clear()
     resumed = _job(corpus_files, config)
     assert calls == ["exact_collapse_driver"]
     assert len(executions) <= 1, executions
+    assert len(executor_starts) == 1, executor_starts
     assert len(tasks) <= TASKS_DRIVER_RESUME, tasks
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 0}, parquet_reads
     assert resumed.equals(written)
