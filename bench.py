@@ -6,8 +6,10 @@ reported as wall seconds + files/sec.  Also times representative pipelines
 from queries() over $GRAFT_SF_DIR tables.
 
   python bench.py               # one run at $RAY_GRAFT_CPUS (default 32)
-  python bench.py --scaling     # fresh processes at 8 and 32 CPUs,
-                                # reports both + scaling efficiency
+  python bench.py --scaling     # fresh processes at N/4 and N CPUs (N =
+                                # os.cpu_count()), reports both + scaling
+                                # efficiency
+  python bench.py --ceiling     # the same CPU pair on pure numpy work
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS.
 """
@@ -220,109 +222,20 @@ def run_bench() -> dict:
     return result
 
 
-def run_stages() -> dict:
-    """Stage-level wall-time split of the flagship at $RAY_GRAFT_CPUS —
-    the scaling-efficiency evidence: compute stages (sign) should scale
-    near-linearly with CPUs, the all-to-all exchanges (candidates,
-    classify) are bounded by single-box memory bandwidth at every CPU
-    count.  Prints one JSON line."""
-    import ray
-
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    import ray.data as rd
-
-    rd.DataContext.get_current().enable_progress_bars = False
-
-    import pyarrow as _pa
-
-    from lasvdedup_ray.config import PipelineConfig
-    from lasvdedup_ray.pipelines.dedup import SLIM_COLS, candidate_tau
-    from lasvdedup_ray.stages.classify import classify_clusters
-    from lasvdedup_ray.stages.lsh import candidate_pairs
-    from lasvdedup_ray.stages.prepare import prepare
-    from lasvdedup_ray.stages.signatures import add_signatures
-    from lasvdedup_ray.stages.verify import verify_pairs
-    from lasvdedup_ray.state.unionfind import assign_clusters
-
-    sf = sf_from_dir(SF_DIR)
-    n_files = int(
-        os.environ.get("GRAFT_BENCH_FILES", max(2000, int(FILES_PER_SF * sf)))
-    )
-    corpus_dir = ensure_corpus(n_files)
-    corpus_paths = [
-        os.path.join(corpus_dir, f)
-        for f in sorted(os.listdir(corpus_dir))
-        if f.startswith("part-")
-    ]
-
-    def _touch(t):
-        return _pa.table({"n": _pa.array([t.num_rows])})
-
-    rd.read_parquet(corpus_paths).map_batches(_touch, batch_format="pyarrow").count()
-
-    cfg = PipelineConfig()
-    tau = candidate_tau(cfg)
-    emit_tau = tau + cfg.lsh.exact_margin_high
-    stages = {}
-
-    t0 = time.time()
-    signed = add_signatures(
-        prepare(rd.read_parquet(corpus_paths), batch_size=2048),
-        cfg=cfg.signature,
-        batch_size=2048,
-    ).materialize()
-    stages["sign"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    edges = verify_pairs(
-        candidate_pairs(
-            signed.select_columns(["id", "minhash", "simhash"]),
-            cfg.signature,
-            cfg.lsh,
-            tau=emit_tau,
-        ),
-        signed.select_columns(["id", "content"]),
-        cfg.signature,
-        cfg.lsh,
-        tau=tau,
-        num_partitions=max(8, NUM_CPUS),
-    ).materialize()
-    stages["candidates_verify"] = round(time.time() - t0, 3)
-
-    t0 = time.time()
-    meta = signed.select_columns(SLIM_COLS + ["minhash", "simhash"])
-    clustered = assign_clusters(
-        meta, edges, num_partitions=max(8, NUM_CPUS)
-    )
-    n_out = classify_clusters(clustered, cfg).count()
-    stages["cluster_classify"] = round(time.time() - t0, 3)
-    assert n_out == n_files
-
-    result = {
-        "metric": "flagship stage split",
-        "value": round(sum(stages.values()), 3),
-        "unit": "sec",
-        "stages": stages,
-        "num_cpus": NUM_CPUS,
-        "corpus_files": n_files,
-    }
-    ray.shutdown()
-    return result
+def cpu_pair() -> tuple:
+    """``(N // 4, N)`` for the box's ``os.cpu_count()`` N: the two CPU
+    counts ``--scaling`` and ``--ceiling`` compare."""
+    n = os.cpu_count() or 1
+    return max(1, n // 4), n
 
 
 def run_ceiling() -> dict:
     """Machine scaling ceiling: fixed pure-numpy work (matmul chain), no
-    shuffle, no I/O, fresh processes at 8 and 32 CPUs.  The efficiency of
-    THIS job bounds the efficiency any pipeline can reach on this box —
-    on the sandbox VM it measures ~0.70-0.72 (32 vCPUs share memory
-    channels/turbo that 8 vCPUs get exclusively), which calibrates the
-    >= 0.8 bar for single-box evidence."""
+    shuffle, no I/O, fresh processes at the ``cpu_pair()`` CPU counts.
+    The efficiency of THIS job bounds the efficiency any pipeline can reach
+    on the box — at 8 -> 32 vCPUs on the round-5 VM it measured ~0.70-0.72
+    (32 vCPUs share memory channels/turbo that 8 vCPUs get exclusively),
+    which calibrates the >= 0.8 bar for single-box evidence."""
     body = r"""
 import sys, time, json
 import ray
@@ -355,14 +268,17 @@ ray.shutdown()
         ).stdout
         return json.loads(out.strip().splitlines()[-1])["sec"]
 
-    t32 = run(32)
-    t8 = run(8)
+    lo_cpus, hi_cpus = cpu_pair()
+    t_hi = run(hi_cpus)
+    t_lo = run(lo_cpus)
     return {
-        "metric": "pure-compute scaling ceiling (no shuffle, 8 -> 32 CPUs)",
-        "value": round((t8 / t32) / 4.0, 3),
+        "metric": f"pure-compute scaling ceiling (no shuffle, {lo_cpus} -> {hi_cpus} CPUs)",
+        "value": round((t_lo / t_hi) / (hi_cpus / lo_cpus), 3),
         "unit": "efficiency",
-        "sec_8": t8,
-        "sec_32": t32,
+        "cpus_lo": lo_cpus,
+        "cpus_hi": hi_cpus,
+        "sec_lo": t_lo,
+        "sec_hi": t_hi,
     }
 
 
@@ -396,7 +312,7 @@ def run_scaling() -> dict:
     # unbiased estimator of the machine's actual capability under
     # one-sided system noise
     repeats = int(os.environ.get("GRAFT_SCALING_REPEATS", "2"))
-    lo_cpus, hi_cpus = 8, 32
+    lo_cpus, hi_cpus = cpu_pair()
     run(lo_cpus if scaling_files <= 50_000 else hi_cpus)  # untimed warm-up: build the corpus cache
     runs_lo = [run(lo_cpus) for _ in range(repeats)]
     runs_hi = [run(hi_cpus) for _ in range(repeats)]
@@ -405,18 +321,20 @@ def run_scaling() -> dict:
     t_lo, t_hi = r_lo["value"], r_hi["value"]
     eff = (t_lo / t_hi) / (hi_cpus / lo_cpus)
     return {
-        "metric": "dedup scaling efficiency (8 -> 32 CPUs, fresh processes)",
+        "metric": f"dedup scaling efficiency ({lo_cpus} -> {hi_cpus} CPUs, fresh processes)",
         "value": round(eff, 3),
         "machine": machine_probe(),
         "unit": "efficiency",
-        "sec_8": t_lo,
-        "sec_32": t_hi,
-        "sec_8_all": [r["value"] for r in runs_lo],
-        "sec_32_all": [r["value"] for r in runs_hi],
-        "files_per_sec_8": r_lo["files_per_sec"],
-        "files_per_sec_32": r_hi["files_per_sec"],
-        "queries_8": r_lo["queries"],
-        "queries_32": r_hi["queries"],
+        "cpus_lo": lo_cpus,
+        "cpus_hi": hi_cpus,
+        "sec_lo": t_lo,
+        "sec_hi": t_hi,
+        "sec_lo_all": [r["value"] for r in runs_lo],
+        "sec_hi_all": [r["value"] for r in runs_hi],
+        "files_per_sec_lo": r_lo["files_per_sec"],
+        "files_per_sec_hi": r_hi["files_per_sec"],
+        "queries_lo": r_lo["queries"],
+        "queries_hi": r_hi["queries"],
         "sf": r_lo["sf"],
         "corpus_files": r_lo["corpus_files"],
     }
@@ -425,8 +343,6 @@ def run_scaling() -> dict:
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
-    elif "--stages" in sys.argv:
-        print(json.dumps(run_stages()))
     elif "--ceiling" in sys.argv:
         print(json.dumps(run_ceiling()))
     else:

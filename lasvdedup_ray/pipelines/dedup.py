@@ -45,7 +45,7 @@ from ..stages.exchange import (
     map_blocks,
     worker_get,
 )
-from ..stages.lsh import band_stats, candidate_pairs
+from ..stages.lsh import candidate_pairs
 from ..stages.prepare import prepare
 from ..stages.signatures import add_signatures
 from ..stages.verify import verify_pairs
@@ -232,7 +232,6 @@ def dedup_pipeline(
             config.signature,
             config.lsh,
             tau=tau,
-            num_partitions=num_partitions,
         )
         edges = concat_blocks(near_edges, e_edges)
 
@@ -374,16 +373,3 @@ def write_results(
     # group_members is list-typed: keep pyarrow end-to-end
     results.write_parquet(out_dir, partition_cols=["classification"])
 
-
-def dedup_metrics(
-    signed_slim: ray.data.Dataset,
-    config: PipelineConfig,
-) -> ray.data.Dataset:
-    """Lineage/metrics rows: band bucket-size histogram + dropped-pair
-    accounting (north_rule: per-partition lineage + row-count/signature
-    metrics)."""
-    return band_stats(
-        signed_slim.select_columns(["id", "minhash", "simhash"]),
-        config.signature,
-        config.lsh,
-    )

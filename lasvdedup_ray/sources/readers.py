@@ -100,6 +100,17 @@ def _clean_schema(path: str) -> pa.Schema | None:
     return pa.schema(fields)
 
 
+def size_derived_blocks(paths) -> int | None:
+    """The block count ``read_parquet_clean`` gives a small input: one
+    block per ``_BLOCK_TARGET_BYTES`` of file bytes, clamped to
+    [1, 2*CPUs]; None above ``_SMALL_READ_BYTES`` or when a path is not
+    statable (Ray's default parallelism applies)."""
+    sz = _input_bytes(paths)
+    if sz is None or sz > _SMALL_READ_BYTES:
+        return None
+    return max(1, min(2 * cluster_cpus(), -(-sz // _BLOCK_TARGET_BYTES)))
+
+
 def read_parquet_clean(*args, **kwargs) -> ray.data.Dataset:
     """Drop-in for ``ray.data.read_parquet`` whose blocks carry
     metadata-free (hence hashable, dedupable) schemas, and whose block
@@ -116,11 +127,9 @@ def read_parquet_clean(*args, **kwargs) -> ray.data.Dataset:
     for the fallback cases where Ray must infer the schema (unreadable
     footer, hive partition columns absent from the footer)."""
     if "override_num_blocks" not in kwargs and args:
-        sz = _input_bytes(args[0])
-        if sz is not None and sz <= _SMALL_READ_BYTES:
-            kwargs["override_num_blocks"] = max(
-                1, min(2 * cluster_cpus(), -(-sz // _BLOCK_TARGET_BYTES))
-            )
+        n_blocks = size_derived_blocks(args[0])
+        if n_blocks is not None:
+            kwargs["override_num_blocks"] = n_blocks
     if "schema" not in kwargs and args:
         f = _first_file(args[0])
         if f is not None:

@@ -21,7 +21,7 @@ import shutil
 from typing import Callable, Optional, Union
 
 import ray.data
-from ..sources.readers import read_parquet_clean
+from ..sources.readers import read_parquet_clean, size_derived_blocks
 
 
 class StageCheckpointer:
@@ -93,8 +93,16 @@ class StageCheckpointer:
     def read(self, name: str) -> ray.data.Dataset:
         """A completed stage as a lazy Parquet read, for a caller that
         consumes it once and streams it (``pin`` holds the whole stage in
-        the object store)."""
-        return read_parquet_clean(os.path.join(self.dir, name))
+        the object store).  At most one block per Parquet file the write
+        produced (fewer where the reader's size-derived count is lower): a
+        file is never split, so a resume runs no wave on more blocks than
+        the write did."""
+        path = os.path.join(self.dir, name)
+        n_files = sum(
+            f.endswith(".parquet") for _root, _dirs, files in os.walk(path) for f in files
+        )
+        n_blocks = min(n_files, size_derived_blocks(path) or n_files)
+        return read_parquet_clean(path, override_num_blocks=max(1, n_blocks))
 
     def pin(
         self,

@@ -110,12 +110,6 @@ def components_driver(edges: ray.data.Dataset) -> Dict[str, str]:
     return dsu.labels()
 
 
-def _label_table(ids: List[str], labels: List[str]) -> pa.Table:
-    return pa.table(
-        {"id": pa.array(ids, pa.string()), "cluster_id": pa.array(labels, pa.string())}
-    )
-
-
 def components_distributed(
     edges: ray.data.Dataset,
     num_partitions: int = 32,

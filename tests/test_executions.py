@@ -12,7 +12,8 @@ after sign a job starts none beyond its checkpoint's Parquet writes and
 reads.  They also pin the executions with an operator besides the input
 buffer (``executions``), the Ray tasks submitted (``tasks``), the
 executions that read each stage's Parquet (``parquet_reads``), and that a
-resume runs no sha exchange."""
+resume runs no sha exchange and no more ``map_blocks`` tasks than its
+write."""
 
 import os
 
@@ -46,8 +47,15 @@ def _job(files, config) -> pa.Table:
 # these bounds were set; a job may not submit more.  The exchange pair is
 # the sha-exchange collapse (``exact_driver_cap=0``), the driver pair the
 # default driver collapse of this 300-row corpus.
-TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 63, 173, 76
-TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 64, 72
+TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 63, 173, 71
+TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 64, 62
+
+
+def _map_block_tasks(tasks) -> int:
+    """``map_blocks`` tasks among the submitted ones: one per block per
+    wave, so a resume that read a stage back in more blocks than the write
+    produced submits more."""
+    return sum(name.endswith("._map_block") for name in tasks)
 
 
 def test_job_without_checkpoint(
@@ -85,7 +93,9 @@ def test_resume_skips_sha_exchange(
     3 executors (read + sign, one Parquet write per stage).  The resume
     reads ``reps`` back without building the sha exchange, reads each
     stage's Parquet in one execution, runs at most 3 executions, starts 2
-    executors (the two Parquet reads), and returns the write's output."""
+    executors (the two Parquet reads), submits no more ``map_blocks`` tasks
+    than the write (a stage is read back in no more blocks than it was
+    written from), and returns the write's output."""
     calls = []
     for name in ("exact_collapse", "_sha_exchange"):
         real = getattr(exact, name)
@@ -100,6 +110,7 @@ def test_resume_skips_sha_exchange(
     assert len(executor_starts) == 3, executor_starts
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
     assert len(tasks) <= TASKS_WRITE, tasks
+    written_maps = _map_block_tasks(tasks)
     calls.clear()
     executions.clear()
     executor_starts.clear()
@@ -110,6 +121,7 @@ def test_resume_skips_sha_exchange(
     assert len(executions) <= 3, executions
     assert len(executor_starts) == 2, executor_starts
     assert len(tasks) <= TASKS_RESUME, tasks
+    assert _map_block_tasks(tasks) <= written_maps, tasks
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 1}, parquet_reads
     assert resumed.equals(written)
 
@@ -129,7 +141,8 @@ def test_driver_collapse_resume(
     write runs at most 2 executions and starts 2 executors (read + sign,
     the Parquet write), reads no stage back and writes no ``reps``; the
     resume starts one executor, which reads ``signed``, redoes the driver
-    collapse from it, and returns the write's output."""
+    collapse from it, submits no more ``map_blocks`` tasks than the write,
+    and returns the write's output."""
     calls = []
     for name in ("exact_collapse", "exact_collapse_driver"):
         real = getattr(exact, name)
@@ -145,6 +158,7 @@ def test_driver_collapse_resume(
     assert len(executor_starts) == 2, executor_starts
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
     assert len(tasks) <= TASKS_DRIVER_WRITE, tasks
+    written_maps = _map_block_tasks(tasks)
     calls.clear()
     executions.clear()
     executor_starts.clear()
@@ -155,5 +169,6 @@ def test_driver_collapse_resume(
     assert len(executions) <= 1, executions
     assert len(executor_starts) == 1, executor_starts
     assert len(tasks) <= TASKS_DRIVER_RESUME, tasks
+    assert _map_block_tasks(tasks) <= written_maps, tasks
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 0}, parquet_reads
     assert resumed.equals(written)

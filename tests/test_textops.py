@@ -95,7 +95,10 @@ def test_common_span_pairs_runs(doc_dir):
     assert int(out["lcs_len"].iloc[0]) >= 300
 
 
-def test_attach_pair_contents_paths_agree(doc_dir):
+def test_attach_pair_contents_paths_agree(doc_dir, monkeypatch):
+    """One chunk and one pair per chunk attach the same contents."""
+    from lasvdedup_ray.stages import verify
+
     docs = ray.data.read_parquet(f"{doc_dir}/documents.parquet", columns=["doc_id", "text"])
     pairs = ray.data.from_arrow(
         pa.table(
@@ -106,7 +109,8 @@ def test_attach_pair_contents_paths_agree(doc_dir):
         )
     )
     a = attach_pair_contents(pairs, docs, id_col="doc_id").to_pandas()
-    b = attach_pair_contents(pairs, docs, id_col="doc_id", driver_cap=0).to_pandas()
+    monkeypatch.setattr(verify, "_BORDER_CHUNK", 1)
+    b = attach_pair_contents(pairs, docs, id_col="doc_id").to_pandas()
     cols = ["id_a", "id_b", "text_a", "text_b"]
     a = a[cols].sort_values(["id_a", "id_b"]).reset_index(drop=True)
     b = b[cols].sort_values(["id_a", "id_b"]).reset_index(drop=True)

@@ -1,8 +1,8 @@
-"""verify_pairs: exact boundary semantics must hold on BOTH execution
-paths — the driver-attach fast path and the fully distributed
-bloom + double-join path (round-1 ADVICE: the old code skipped exact
-verification above a driver cap; now boundary pairs are exact-checked at
-every scale)."""
+"""verify_pairs: exact boundary semantics must hold however the border set
+is chunked — in one driver chunk, or in many (``_BORDER_CHUNK`` patched
+to 1: one pair per chunk).  Boundary pairs are exact-checked at every
+scale (round-1 ADVICE: the old code skipped exact verification above a
+driver cap)."""
 
 import numpy as np
 import pyarrow as pa
@@ -10,7 +10,9 @@ import pytest
 import ray.data
 
 from lasvdedup_ray.config import LSHConfig, SignatureConfig
+from lasvdedup_ray.stages.exchange import block_tables, dataset_from_tables
 from lasvdedup_ray.stages.lsh import PAIR_SCHEMA
+from lasvdedup_ray.stages import verify
 from lasvdedup_ray.stages.verify import exact_jaccard_for_pairs, verify_pairs
 
 SIG = SignatureConfig(k=3)
@@ -54,18 +56,11 @@ def fixture_data():
     return pairs, content
 
 
-@pytest.mark.parametrize("cap", [5000, 0])  # driver path / forced distributed path
-def test_borderline_exact_checked_both_paths(fixture_data, cap):
+@pytest.mark.parametrize("chunk", [5000, 1])  # one chunk / one pair per chunk
+def test_borderline_exact_checked_both_paths(fixture_data, chunk, monkeypatch):
+    monkeypatch.setattr(verify, "_BORDER_CHUNK", chunk)
     pairs, content = fixture_data
-    out = verify_pairs(
-        pairs,
-        content,
-        SIG,
-        LSHConfig(),
-        tau=TAU,
-        num_partitions=4,
-        border_driver_cap=cap,
-    ).take_all()
+    out = verify_pairs(pairs, content, SIG, LSHConfig(), tau=TAU).take_all()
     kept = {(r["id_a"], r["id_b"]) for r in out}
     assert ("a", "b") in kept  # borderline, exact d <= tau -> kept
     assert ("c", "d") not in kept  # borderline, exact d > tau -> dropped
@@ -88,14 +83,14 @@ def test_no_borderline_short_circuit(fixture_data):
     assert [(r["id_a"], r["id_b"]) for r in out] == [("e", "f")]
 
 
-@pytest.mark.parametrize("cap", [5000, 0])  # driver path / forced distributed path
-def test_attach_pair_contents_drops_missing_ids_both_paths(fixture_data, cap):
-    # ADVICE r2: the driver path used to raise a bare KeyError for a pair
-    # endpoint absent from the content table, while the distributed path's
-    # inner joins silently dropped the pair — semantics must not flip at
-    # driver_cap.  Both paths now DROP such pairs.
+@pytest.mark.parametrize("chunk", [5000, 1])  # one chunk / one pair per chunk
+def test_attach_pair_contents_drops_missing_ids_both_paths(fixture_data, chunk, monkeypatch):
+    # ADVICE r2: a pair with an endpoint absent from the content table is
+    # DROPPED (inner-join semantics), never a KeyError — whether it shares
+    # its chunk with a kept pair or sits in a chunk of its own.
     from lasvdedup_ray.stages.verify import attach_pair_contents
 
+    monkeypatch.setattr(verify, "_BORDER_CHUNK", chunk)
     _, content = fixture_data
     pairs = ray.data.from_arrow(
         pa.table(
@@ -107,8 +102,50 @@ def test_attach_pair_contents_drops_missing_ids_both_paths(fixture_data, cap):
             schema=PAIR_SCHEMA,
         )
     )
-    out = attach_pair_contents(
-        pairs, content, num_partitions=4, driver_cap=cap
-    ).take_all()
+    out = attach_pair_contents(pairs, content).take_all()
     assert {(r["id_a"], r["id_b"]) for r in out} == {("a", "b")}
     assert all("content_a" in r and "content_b" in r for r in out)
+
+
+def test_border_set_over_many_chunks(monkeypatch, executions):
+    """A border set of 9 pairs in chunks of 2 (5 chunks, one cut inside a
+    pair block) gives the single-chunk edge set, exact distances included,
+    and starts no Ray Data execution."""
+    docs = {f"d{i}": _mk(200, drop=6 * i) for i in range(10)}
+    content = dataset_from_tables(
+        [pa.table({"id": list(docs), "content": list(docs.values())})]
+    )
+    ids = sorted(docs)
+    # every pair borderline (est 0.18 > tau - 0.04): each one is exact-checked;
+    # d_i shifts the tokens by 6i, so the exact distance to d0 grows with i
+    # and crosses tau between d7 and d8
+    rows = [(ids[0], b) for b in ids[1:]]
+    tables = [
+        pa.table(
+            {
+                "id_a": pa.array([a for a, _ in part], pa.string()),
+                "id_b": pa.array([b for _, b in part], pa.string()),
+                "est_distance": pa.array([0.18] * len(part), pa.float64()),
+            },
+            schema=PAIR_SCHEMA,
+        )
+        for part in (rows[:3], rows[3:])
+    ]
+    pairs = dataset_from_tables(tables)
+
+    def edges() -> set:
+        out = verify_pairs(pairs, content, SIG, LSHConfig(), tau=TAU)
+        return {
+            (r["id_a"], r["id_b"], round(r["est_distance"], 12))
+            for t in block_tables(out)
+            for r in t.to_pylist()
+        }
+
+    one = edges()
+    monkeypatch.setattr(verify, "_BORDER_CHUNK", 2)
+    executions.clear()
+    many = edges()
+    assert executions == []
+    assert many == one
+    # the set is non-trivial: some border pairs kept, some dropped
+    assert 0 < len(one) < len(rows), one
