@@ -376,8 +376,10 @@ def classify_clusters(
     from .exchange import exchange_partitions, hash_exchange, map_blocks, string_pkey
 
     config = config or PipelineConfig()
-    # exchange_partitions(): 4 per CPU, so a partition holding a
-    # mega-cluster doesn't become the straggler of a single wave
+    # exchange_partitions() fixes only the hash space; hash_exchange cuts
+    # the partitions into reduce tasks of about equal bytes, so a partition
+    # holding a mega-cluster shares its task with less than one task's
+    # share of other partitions
     n_parts = exchange_partitions()
 
     def add_pkey(t: pa.Table) -> pa.Table:

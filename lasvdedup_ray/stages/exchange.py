@@ -9,11 +9,11 @@ compare was fixed).  For keys that are ALREADY a hash residue in
 ``[0, num_partitions)`` (the engine's ``pkey`` columns), none of that
 machinery is needed: this helper splits each upstream block into
 ``num_partitions`` sub-tables (one task per block, ``num_returns=P+1``;
-the extra return is the per-partition row-count vector) and runs one
-reduce task per NON-EMPTY partition over its sub-tables — two scheduling
-waves, no sampling pass, no sort.  Partitions with zero rows are skipped
-entirely, matching ``groupby`` semantics (a reduce fn is never invoked
-on an empty group), so reducers need no empty-input guard.
+the extra return is a ``(2, P)`` vector of rows and estimated bytes per
+partition) and runs one reduce wave over the NON-EMPTY partitions — two
+scheduling waves, no sampling pass, no sort.  Partitions with zero rows
+are skipped entirely, matching ``groupby`` semantics (a reduce fn is never
+invoked on an empty group), so reducers need no empty-input guard.
 
 Partitioning assumption (document per SURVEY): every row with the same
 ``pkey`` value lands in exactly ONE reduce call — identical to the
@@ -34,17 +34,62 @@ no critical-path time: every reduce already waits on every split (each
 needs its sliver of every block).
 
 Partition count: every flagship exchange takes ``exchange_partitions()``
-reduce partitions, 4 per cluster CPU.  With one partition per CPU a single
-skewed partition is the straggler of the only reduce wave; a few waves per
-CPU let the scheduler rebalance around it (FP-Hadoop, VLDB 2015).  A fixed
-count does not follow the cluster: 64 partitions on a 4-CPU box cost more
-in per-sliver tasks and objects than the work they spread.
+hash partitions, 4 per cluster CPU.  The count fixes the hash space, not
+the reduce tasks (below).  A fixed count does not follow the cluster: 64
+partitions on a 4-CPU box cost more in per-sliver tasks and objects than
+the work they spread.
 
-Scale note: object count is ``num_blocks x num_partitions`` slivers; at
-600k files on 32 CPUs (75 blocks x 128 partitions) that is 9,600 plasma
-objects of ~75 KB — far below Ray's practical limits.  At 10^9-row scale,
-feed this from coarser blocks (fewer, larger) rather than raising P past
-a few per CPU.
+Reduce tasks: the driver cuts the live partitions, in pkey order, into at
+most ``k = max(cluster CPUs, total bytes / _REDUCE_BYTES)`` runs of about
+equal bytes (never more than the live partitions), one reduce task each.
+An exchange holding less than ``_REDUCE_BYTES`` per CPU thus runs one
+reduce wave of at most one task per CPU; a larger one about ``total /
+_REDUCE_BYTES`` tasks, at most one per live partition.  A cut by byte
+units can join a partition below the mean to its neighbour, so an exchange
+of ~1 MiB partitions runs a few tasks fewer than its live partitions
+(20,000 files at 3 Ray CPUs: 14 tasks for 16 band partitions of ~1.1 MiB,
+12 for 12 classify partitions of ~1.3 MiB).  A task still calls the
+reduce fn once per partition, on that partition's rows alone, and returns
+the outputs concatenated in partition order: rows and their order are
+those of one task per partition, only block boundaries move.
+
+Why pack: each task and each result block has a fixed cost of scheduling
+and storing whatever it holds, and every later ``map_blocks`` wave runs
+one task per block.  On 1,000-1,500-file jobs at 3 Ray CPUs (0.6-1.2 MiB
+per exchange) one task per live partition made 28 reduce tasks and 12
+result blocks per job; packed, 6 and 3, and a job submits 35 fewer tasks
+in all.  The price is straggling: with one task per CPU a skewed task is
+the straggler of the only wave, where 4 partitions per CPU let the
+scheduler rebalance around it (FP-Hadoop, VLDB 2015).  ``_REDUCE_BYTES``
+bounds that price: packing to one wave happens only below 1 MiB per CPU,
+about 0.15 s of reduce CPU at the rate of the flagship's band and
+classify reducers (20,000 ~5 KB files, 3 Ray CPUs).  Measured with the
+32-CPU partitioning (P = 128) on 3 Ray CPUs at those 20,000 files, each
+of the two exchanges held 15-18 MiB, ~0.5 MiB per CPU, so ran 32 tasks
+where tasks of one partition each ran 121-123: reduce execute CPU
+5.1-5.5 s -> 4.8-5.8 s, storing 0.33-0.40 s -> 0.15-0.19 s, longest task
+66-76 ms -> 149-174 ms, 89 fewer downstream ``map_blocks`` tasks (3 runs
+each).  What that does to wall time on 32 real CPUs, where the one
+wave's longest task sets the pace, has not been measured.
+
+Scale note: object count is ``num_blocks x num_partitions`` slivers plus
+one result block per reduce task; at 600k files on 32 CPUs (75 blocks x
+128 partitions) that is 9,600 plasma objects of ~75 KB — far below Ray's
+practical limits.  At 10^9-row scale, feed this from coarser blocks
+(fewer, larger) rather than raising P past a few per CPU.
+
+One chunk per column: Ray 2.49 pickles a ``pa.Table`` one column chunk at
+a time, in Python (``ray/_private/arrow_serialization.py``: each chunk of
+each column becomes its own ``PicklableArrayPayload``), so storing a table
+costs per chunk, not per byte.  Reducers that concatenate one small table
+per group (classify builds one per multi-member cluster) return 17-35
+chunks per column on 1,000-1,500-file jobs; on a 4-vCPU VM a driver
+``ray.put`` of one such 146-row, 11-column block took 28.8 ms with 35
+chunks per column and 2.1 ms combined first (median of 60).  Every table
+this module stores — ``_map_block`` and ``_reduce_partition`` outputs and
+``dataset_from_tables`` inputs — goes through ``_one_chunk`` first; with
+the packing above, the reduce tasks of one 1,500-file job spent 0.01 s
+storing outputs, against 0.30 s before (Ray timeline).
 
 Block metadata: the upstream's block refs and metadata come straight from
 ``iter_internal_ref_bundles`` (``to_arrow_refs`` would re-run a lazy
@@ -167,12 +212,26 @@ def dataset_from_blocks(refs: list, metas: list) -> ray.data.Dataset:
     return ds
 
 
+def _one_chunk(table):
+    """``table`` with one chunk per column, so Ray stores it as one payload
+    per column rather than one per chunk (module docstring).  A string
+    column past 2 GiB cannot be one chunk and is stored as it is."""
+    if isinstance(table, pa.Table) and any(c.num_chunks > 1 for c in table.columns):
+        try:
+            return table.combine_chunks()
+        except pa.ArrowInvalid:
+            return table
+    return table
+
+
 def dataset_from_tables(tables: Sequence[pa.Table]) -> ray.data.Dataset:
     """``ray.data.from_arrow(tables)`` as ``dataset_from_blocks``: the
-    driver puts each table and computes its metadata itself, so no
-    metadata task runs and reading the result starts no executor."""
+    driver puts each table (as one chunk per column) and computes its
+    metadata itself, so no metadata task runs and reading the result starts
+    no executor."""
     from ray.data.block import BlockMetadataWithSchema
 
+    tables = [_one_chunk(t) for t in tables]
     return dataset_from_blocks(
         [ray.put(t) for t in tables],
         [BlockMetadataWithSchema.from_block(t) for t in tables],
@@ -257,7 +316,7 @@ def _map_block(fn, block, cols):
     # none of ``cols``; it carries no rows, so it projects to itself
     if cols is not None and block.num_rows:
         block = block.select(cols)
-    out = block if fn is None else fn(block)
+    out = _one_chunk(block if fn is None else fn(block))
     return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
 
@@ -287,10 +346,12 @@ def map_blocks(
 
 @ray.remote
 def _split_by_pkey(block, pkey_col: str, num_partitions: int):
-    """One upstream block -> ``num_partitions`` sub-tables plus the
-    per-partition row-count vector (num_returns = P + 1)."""
+    """One upstream block -> ``num_partitions`` sub-tables plus a ``(2, P)``
+    int64 vector: rows per partition, and its estimated bytes (rows x the
+    block's mean bytes per row), from which the driver sizes the reduce
+    tasks (num_returns = P + 1)."""
     block = _arrow(block)
-    counts = np.zeros(num_partitions, dtype=np.int64)
+    stats = np.zeros((2, num_partitions), dtype=np.int64)
     if pkey_col not in block.column_names and block.num_rows > 0:
         # loud failure, matching the out-of-range check below: a NON-empty
         # block without the pkey column would otherwise reach no reducer
@@ -303,8 +364,8 @@ def _split_by_pkey(block, pkey_col: str, num_partitions: int):
         # Ray Data normalizes empty map outputs to SCHEMALESS 0-row blocks
         # (no columns at all); they carry no rows for any partition
         out = [block] * num_partitions
-        out.append(counts)
-        return tuple(out) if num_partitions > 0 else (counts,)
+        out.append(stats)
+        return tuple(out) if num_partitions > 0 else (stats,)
     pk = block[pkey_col].to_numpy(zero_copy_only=False).astype(np.int64)
     # one stable gather + P zero-copy slices instead of P full-table filter
     # scans (the filter loop cost O(P * rows) per block — measured ~6 s of
@@ -323,25 +384,56 @@ def _split_by_pkey(block, pkey_col: str, num_partitions: int):
             f"min={pk_sorted[0]}, max={pk_sorted[-1]}"
         )
     bounds = np.searchsorted(pk_sorted, np.arange(num_partitions + 1, dtype=np.int64))
-    counts = np.diff(bounds)
+    stats[0] = np.diff(bounds)
+    stats[1] = stats[0] * (block.nbytes // block.num_rows)
     out = [
-        sorted_block.slice(int(bounds[p]), int(counts[p]))
+        sorted_block.slice(int(bounds[p]), int(stats[0, p]))
         for p in range(num_partitions)
     ]
-    out.append(counts)
+    out.append(stats)
     return tuple(out)
 
 
 @ray.remote(num_returns=2)
-def _reduce_partition(fn, *subs: pa.Table):
-    """Reduced block plus its ``BlockMetadataWithSchema``."""
+def _reduce_partition(fn, n_blocks: int, *subs: pa.Table):
+    """``fn`` of each partition whose ``n_blocks`` slivers ``subs`` holds
+    (one run of ``n_blocks`` per partition, in partition order), the
+    outputs concatenated in that order, plus the block's
+    ``BlockMetadataWithSchema``."""
     from ray.data.block import BlockExecStats, BlockMetadataWithSchema
 
     stats = BlockExecStats.builder()
-    tables = [s for s in subs if s.num_rows]
-    part = pa.concat_tables(tables) if tables else subs[0]
-    out = fn(part)
+    outs = []
+    for i in range(0, len(subs), n_blocks):
+        slivers = subs[i : i + n_blocks]
+        tables = [s for s in slivers if s.num_rows]
+        outs.append(_arrow(fn(pa.concat_tables(tables) if tables else slivers[0])))
+    # an empty output may be typed differently (or schemaless); it adds no
+    # rows, so it is left out unless every output is empty
+    out = _one_chunk(
+        pa.concat_tables(
+            [o for o in outs if o.num_rows] or outs[:1], promote_options="permissive"
+        )
+    )
     return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
+
+
+# bytes per hash_exchange reduce task once an exchange holds more than this
+# per cluster CPU; below, it runs one task per CPU (module docstring)
+_REDUCE_BYTES = 1 << 20
+
+
+def _reduce_groups(nbytes: np.ndarray, live: list) -> list:
+    """``live`` cut into at most ``k = min(len(live), max(cluster CPUs,
+    total / _REDUCE_BYTES))`` consecutive runs of about equal bytes, one per
+    reduce task (a partition larger than ``total / k`` leaves fewer runs)."""
+    held = nbytes[live]
+    total = max(1, int(held.sum()))
+    k = min(len(live), max(cluster_cpus(), -(-total // _REDUCE_BYTES)))
+    # a partition's run: the bytes before it, in units of total / k
+    run = (np.cumsum(held) - held) * k // total
+    cuts = np.flatnonzero(np.diff(run)) + 1
+    return [g.tolist() for g in np.split(np.asarray(live), cuts)]
 
 
 def hash_exchange(
@@ -356,7 +448,11 @@ def hash_exchange(
     barrier).  ``reduce_fn`` receives ONE non-empty Arrow table holding
     every row of its pkey (row order = upstream block order, not sorted —
     reducers that need an order must sort internally, as the LSH emitter
-    already does); it is never called on an empty partition.
+    already does); it is never called on an empty partition.  The result
+    holds the outputs in pkey order, several consecutive pkeys' outputs per
+    block: the split's byte counts size each reduce task (``_reduce_groups``),
+    at most one per cluster CPU below ``_REDUCE_BYTES`` per CPU, about
+    ``total / _REDUCE_BYTES`` above it.
     ``empty_schema``: schema of the typed empty RESULT returned when the
     upstream has no rows at all (None -> a zero-block dataset, matching
     groupby's schemaless-empty behavior)."""
@@ -365,19 +461,24 @@ def hash_exchange(
         split.remote(ref, pkey_col, num_partitions) for ref in _block_refs(ds)
     ]
     if parts_lists:
-        totals = np.sum(ray.get([row[num_partitions] for row in parts_lists]), axis=0)
-        live = [p for p in range(num_partitions) if totals[p] > 0]
+        rows, nbytes = np.sum(
+            ray.get([row[num_partitions] for row in parts_lists]), axis=0
+        )
+        live = [p for p in range(num_partitions) if rows[p] > 0]
     else:
         live = []
     if not live:
         if empty_schema is not None:
             return dataset_from_tables([empty_schema.empty_table()])
         return dataset_from_blocks([], [])
-    # one pickle of the reducer per call, not one per live partition
+    # one pickle of the reducer per call, not one per reduce task
     fn_ref = ray.put(reduce_fn)
+    n_blocks = len(parts_lists)
     reduced = [
-        _reduce_partition.remote(fn_ref, *[row[p] for row in parts_lists])
-        for p in live
+        _reduce_partition.remote(
+            fn_ref, n_blocks, *[row[p] for p in group for row in parts_lists]
+        )
+        for group in _reduce_groups(nbytes, live)
     ]
     return dataset_from_blocks(
         [block for block, _ in reduced], ray.get([meta for _, meta in reduced])

@@ -602,9 +602,11 @@ def candidate_pairs(
     from .exchange import exchange_partitions
 
     lsh_cfg = lsh_cfg or LSHConfig()
-    # exchange_partitions(): 4 per CPU, so a single skewed bucket-partition
-    # is not the straggler of a single wave (measured: emit-partition
-    # max/mean ~3x); rounded up to a power of two for the ``bh & (P-1)`` mask
+    # exchange_partitions() (4 per CPU) fixes only the hash space, rounded up
+    # to a power of two for the ``bh & (P-1)`` mask; hash_exchange sizes the
+    # reduce tasks from the split's byte counts (one per CPU on a small
+    # exchange, so a skewed bucket-partition -- measured emit-partition
+    # max/mean ~3x -- can be the straggler of that one wave)
     num_partitions = 1 << (exchange_partitions() - 1).bit_length()
 
     n_rows_slim = int(n_rows_hint) if n_rows_hint is not None else signed_slim.count()

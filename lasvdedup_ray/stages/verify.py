@@ -55,11 +55,20 @@ def _normalize(s: str, cfg: SignatureConfig) -> bytes:
 
 
 def exact_jaccard_for_pairs(contents_a, contents_b, cfg: SignatureConfig) -> np.ndarray:
-    """Exact Jaccard over normalized k-shingle hash sets, one value per pair."""
+    """Exact Jaccard over normalized k-shingle hash sets, one value per pair.
+    Each distinct content is shingled once per call, so a document in many
+    pairs (a cluster hub) costs one shingling, not one per pair."""
+    memo: dict = {}
+
+    def hashes(content: str) -> np.ndarray:
+        h = memo.get(content)
+        if h is None:
+            h = memo[content] = shingle_hashes(_normalize(content, cfg), cfg.k)
+        return h
+
     out = np.empty(len(contents_a), dtype=np.float64)
     for i, (ca, cb) in enumerate(zip(contents_a, contents_b)):
-        ha = shingle_hashes(_normalize(ca, cfg), cfg.k)
-        hb = shingle_hashes(_normalize(cb, cfg), cfg.k)
+        ha, hb = hashes(ca), hashes(cb)
         inter = np.intersect1d(ha, hb, assume_unique=True).shape[0]
         union = ha.shape[0] + hb.shape[0] - inter
         out[i] = inter / union if union else 1.0

@@ -7,6 +7,7 @@ never mix — one reduce per pkey), and results match the groupby path."""
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 
@@ -477,3 +478,118 @@ def test_functions_are_pickled_once(ray_session):
     out = map_blocks(ds, _CountsPickles(_make_keep_even()))
     assert len(_rows(out)) == 500
     assert _CountsPickles.pickles == 1
+
+
+def _make_three_chunks():
+    """A map/reduce fn returning its input as a 3-chunk table."""
+
+    def three_chunks(t):
+        import pyarrow as _pa
+
+        n = t.num_rows
+        return _pa.concat_tables([t.slice(0, 1), t.slice(1, 1), t.slice(2, n - 2)])
+
+    return three_chunks
+
+
+def _chunks_per_column(ds) -> set:
+    import ray
+
+    refs = [ref for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks]
+    return {c.num_chunks for t in ray.get(refs) for c in t.columns}
+
+
+def test_stored_blocks_are_one_chunk(ray_session):
+    """``map_blocks`` and ``hash_exchange`` store what their fn returns as
+    one chunk per column, and so does ``dataset_from_tables``: Ray pickles a
+    table one chunk at a time, so a many-chunk block costs more to store."""
+    ds = _mk(400, 4, n_blocks=4).materialize()
+    three = _make_three_chunks()
+    assert three(pa.table({"v": list(range(5))})).column("v").num_chunks == 3
+    mapped = map_blocks(ds, three)
+    reduced = hash_exchange(ds, "pkey", 4, three)
+    t = pa.table({"pkey": pa.array([0, 1, 2, 3], pa.int32()), "v": [5, 6, 7, 8]})
+    built = dataset_from_tables([three(t), t])
+    for out, rows in ((mapped, 400), (reduced, 400), (built, 8)):
+        assert out.count() == rows
+        assert _chunks_per_column(out) == {1}
+
+
+def _make_marking_identity(marks: str):
+    """An identity reduce fn that leaves one marker file per call, named
+    after the call's pkey."""
+
+    def mark(g):
+        import os
+        import uuid
+
+        (pkey,) = set(g["pkey"].to_pylist())
+        open(os.path.join(marks, f"{pkey}-{uuid.uuid4().hex}"), "w").close()
+        return g
+
+    return mark
+
+
+def test_small_partitions_share_reduce_tasks(ray_session, submitted, tmp_path):
+    """16 small live partitions on 4 CPUs run in at most 4 reduce tasks; the
+    reduce fn still runs once per live partition, and the result's rows come
+    in the order of reducing each partition on its own, in pkey order."""
+    ds = _mk(320, 16, n_blocks=4).materialize()
+    submitted.clear()
+    out = hash_exchange(ds, "pkey", 16, _make_marking_identity(str(tmp_path)))
+    assert 1 <= submitted["_reduce_partition"] <= 4
+    called = sorted(int(f.name.split("-")[0]) for f in tmp_path.iterdir())
+    assert called == list(range(16))
+    src = pa.concat_tables(block_tables(ds))
+    want = pa.concat_tables(
+        [src.filter(pc.equal(src["pkey"], p)) for p in range(16)]
+    )
+    assert pa.concat_tables(block_tables(out)).equals(want)
+
+
+def test_large_partitions_get_one_reduce_task_each(ray_session, submitted, tmp_path):
+    """Equal partitions that each hold more than ``_REDUCE_BYTES`` keep one
+    reduce task per live partition."""
+    from lasvdedup_ray.stages.exchange import _REDUCE_BYTES
+
+    n, width = 320, 16 << 10  # 80 rows x 16 KiB = 1.25 MiB per partition
+    t = pa.table(
+        {
+            "pkey": pa.array(np.arange(n) % 4, pa.int32()),
+            "blob": pa.array([b"x" * width] * n, pa.binary()),
+        }
+    )
+    assert t.nbytes // 4 > _REDUCE_BYTES
+    ds = dataset_from_tables([t.slice(0, n // 2), t.slice(n // 2)])
+    submitted.clear()
+    out = hash_exchange(ds, "pkey", 4, _make_marking_identity(str(tmp_path)))
+    assert out.count() == n
+    assert submitted["_reduce_partition"] == 4
+    assert len(list(tmp_path.iterdir())) == 4
+
+
+def test_reduce_groups_cut_by_bytes(monkeypatch):
+    """``_reduce_groups`` cuts the live partitions into consecutive runs of
+    about equal bytes: one run per CPU while the exchange holds less than
+    ``_REDUCE_BYTES`` per CPU, one per ``_REDUCE_BYTES`` above that, never
+    more runs than live partitions, and a partition heavier than its share
+    alone in its run."""
+    from lasvdedup_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 32)
+    kib, mib = 1 << 10, exchange._REDUCE_BYTES
+    live = list(range(128))
+
+    def runs(nbytes, live=live):
+        groups = exchange._reduce_groups(np.asarray(nbytes, np.int64), live)
+        assert sum(groups, []) == live
+        return [len(g) for g in groups]
+
+    assert runs([140 * kib] * 128) == [4] * 32
+    assert runs([mib // 2] * 128) == [2] * 64
+    assert runs([4 * mib] * 128) == [1] * 128
+    heavy = runs([10 * mib] + [10 * kib] * 127)
+    assert heavy[0] == 1 and len(heavy) <= 32
+    # dead partitions are not in ``live``; their counts are never read
+    odd = list(range(1, 128, 2))
+    assert runs([-1, 140 * kib] * 64, odd) == [2] * 32

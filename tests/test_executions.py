@@ -26,6 +26,7 @@ from lasvdedup_ray.pipelines import dedup
 from lasvdedup_ray.sources.corpus import CorpusSpec, write_corpus
 from lasvdedup_ray.sources.readers import read_parquet_clean
 from lasvdedup_ray.stages import exact
+from lasvdedup_ray.stages.exchange import cluster_cpus
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +48,8 @@ def _job(files, config) -> pa.Table:
 # these bounds were set; a job may not submit more.  The exchange pair is
 # the sha-exchange collapse (``exact_driver_cap=0``), the driver pair the
 # default driver collapse of this 300-row corpus.
-TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 63, 173, 71
-TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 64, 62
+TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 28, 54, 30
+TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 29, 27
 
 
 def _map_block_tasks(tasks) -> int:
@@ -56,6 +57,11 @@ def _map_block_tasks(tasks) -> int:
     wave, so a resume that read a stage back in more blocks than the write
     produced submits more."""
     return sum(name.endswith("._map_block") for name in tasks)
+
+
+def _reduce_tasks(tasks) -> int:
+    """``hash_exchange`` reduce tasks among the submitted ones."""
+    return sum(name.endswith("._reduce_partition") for name in tasks)
 
 
 def test_job_without_checkpoint(
@@ -142,7 +148,8 @@ def test_driver_collapse_resume(
     the Parquet write), reads no stage back and writes no ``reps``; the
     resume starts one executor, which reads ``signed``, redoes the driver
     collapse from it, submits no more ``map_blocks`` tasks than the write,
-    and returns the write's output."""
+    and returns the write's output.  Each job's two exchanges (LSH bands,
+    classify) are small, so each runs at most one reduce task per CPU."""
     calls = []
     for name in ("exact_collapse", "exact_collapse_driver"):
         real = getattr(exact, name)
@@ -158,6 +165,7 @@ def test_driver_collapse_resume(
     assert len(executor_starts) == 2, executor_starts
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
     assert len(tasks) <= TASKS_DRIVER_WRITE, tasks
+    assert _reduce_tasks(tasks) <= 2 * cluster_cpus(), tasks
     written_maps = _map_block_tasks(tasks)
     calls.clear()
     executions.clear()
@@ -169,6 +177,7 @@ def test_driver_collapse_resume(
     assert len(executions) <= 1, executions
     assert len(executor_starts) == 1, executor_starts
     assert len(tasks) <= TASKS_DRIVER_RESUME, tasks
+    assert _reduce_tasks(tasks) <= 2 * cluster_cpus(), tasks
     assert _map_block_tasks(tasks) <= written_maps, tasks
     assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 0}, parquet_reads
     assert resumed.equals(written)

@@ -149,3 +149,20 @@ def test_border_set_over_many_chunks(monkeypatch, executions):
     assert many == one
     # the set is non-trivial: some border pairs kept, some dropped
     assert 0 < len(one) < len(rows), one
+
+
+def test_each_distinct_endpoint_shingled_once(monkeypatch):
+    """A hub document paired with 50 others is shingled once, not once per
+    pair: 51 shingle calls for 50 pairs, and the same distances as checking
+    each pair on its own."""
+    hub = _mk(120)
+    others = [_mk(120, drop=i) for i in range(1, 51)]
+    want = np.array([exact_jaccard_for_pairs([hub], [o], SIG)[0] for o in others])
+    calls = []
+    real = verify.shingle_hashes
+    monkeypatch.setattr(
+        verify, "shingle_hashes", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    got = exact_jaccard_for_pairs([hub] * 50, others, SIG)
+    assert len(calls) == 51
+    assert np.array_equal(got, want)
