@@ -18,9 +18,9 @@ Stages:
       -> classification      (hash_exchange on cluster_id: 5-case tree)
       -> write_parquet       (partitioned by classification) + metrics
 
-Ray Data executes only the read + sign and the Parquet edges of the
-checkpoint (``StageCheckpointer.pin`` returns a materialized stage).  Every
-step after sign is a raw task over block refs: a per-block map is
+Ray Data executes only the read + sign (``StageCheckpointer.pin`` returns
+a materialized stage and writes and reads its Parquet with raw tasks).
+Every step after sign is a raw task over block refs: a per-block map is
 ``map_blocks``, a union is ``concat_blocks`` and a shuffle is
 ``hash_exchange`` (``stages/exchange.py``), so no consumer re-runs a stage.
 Everything between the signer and the final classification shuffles ONLY

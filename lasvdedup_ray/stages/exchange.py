@@ -82,8 +82,8 @@ One chunk per column: Ray 2.49 pickles a ``pa.Table`` one column chunk at
 a time, in Python (``ray/_private/arrow_serialization.py``: each chunk of
 each column becomes its own ``PicklableArrayPayload``), so storing a table
 costs per chunk, not per byte.  Reducers that concatenate one small table
-per group (classify builds one per multi-member cluster) return 17-35
-chunks per column on 1,000-1,500-file jobs; on a 4-vCPU VM a driver
+per group (the classify reducer once built one per multi-member cluster)
+returned 17-35 chunks per column on 1,000-1,500-file jobs; on a 4-vCPU VM a driver
 ``ray.put`` of one such 146-row, 11-column block took 28.8 ms with 35
 chunks per column and 2.1 ms combined first (median of 60).  Every table
 this module stores — ``_map_block`` and ``_reduce_partition`` outputs and

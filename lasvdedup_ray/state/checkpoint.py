@@ -11,17 +11,54 @@ ref and none of them re-runs a Ray Data execution: a cached stage is read
 from Parquet once per job, and a stage computed in this job is written from
 the object store and handed on from there, not read back.  Without a
 checkpoint_dir the stage is only materialized.
+
+Both Parquet edges of ``pin`` are raw Ray tasks, not Ray Data executions
+(each of which costs ~100-150 ms of CPU however few rows it moves; see
+``stages/exchange.py``): the write is one task per block of the stage,
+each writing ``part-{block:05d}.parquet``, and the read is one task per
+run of consecutive files (sorted by name), as many runs as ``read`` gives
+blocks, each returning one block and its metadata.  So neither edge starts
+a Ray Data executor, and a directory written by ``Dataset.write_parquet``
+reads back the same way.  The write creates the stage directory even when
+the stage has no rows, so an empty stage resumes as an empty stage.
+``read`` stays a lazy Ray Data read for a caller that streams a stage once.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import shutil
 from typing import Callable, Optional, Union
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
 import ray.data
-from ..sources.readers import read_parquet_clean, size_derived_blocks
+
+from ..sources.readers import _strip_schema_meta, read_parquet_clean, size_derived_blocks
+from ..stages.exchange import _arrow, _block_refs, _one_chunk, dataset_from_blocks
+
+
+@ray.remote
+def _write_part(block, path: str) -> None:
+    """One block of a stage as one Parquet file."""
+    pq.write_table(_arrow(block), path)
+
+
+@ray.remote(num_returns=2)
+def _read_parts(paths: list):
+    """Consecutive Parquet files of a stage as one block (one chunk per
+    column, schema metadata stripped) plus its ``BlockMetadataWithSchema``."""
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+
+    stats = BlockExecStats.builder()
+    table = _one_chunk(
+        pa.concat_tables([_strip_schema_meta(pq.read_table(p)) for p in paths])
+    )
+    return table, BlockMetadataWithSchema.from_block(table, stats=stats.build())
 
 
 class StageCheckpointer:
@@ -90,19 +127,47 @@ class StageCheckpointer:
             return False
         return True
 
+    def _files(self, name: str) -> list:
+        """The stage's Parquet files, sorted by name (write order)."""
+        return sorted(glob.glob(os.path.join(self.dir, name, "*.parquet")))
+
+    def _n_blocks(self, name: str, n_files: int) -> int:
+        """Blocks a stage reads back as: at most one per Parquet file the
+        write produced (fewer where the reader's size-derived count is
+        lower), so a resume runs no wave on more blocks than the write."""
+        return min(n_files, size_derived_blocks(os.path.join(self.dir, name)) or n_files)
+
     def read(self, name: str) -> ray.data.Dataset:
         """A completed stage as a lazy Parquet read, for a caller that
         consumes it once and streams it (``pin`` holds the whole stage in
-        the object store).  At most one block per Parquet file the write
-        produced (fewer where the reader's size-derived count is lower): a
-        file is never split, so a resume runs no wave on more blocks than
-        the write did."""
-        path = os.path.join(self.dir, name)
-        n_files = sum(
-            f.endswith(".parquet") for _root, _dirs, files in os.walk(path) for f in files
+        the object store).  A file is never split across blocks."""
+        n_blocks = self._n_blocks(name, len(self._files(name)))
+        return read_parquet_clean(
+            os.path.join(self.dir, name), override_num_blocks=max(1, n_blocks)
         )
-        n_blocks = min(n_files, size_derived_blocks(path) or n_files)
-        return read_parquet_clean(path, override_num_blocks=max(1, n_blocks))
+
+    def _load(self, name: str) -> ray.data.Dataset:
+        """A completed stage read back into the object store by raw tasks:
+        its files cut into ``_n_blocks`` runs of consecutive files, one
+        task and one block per run."""
+        files = self._files(name)
+        if not files:
+            return dataset_from_blocks([], [])
+        runs = np.array_split(np.array(files, dtype=object), self._n_blocks(name, len(files)))
+        out = [_read_parts.remote(list(run)) for run in runs]
+        return dataset_from_blocks([b for b, _ in out], ray.get([m for _, m in out]))
+
+    def _write(self, stage: ray.data.Dataset, path: str) -> None:
+        """One raw task per non-empty block of ``stage``, each writing
+        ``part-{block:05d}.parquet`` into the directory ``path``, which is
+        created even when there is none."""
+        os.makedirs(path)
+        ray.get(
+            [
+                _write_part.remote(ref, os.path.join(path, f"part-{i:05d}.parquet"))
+                for i, ref in enumerate(_block_refs(stage))
+            ]
+        )
 
     def pin(
         self,
@@ -120,13 +185,14 @@ class StageCheckpointer:
         manifest entry, and return the materialized stage (no read-back);
         on resume, read the completed stage once (Snakemake-equivalent
         skip).  checkpoint_dir unset: materialize into the object store.
+        Both Parquet edges are raw tasks (module docstring).
         """
         build = ds if callable(ds) else (lambda: ds)
         if not self.dir:
             return build().materialize()
         final = os.path.join(self.dir, name)
         if self.is_done(name):
-            return self.read(name).materialize()
+            return self._load(name)
         stage = build().materialize()
         # per-process tmp suffix: two concurrent builders of the same stage
         # (e.g. two ingest jobs racing on a shared index) must not rmtree
@@ -135,7 +201,7 @@ class StageCheckpointer:
         tmp = f"{final}.tmp.{os.getpid()}"
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
-        stage.write_parquet(tmp)
+        self._write(stage, tmp)
         if os.path.exists(final):
             shutil.rmtree(final)
         try:

@@ -102,22 +102,18 @@ def tasks(monkeypatch):
 
 @pytest.fixture
 def parquet_reads(monkeypatch):
-    """The paths each Ray Data execution started during the test reads
-    through a ``read_parquet`` operator, one list per execution that reads
-    any (as passed to the read: a stage directory stays a directory)."""
-    from ray.data._internal.logical.operators.read_operator import Read
+    """The Parquet files each raw checkpoint read task reads
+    (``StageCheckpointer.pin`` on a completed stage), one list per task
+    submitted during the test."""
+    from ray.remote_function import RemoteFunction
 
     reads = []
+    remote = RemoteFunction._remote
 
-    def record(ops):
-        paths = []
-        for op in ops:
-            for lop in op._logical_operators:
-                if isinstance(lop, Read):
-                    p = getattr(lop._datasource, "_unresolved_paths", [])
-                    paths += [p] if isinstance(p, str) else list(p)
-        if paths:
-            reads.append(paths)
+    def counted(self, args=None, *rest, **kwargs):
+        if self._function_name.endswith("._read_parts"):
+            reads.append(list(args[0]))
+        return remote(self, args, *rest, **kwargs)
 
-    _on_execute(monkeypatch, record)
+    monkeypatch.setattr(RemoteFunction, "_remote", counted)
     return reads

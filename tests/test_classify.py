@@ -4,8 +4,16 @@ Model: the reference's mocked per-case tests
 (``/root/reference/tests/utils/test_sequence_grouping.py:573-821``) — each
 of the 5 cases driven directly, plus rank/tie-break parity
 (``test_sequence_grouping.py:139-145``) and the MAD==0 fallback
-(``test_distance_matrix.py:121-140``).
+(``test_distance_matrix.py:121-140``).  Each case runs the partition
+classifier on a one-cluster table; ``test_partition_matches_oracle``
+checks whole partitions against the per-cluster tree in
+``classify_oracle.py``.
 """
+
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pyarrow as pa
@@ -20,8 +28,7 @@ from lasvdedup_ray.stages.classify import (
     OUTLIERS,
     SINGLE,
     SMALL,
-    compute_ranks,
-    make_cluster_classifier,
+    make_partition_classifier,
 )
 
 NP = 128  # num_perms
@@ -54,7 +61,22 @@ def group_table(ids, sigs, n_chars=None, langs=None):
 
 
 CFG = PipelineConfig()
-classify = make_cluster_classifier(CFG)
+classify = make_partition_classifier(CFG)
+
+
+def compute_ranks(n_chars, ids, selection, target_length):
+    """The ranks the partition classifier gives one cluster of these rows,
+    in row order."""
+    m = len(ids)
+    sel_cols = [f"sel{k}" for k in range(len(selection))]
+    cfg = PipelineConfig(
+        selection_columns=tuple(sel_cols),
+        default_thresholds=ClassThresholds(target_length=target_length),
+    )
+    t = group_table(list(ids), [make_sig()] * m, n_chars=[int(c) for c in n_chars])
+    for c, s in zip(sel_cols, selection):
+        t = t.append_column(c, pa.array(s, pa.float64()))
+    return make_partition_classifier(cfg)(t)["rank"].to_pylist()
 
 
 def d_slots(frac):
@@ -236,10 +258,136 @@ def test_rank_selection_desc():
 
 def test_per_lang_thresholds():
     cfg = PipelineConfig(lang_thresholds={"js": ClassThresholds(tau=0.5)})
-    cls = make_cluster_classifier(cfg)
+    cls = make_partition_classifier(cfg)
     # d ≈ 0.4: duplicate under js tau=0.5, small-clade under default 0.2
     sigs = [make_sig(), make_sig(d_slots(0.4), tag=1)]
     out_js = cls(group_table(["a", "b"], sigs, langs=["js", "js"]))
     assert set(out_js["decision_category"].to_pylist()) == {BELOW}
     out_py = cls(group_table(["a", "b"], sigs, langs=["py", "py"]))
     assert set(out_py["decision_category"].to_pylist()) == {SMALL}
+
+
+def _random_partition(rng, n_clusters=40):
+    """One hash partition: ``n_clusters`` clusters of 1-12 rows plus one of
+    105 (past MEMBER_LIST_CAP), interleaved in random upstream order.  Each
+    cluster's signatures follow one of four shapes (near-identical,
+    scattered, tight with a far member, spread) so all five cases occur;
+    a strict majority lang per cluster (null included), NaN selection
+    values and repeated n_chars exercise the per-lang thresholds, the rank
+    keys and the id tie-break."""
+    langs_pool = [None, "py", "js", "go"]
+    cols = {k: [] for k in ("id", "cluster_id", "lang", "n_chars", "n_lines", "score", "minhash")}
+    sizes = list(rng.integers(1, 13, n_clusters)) + [105]
+    for c, m in enumerate(sizes):
+        shape = rng.integers(0, 4)
+        major = langs_pool[rng.integers(0, 4)]
+        langs = [major] * (m // 2 + 1)
+        langs += [langs_pool[rng.integers(0, 4)] for _ in range(m - len(langs))]
+        base = (np.arange(NP, dtype=np.int64) + 1000 + c * 7919).astype(np.uint32)
+        cluster_id = f"k{rng.integers(0, 10**5):05d}_{c}"
+        for i in range(m):
+            if shape == 0:
+                lo, w = rng.integers(0, 10), rng.integers(0, 12)
+            elif shape == 1:
+                lo, w = rng.integers(0, 60), rng.integers(0, 60)
+            elif shape == 2:
+                lo, w = (i * 14) % 100, 19 if rng.random() > 0.15 else 60
+            else:
+                lo, w = (i * 14) % 90, 38
+            sig = base.copy()
+            w = min(w, NP - lo)
+            sig[lo : lo + w] = rng.integers(0, 2**32, w, dtype=np.uint64).astype(np.uint32)
+            cols["id"].append(f"r{rng.integers(0, 10**6):06d}_{len(cols['id'])}")
+            cols["cluster_id"].append(cluster_id)
+            cols["lang"].append(langs[i])
+            cols["n_chars"].append(int(rng.choice([3000, 3500, 4000, 4400])))
+            cols["n_lines"].append(int(rng.integers(1, 5)))
+            cols["score"].append(float("nan") if rng.random() < 0.2 else float(rng.integers(0, 3)))
+            cols["minhash"].append(sig.tobytes())
+    perm = rng.permutation(len(cols["id"]))
+    n = perm.size
+    return pa.table(
+        {
+            "id": pa.array([cols["id"][i] for i in perm], pa.string()),
+            "cluster_id": pa.array([cols["cluster_id"][i] for i in perm], pa.string()),
+            "lang": pa.array([cols["lang"][i] for i in perm], pa.string()),
+            "n_chars": pa.array([cols["n_chars"][i] for i in perm], pa.int64()),
+            "n_lines": pa.array([cols["n_lines"][i] for i in perm], pa.int64()),
+            "score": pa.array([cols["score"][i] for i in perm], pa.float64()),
+            "sha256": pa.array([bytes([i % 256]) * 32 for i in perm], pa.binary()),
+            "minhash": pa.array([cols["minhash"][i] for i in perm], pa.large_binary()),
+            "pkey": pa.array(np.zeros(n, np.int32)),
+        }
+    )
+
+
+def test_partition_matches_oracle():
+    """Whole partitions give the per-cluster tree's full table, every
+    column and the row order included."""
+    from classify_oracle import oracle_partition_classifier
+
+    cfg = PipelineConfig(
+        selection_columns=("n_lines", "score"),
+        lang_thresholds={
+            "js": ClassThresholds(tau=0.35, min_neighborhood=4, target_length=3000),
+            "go": ClassThresholds(z_threshold=1.5),
+        },
+    )
+    new, oracle = make_partition_classifier(cfg), oracle_partition_classifier(cfg)
+    seen = set()
+    for seed in range(8):
+        g = _random_partition(np.random.default_rng(seed))
+        want = oracle(g)
+        got = new(g)
+        assert got.schema == want.schema
+        for col in want.column_names:
+            assert got[col].equals(want[col]), (seed, col)
+        seen |= set(want["decision_category"].to_pylist())
+    assert seen == {SINGLE, BELOW, SMALL, OUTLIERS, COINF}
+
+
+def test_majority_lang_tie_independent_of_hash_seed():
+    """A 2-2 lang tie picks the smallest lang ("js", tau 0.5 -> Case 2)
+    in every process; a set-order tie-break flips with PYTHONHASHSEED
+    (seeds 0 and 3 order {"py", "js"} differently)."""
+    script = (
+        "import numpy as np, pyarrow as pa\n"
+        "from lasvdedup_ray.config import ClassThresholds, PipelineConfig\n"
+        "from lasvdedup_ray.stages.classify import make_partition_classifier\n"
+        "base = (np.arange(128, dtype=np.int64) + 1000).astype(np.uint32)\n"
+        "sigs = []\n"
+        "for i in range(4):\n"
+        "    s = base.copy(); s[: 51 if i else 0] = 7 + i; sigs.append(s.tobytes())\n"
+        "t = pa.table({'id': list('abcd'), 'cluster_id': ['a'] * 4,\n"
+        "              'lang': ['py', 'js', 'py', 'js'], 'n_chars': [4000] * 4,\n"
+        "              'n_lines': [10] * 4, 'sha256': [b'0' * 32] * 4,\n"
+        "              'minhash': pa.array(sigs, pa.large_binary())})\n"
+        "cfg = PipelineConfig(lang_thresholds={'js': ClassThresholds(tau=0.5)})\n"
+        "print(make_partition_classifier(cfg)(t)['decision_category'][0])\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    verdicts = set()
+    for seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=root)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        verdicts.add(out.stdout.strip())
+    assert verdicts == {BELOW}
+
+
+def test_case2_pairwise_check_memory_bounded():
+    """Case 2 on a 2,048-row cluster compares its 2.1M pairs in bounded
+    steps: gathering every pair's signatures at once took 2.3 GB."""
+    m = 2048
+    ids = [f"m{i:05d}" for i in range(m)]
+    sigs = [make_sig(d_slots(0.05), tag=i % 2) for i in range(m)]
+    t = group_table(ids, sigs)
+    tracemalloc.start()
+    try:
+        out = classify(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert set(out["decision_category"].to_pylist()) == {BELOW}
+    assert peak < 256 << 20, peak

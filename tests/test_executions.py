@@ -2,20 +2,22 @@
 
 Each execution costs a fixed ~150 ms of CPU however few rows it moves, so
 after sign the flagship runs raw tasks over block refs only (``map_blocks``,
-``concat_blocks``, ``hash_exchange``), reads each checkpointed stage from
-Parquet once, and never builds a stage its checkpoint already holds.  A
-block-ref dataset carries its blocks as a computed snapshot
-(``dataset_from_blocks``), so reading it starts no executor either; without
-the snapshot every read would start one over an input-only DAG.  These
-tests pin every executor start (``executor_starts`` fixture, conftest.py):
-after sign a job starts none beyond its checkpoint's Parquet writes and
-reads.  They also pin the executions with an operator besides the input
-buffer (``executions``), the Ray tasks submitted (``tasks``), the
-executions that read each stage's Parquet (``parquet_reads``), and that a
-resume runs no sha exchange and no more ``map_blocks`` tasks than its
-write."""
+``concat_blocks``, ``hash_exchange``), writes and reads each checkpointed
+stage's Parquet with raw tasks (a stage is read once per job), and never
+builds a stage its checkpoint already holds.  A block-ref dataset carries
+its blocks as a computed snapshot (``dataset_from_blocks``), so reading it
+starts no executor either; without the snapshot every read would start one
+over an input-only DAG.  These tests pin every executor start
+(``executor_starts`` fixture, conftest.py): a job starts one, for read +
+sign, and a resume none.  They also pin the executions with an operator
+besides the input buffer (``executions``), the Ray tasks submitted
+(``tasks``), the Parquet files each raw checkpoint read task reads
+(``parquet_reads``), and that a resume runs no sha exchange and no more
+``map_blocks`` tasks than its write."""
 
+import glob
 import os
+from collections import Counter
 
 import pyarrow as pa
 import pytest
@@ -48,8 +50,8 @@ def _job(files, config) -> pa.Table:
 # these bounds were set; a job may not submit more.  The exchange pair is
 # the sha-exchange collapse (``exact_driver_cap=0``), the driver pair the
 # default driver collapse of this 300-row corpus.
-TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 28, 54, 30
-TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 29, 27
+TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 28, 54, 27
+TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 29, 26
 
 
 def _map_block_tasks(tasks) -> int:
@@ -75,12 +77,16 @@ def test_job_without_checkpoint(
     assert len(tasks) <= TASKS_RUN, tasks
 
 
-def _stage_reads(parquet_reads, ckpt) -> dict:
-    """Executions that read each pinned stage's Parquet directory."""
-    return {
-        stage: sum(os.path.join(ckpt, stage) in paths for paths in parquet_reads)
-        for stage in ("signed", "reps")
-    }
+def _files_read(parquet_reads) -> Counter:
+    """Raw read tasks that read each Parquet file."""
+    return Counter(path for paths in parquet_reads for path in paths)
+
+
+def _stage_files(ckpt, *stages) -> Counter:
+    """Every Parquet file of these pinned stages, once each."""
+    return Counter(
+        path for stage in stages for path in glob.glob(os.path.join(ckpt, stage, "*.parquet"))
+    )
 
 
 def test_resume_skips_sha_exchange(
@@ -94,14 +100,13 @@ def test_resume_skips_sha_exchange(
     tmp_path,
 ):
     """With the sha collapse forced through the exchange
-    (``exact_driver_cap=0``), the checkpointed write runs at most 4
-    executions and hands its stages on without reading them back; it starts
-    3 executors (read + sign, one Parquet write per stage).  The resume
-    reads ``reps`` back without building the sha exchange, reads each
-    stage's Parquet in one execution, runs at most 3 executions, starts 2
-    executors (the two Parquet reads), submits no more ``map_blocks`` tasks
-    than the write (a stage is read back in no more blocks than it was
-    written from), and returns the write's output."""
+    (``exact_driver_cap=0``), the checkpointed write runs one execution and
+    starts one executor (read + sign), writes its stages with raw tasks and
+    hands them on without reading them back.  The resume reads ``reps``
+    back without building the sha exchange, reads every file of each stage
+    in exactly one raw task, starts no executor, submits no more
+    ``map_blocks`` tasks than the write (a stage is read back in no more
+    blocks than it was written from), and returns the write's output."""
     calls = []
     for name in ("exact_collapse", "_sha_exchange"):
         real = getattr(exact, name)
@@ -112,9 +117,9 @@ def test_resume_skips_sha_exchange(
     config = PipelineConfig(checkpoint_dir=ckpt, execution=ExecutionConfig(exact_driver_cap=0))
     written = _job(corpus_files, config)
     assert calls == ["exact_collapse", "_sha_exchange"]
-    assert len(executions) <= 4, executions
-    assert len(executor_starts) == 3, executor_starts
-    assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
+    assert len(executions) <= 1, executions
+    assert len(executor_starts) == 1, executor_starts
+    assert parquet_reads == []
     assert len(tasks) <= TASKS_WRITE, tasks
     written_maps = _map_block_tasks(tasks)
     calls.clear()
@@ -124,11 +129,13 @@ def test_resume_skips_sha_exchange(
     tasks.clear()
     resumed = _job(corpus_files, config)
     assert calls == []
-    assert len(executions) <= 3, executions
-    assert len(executor_starts) == 2, executor_starts
+    assert executions == []
+    assert executor_starts == []
     assert len(tasks) <= TASKS_RESUME, tasks
     assert _map_block_tasks(tasks) <= written_maps, tasks
-    assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 1}, parquet_reads
+    files = _stage_files(ckpt, "signed", "reps")
+    assert _stage_files(ckpt, "signed") and _stage_files(ckpt, "reps")
+    assert _files_read(parquet_reads) == files, parquet_reads
     assert resumed.equals(written)
 
 
@@ -144,11 +151,11 @@ def test_driver_collapse_resume(
 ):
     """Below ``exact_driver_cap`` (the default at this size) a checkpointed
     job collapses exact dups on the driver and pins ``signed`` only: the
-    write runs at most 2 executions and starts 2 executors (read + sign,
-    the Parquet write), reads no stage back and writes no ``reps``; the
-    resume starts one executor, which reads ``signed``, redoes the driver
-    collapse from it, submits no more ``map_blocks`` tasks than the write,
-    and returns the write's output.  Each job's two exchanges (LSH bands,
+    write runs one execution and starts one executor (read + sign), reads
+    no stage back and writes no ``reps``; the resume starts no executor,
+    reads every file of ``signed`` in exactly one raw task, redoes the
+    driver collapse from it, submits no more ``map_blocks`` tasks than the
+    write, and returns the write's output.  Each job's two exchanges (LSH bands,
     classify) are small, so each runs at most one reduce task per CPU."""
     calls = []
     for name in ("exact_collapse", "exact_collapse_driver"):
@@ -161,9 +168,9 @@ def test_driver_collapse_resume(
     written = _job(corpus_files, config)
     assert calls == ["exact_collapse_driver"]
     assert not os.path.exists(os.path.join(ckpt, "reps"))
-    assert len(executions) <= 2, executions
-    assert len(executor_starts) == 2, executor_starts
-    assert _stage_reads(parquet_reads, ckpt) == {"signed": 0, "reps": 0}, parquet_reads
+    assert len(executions) <= 1, executions
+    assert len(executor_starts) == 1, executor_starts
+    assert parquet_reads == []
     assert len(tasks) <= TASKS_DRIVER_WRITE, tasks
     assert _reduce_tasks(tasks) <= 2 * cluster_cpus(), tasks
     written_maps = _map_block_tasks(tasks)
@@ -174,10 +181,11 @@ def test_driver_collapse_resume(
     tasks.clear()
     resumed = _job(corpus_files, config)
     assert calls == ["exact_collapse_driver"]
-    assert len(executions) <= 1, executions
-    assert len(executor_starts) == 1, executor_starts
+    assert executions == []
+    assert executor_starts == []
     assert len(tasks) <= TASKS_DRIVER_RESUME, tasks
     assert _reduce_tasks(tasks) <= 2 * cluster_cpus(), tasks
     assert _map_block_tasks(tasks) <= written_maps, tasks
-    assert _stage_reads(parquet_reads, ckpt) == {"signed": 1, "reps": 0}, parquet_reads
+    assert _stage_files(ckpt, "signed")
+    assert _files_read(parquet_reads) == _stage_files(ckpt, "signed"), parquet_reads
     assert resumed.equals(written)
