@@ -458,9 +458,7 @@ def classify_clusters(
 
     config = config or PipelineConfig()
     # exchange_partitions() fixes only the hash space; hash_exchange cuts
-    # the partitions into reduce tasks of about equal bytes, so a partition
-    # holding a mega-cluster shares its task with less than one task's
-    # share of other partitions
+    # it into runs of consecutive partitions, one reduce task each
     n_parts = exchange_partitions()
 
     def add_pkey(t: pa.Table) -> pa.Table:

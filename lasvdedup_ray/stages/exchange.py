@@ -7,20 +7,21 @@ measured ~10-20 s of CPU-count-independent wall time per barrier on the
 flagship (the dominant term in the 8->32 scaling gap once the per-pair
 compare was fixed).  For keys that are ALREADY a hash residue in
 ``[0, num_partitions)`` (the engine's ``pkey`` columns), none of that
-machinery is needed: this helper splits each upstream block into
-``num_partitions`` sub-tables (one task per block, ``num_returns=P+1``;
-the extra return is a ``(2, P)`` vector of rows and estimated bytes per
-partition) and runs one reduce wave over the NON-EMPTY partitions — two
-scheduling waves, no sampling pass, no sort.  Partitions with zero rows
-are skipped entirely, matching ``groupby`` semantics (a reduce fn is never
-invoked on an empty group), so reducers need no empty-input guard.
+machinery is needed: this helper cuts the pkeys into ``k`` runs of
+consecutive values before it reads a row, splits each upstream block into
+``k`` sub-tables sorted by pkey (one task per block, ``num_returns=k``) and
+submits one reduce task per run straight on the split refs -- two
+scheduling waves, no sampling pass, no sort, no driver sync between them.
+A pkey with zero rows is skipped, matching ``groupby`` semantics (a reduce
+fn is never invoked on an empty group), so reducers need no empty-input
+guard.
 
 Partitioning assumption (document per SURVEY): every row with the same
 ``pkey`` value lands in exactly ONE reduce call — identical to the
-``groupby(pkey).map_groups`` contract — because pkey p goes to reduce p
-verbatim.  Reducers that only need co-location (the LSH pair emitter
-sorts its partition internally; per-user session folds see every row of
-their users) are drop-in.
+``groupby(pkey).map_groups`` contract — because each pkey belongs to one
+run and its reduce task calls the fn once per pkey.  Reducers that only
+need co-location (the LSH pair emitter sorts its partition internally;
+per-user session folds see every row of their users) are drop-in.
 
 On a multi-node cluster this is exactly a hash shuffle (what Ray's
 ``ShuffleStrategy.HASH_SHUFFLE`` runs internally); the Dataset-API
@@ -29,54 +30,34 @@ is consulted at execution time from a context shared across the whole
 lineage, and flipping it would silently re-plan every other groupby in
 the same execution (measured: aggregator-actor deadlock at 8 CPUs).
 
-The counts sync costs one driver round-trip of tiny int vectors but adds
-no critical-path time: every reduce already waits on every split (each
-needs its sliver of every block).
-
 Partition count: every flagship exchange takes ``exchange_partitions()``
 hash partitions, 4 per cluster CPU.  The count fixes the hash space, not
 the reduce tasks (below).  A fixed count does not follow the cluster: 64
 partitions on a 4-CPU box cost more in per-sliver tasks and objects than
 the work they spread.
 
-Reduce tasks: the driver cuts the live partitions, in pkey order, into at
-most ``k = max(cluster CPUs, total bytes / _REDUCE_BYTES)`` runs of about
-equal bytes (never more than the live partitions), one reduce task each.
-An exchange holding less than ``_REDUCE_BYTES`` per CPU thus runs one
-reduce wave of at most one task per CPU; a larger one about ``total /
-_REDUCE_BYTES`` tasks, at most one per live partition.  A cut by byte
-units can join a partition below the mean to its neighbour, so an exchange
-of ~1 MiB partitions runs a few tasks fewer than its live partitions
-(20,000 files at 3 Ray CPUs: 14 tasks for 16 band partitions of ~1.1 MiB,
-12 for 12 classify partitions of ~1.3 MiB).  A task still calls the
-reduce fn once per partition, on that partition's rows alone, and returns
-the outputs concatenated in partition order: rows and their order are
-those of one task per partition, only block boundaries move.
+Reduce tasks: ``k = min(P, rows, max(cluster CPUs, bytes /
+_REDUCE_BYTES))``, with rows and bytes summed from the upstream blocks'
+metadata (an unknown count reads as P rows, an unknown size as
+``_REDUCE_BYTES``); run g holds the pkeys ``[g*P//k, (g+1)*P//k)``.  An
+exchange under ``_REDUCE_BYTES`` per CPU thus runs one wave of one task
+per CPU, a larger one about one task per ``_REDUCE_BYTES``.  Output rows
+and their order are those of one reduce call per pkey in pkey order; only
+block boundaries move.  Deciding the cut up front keeps a split task at k
+stored objects, not P + 1 (P sub-tables plus counts for a cut made after
+the split): at P = 128 those cost a 20,000-file job 8.7-9.2 s of
+storing, more than all its reduce work.
 
-Why pack: each task and each result block has a fixed cost of scheduling
-and storing whatever it holds, and every later ``map_blocks`` wave runs
-one task per block.  On 1,000-1,500-file jobs at 3 Ray CPUs (0.6-1.2 MiB
-per exchange) one task per live partition made 28 reduce tasks and 12
-result blocks per job; packed, 6 and 3, and a job submits 35 fewer tasks
-in all.  The price is straggling: with one task per CPU a skewed task is
-the straggler of the only wave, where 4 partitions per CPU let the
-scheduler rebalance around it (FP-Hadoop, VLDB 2015).  ``_REDUCE_BYTES``
-bounds that price: packing to one wave happens only below 1 MiB per CPU,
-about 0.15 s of reduce CPU at the rate of the flagship's band and
-classify reducers (20,000 ~5 KB files, 3 Ray CPUs).  Measured with the
-32-CPU partitioning (P = 128) on 3 Ray CPUs at those 20,000 files, each
-of the two exchanges held 15-18 MiB, ~0.5 MiB per CPU, so ran 32 tasks
-where tasks of one partition each ran 121-123: reduce execute CPU
-5.1-5.5 s -> 4.8-5.8 s, storing 0.33-0.40 s -> 0.15-0.19 s, longest task
-66-76 ms -> 149-174 ms, 89 fewer downstream ``map_blocks`` tasks (3 runs
-each).  What that does to wall time on 32 real CPUs, where the one
-wave's longest task sets the pace, has not been measured.
+The price of few tasks is straggling: a fixed pkey-range cut does not
+isolate a heavy partition, and with one task per CPU a skewed task is the
+straggler of the only wave.  If one ever sets the pace, the answer is
+FP-Hadoop's intermediate reduce (VLDB 2015), not more partitions.
 
-Scale note: object count is ``num_blocks x num_partitions`` slivers plus
-one result block per reduce task; at 600k files on 32 CPUs (75 blocks x
-128 partitions) that is 9,600 plasma objects of ~75 KB — far below Ray's
-practical limits.  At 10^9-row scale, feed this from coarser blocks
-(fewer, larger) rather than raising P past a few per CPU.
+Scale note: object count is ``num_blocks x k`` slivers plus one result
+block per reduce task; at 600k files on 32 CPUs (75 blocks, k <= 128)
+that is at most 9,600 plasma objects — far below Ray's practical limits.
+At 10^9-row scale, feed this from coarser blocks (fewer, larger) rather
+than raising P past a few per CPU.
 
 One chunk per column: Ray 2.49 pickles a ``pa.Table`` one column chunk at
 a time, in Python (``ray/_private/arrow_serialization.py``: each chunk of
@@ -88,16 +69,17 @@ returned 17-35 chunks per column on 1,000-1,500-file jobs; on a 4-vCPU VM a driv
 chunks per column and 2.1 ms combined first (median of 60).  Every table
 this module stores — ``_map_block`` and ``_reduce_partition`` outputs and
 ``dataset_from_tables`` inputs — goes through ``_one_chunk`` first; with
-the packing above, the reduce tasks of one 1,500-file job spent 0.01 s
+the reduce cut above, the reduce tasks of one 1,500-file job spent 0.01 s
 storing outputs, against 0.30 s before (Ray timeline).
 
 Block metadata: the upstream's block refs and metadata come straight from
 ``iter_internal_ref_bundles`` (``to_arrow_refs`` would re-run a lazy
-upstream under ``limit(1)`` just to learn its schema), so split tasks start
-as upstream blocks land and known-empty blocks get none.  Each reduce task
-returns its block's metadata alongside the block, and the result dataset is
-built from it directly (``dataset_from_blocks``) — no per-block metadata
-task wave as in ``ray.data.from_arrow_refs``.
+upstream under ``limit(1)`` just to learn its schema), they size the
+reduce cut, and known-empty blocks get no split task.  Each reduce task
+returns its block's metadata alongside the block; reading those is an
+exchange's one driver ``ray.get``, and the result dataset is built from
+them directly (``dataset_from_blocks``) — no per-block metadata task wave
+as in ``ray.data.from_arrow_refs``.
 
 Computed snapshot: every dataset ``dataset_from_blocks`` builds records its
 blocks as the plan's computed output, so reading it
@@ -345,14 +327,17 @@ def map_blocks(
 
 
 @ray.remote
-def _split_by_pkey(block, pkey_col: str, num_partitions: int):
-    """One upstream block -> ``num_partitions`` sub-tables plus a ``(2, P)``
-    int64 vector: rows per partition, and its estimated bytes (rows x the
-    block's mean bytes per row), from which the driver sizes the reduce
-    tasks (num_returns = P + 1)."""
+def _split_by_pkey(block, pkey_col: str, num_partitions: int, bounds: list):
+    """One upstream block -> one sub-table per reduce run, each sorted by
+    pkey: run g holds the pkeys ``[bounds[g], bounds[g + 1])``
+    (num_returns = ``len(bounds) - 1``)."""
     block = _arrow(block)
-    stats = np.zeros((2, num_partitions), dtype=np.int64)
-    if pkey_col not in block.column_names and block.num_rows > 0:
+    k = len(bounds) - 1
+    if block.num_rows == 0:
+        # Ray Data normalizes empty map outputs to SCHEMALESS 0-row blocks
+        # (no columns at all); they carry no rows for any run
+        out = [block] * k
+    elif pkey_col not in block.column_names:
         # loud failure, matching the out-of-range check below: a NON-empty
         # block without the pkey column would otherwise reach no reducer
         # and its rows would silently vanish from the result
@@ -360,60 +345,58 @@ def _split_by_pkey(block, pkey_col: str, num_partitions: int):
             f"hash_exchange: non-empty block is missing pkey column "
             f"{pkey_col!r} (columns: {block.column_names})"
         )
-    if block.num_rows == 0:
-        # Ray Data normalizes empty map outputs to SCHEMALESS 0-row blocks
-        # (no columns at all); they carry no rows for any partition
-        out = [block] * num_partitions
-        out.append(stats)
-        return tuple(out) if num_partitions > 0 else (stats,)
-    pk = block[pkey_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    # one stable gather + P zero-copy slices instead of P full-table filter
-    # scans (the filter loop cost O(P * rows) per block — measured ~6 s of
-    # split-wave wall at 600k files with P=128); stable argsort preserves
-    # upstream row order within each partition, keeping the documented
-    # "row order = upstream block order" reducer contract
-    order = np.argsort(pk, kind="stable")
-    sorted_block = block.take(pa.array(order, pa.int64()))
-    pk_sorted = pk[order]
-    # loud failure instead of silent row loss: groupby(pkey) (which this
-    # replaces) grouped ANY key value; here a key outside
-    # [0, num_partitions) would fall outside every slice below
-    if pk_sorted[0] < 0 or pk_sorted[-1] >= num_partitions:
-        raise ValueError(
-            f"hash_exchange pkey out of range [0, {num_partitions}): "
-            f"min={pk_sorted[0]}, max={pk_sorted[-1]}"
-        )
-    bounds = np.searchsorted(pk_sorted, np.arange(num_partitions + 1, dtype=np.int64))
-    stats[0] = np.diff(bounds)
-    stats[1] = stats[0] * (block.nbytes // block.num_rows)
-    out = [
-        sorted_block.slice(int(bounds[p]), int(stats[0, p]))
-        for p in range(num_partitions)
-    ]
-    out.append(stats)
-    return tuple(out)
+    else:
+        pk = block[pkey_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        # one stable gather + k zero-copy slices instead of k full-table
+        # filter scans (the filter loop cost O(P * rows) per block —
+        # measured ~6 s of split-wave wall at 600k files with P=128); the
+        # stable sort keeps upstream row order within each pkey, the
+        # documented "row order = upstream block order" reducer contract
+        order = np.argsort(pk, kind="stable")
+        pk_sorted = pk[order]
+        # loud failure instead of silent row loss: groupby(pkey) (which
+        # this replaces) grouped ANY key value; here a key outside
+        # [0, num_partitions) would fall outside every run
+        if pk_sorted[0] < 0 or pk_sorted[-1] >= num_partitions:
+            raise ValueError(
+                f"hash_exchange pkey out of range [0, {num_partitions}): "
+                f"min={pk_sorted[0]}, max={pk_sorted[-1]}"
+            )
+        sorted_block = block.take(pa.array(order, pa.int64()))
+        cuts = np.searchsorted(pk_sorted, bounds)
+        out = [sorted_block.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
+    # one return is stored as the value itself, not as a 1-tuple
+    return out[0] if k == 1 else tuple(out)
 
 
 @ray.remote(num_returns=2)
-def _reduce_partition(fn, n_blocks: int, *subs: pa.Table):
-    """``fn`` of each partition whose ``n_blocks`` slivers ``subs`` holds
-    (one run of ``n_blocks`` per partition, in partition order), the
-    outputs concatenated in that order, plus the block's
-    ``BlockMetadataWithSchema``."""
+def _reduce_partition(fn, pkey_col: str, lo: int, hi: int, *slivers):
+    """``fn`` of each non-empty pkey in ``[lo, hi)``, on that pkey's runs of
+    the pkey-sorted ``slivers`` concatenated in block order, the outputs
+    concatenated in pkey order, plus the block's
+    ``BlockMetadataWithSchema``.  No rows: a zero-column empty block, and
+    ``fn`` is never called."""
     from ray.data.block import BlockExecStats, BlockMetadataWithSchema
 
     stats = BlockExecStats.builder()
+    slivers = [s for s in slivers if s.num_rows]
+    keys = np.arange(lo, hi + 1)
+    cuts = [np.searchsorted(s[pkey_col].to_numpy(), keys) for s in slivers]
     outs = []
-    for i in range(0, len(subs), n_blocks):
-        slivers = subs[i : i + n_blocks]
-        tables = [s for s in slivers if s.num_rows]
-        outs.append(_arrow(fn(pa.concat_tables(tables) if tables else slivers[0])))
+    for i in range(hi - lo):
+        runs = [
+            s.slice(c[i], c[i + 1] - c[i]) for s, c in zip(slivers, cuts) if c[i + 1] > c[i]
+        ]
+        if runs:
+            outs.append(_arrow(fn(pa.concat_tables(runs))))
     # an empty output may be typed differently (or schemaless); it adds no
     # rows, so it is left out unless every output is empty
     out = _one_chunk(
         pa.concat_tables(
             [o for o in outs if o.num_rows] or outs[:1], promote_options="permissive"
         )
+        if outs
+        else pa.table({})
     )
     return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
@@ -421,19 +404,6 @@ def _reduce_partition(fn, n_blocks: int, *subs: pa.Table):
 # bytes per hash_exchange reduce task once an exchange holds more than this
 # per cluster CPU; below, it runs one task per CPU (module docstring)
 _REDUCE_BYTES = 1 << 20
-
-
-def _reduce_groups(nbytes: np.ndarray, live: list) -> list:
-    """``live`` cut into at most ``k = min(len(live), max(cluster CPUs,
-    total / _REDUCE_BYTES))`` consecutive runs of about equal bytes, one per
-    reduce task (a partition larger than ``total / k`` leaves fewer runs)."""
-    held = nbytes[live]
-    total = max(1, int(held.sum()))
-    k = min(len(live), max(cluster_cpus(), -(-total // _REDUCE_BYTES)))
-    # a partition's run: the bytes before it, in units of total / k
-    run = (np.cumsum(held) - held) * k // total
-    cuts = np.flatnonzero(np.diff(run)) + 1
-    return [g.tolist() for g in np.split(np.asarray(live), cuts)]
 
 
 def hash_exchange(
@@ -448,41 +418,38 @@ def hash_exchange(
     barrier).  ``reduce_fn`` receives ONE non-empty Arrow table holding
     every row of its pkey (row order = upstream block order, not sorted —
     reducers that need an order must sort internally, as the LSH emitter
-    already does); it is never called on an empty partition.  The result
-    holds the outputs in pkey order, several consecutive pkeys' outputs per
-    block: the split's byte counts size each reduce task (``_reduce_groups``),
-    at most one per cluster CPU below ``_REDUCE_BYTES`` per CPU, about
-    ``total / _REDUCE_BYTES`` above it.
+    already does); it is never called on an empty pkey.  The result holds
+    the non-empty outputs in pkey order, those of a run of consecutive
+    pkeys per block (module docstring: reduce tasks).
     ``empty_schema``: schema of the typed empty RESULT returned when the
     upstream has no rows at all (None -> a zero-block dataset, matching
     groupby's schemaless-empty behavior)."""
-    split = _split_by_pkey.options(num_returns=num_partitions + 1)
-    parts_lists = [
-        split.remote(ref, pkey_col, num_partitions) for ref in _block_refs(ds)
-    ]
-    if parts_lists:
-        rows, nbytes = np.sum(
-            ray.get([row[num_partitions] for row in parts_lists]), axis=0
-        )
-        live = [p for p in range(num_partitions) if rows[p] > 0]
-    else:
-        live = []
-    if not live:
-        if empty_schema is not None:
-            return dataset_from_tables([empty_schema.empty_table()])
-        return dataset_from_blocks([], [])
-    # one pickle of the reducer per call, not one per reduce task
-    fn_ref = ray.put(reduce_fn)
-    n_blocks = len(parts_lists)
-    reduced = [
-        _reduce_partition.remote(
-            fn_ref, n_blocks, *[row[p] for p in group for row in parts_lists]
-        )
-        for group in _reduce_groups(nbytes, live)
-    ]
-    return dataset_from_blocks(
-        [block for block, _ in reduced], ray.get([meta for _, meta in reduced])
-    )
+    blocks = _live_blocks(ds)
+    rows = sum(num_partitions if m.num_rows is None else m.num_rows for _, m in blocks)
+    nbytes = sum(_REDUCE_BYTES if m.size_bytes is None else m.size_bytes for _, m in blocks)
+    k = min(num_partitions, rows, max(cluster_cpus(), -(-nbytes // _REDUCE_BYTES)))
+    reduced = []
+    if k > 0:
+        bounds = [g * num_partitions // k for g in range(k + 1)]
+        split = _split_by_pkey.options(num_returns=k)
+        slivers = [split.remote(ref, pkey_col, num_partitions, bounds) for ref, _ in blocks]
+        if k == 1:
+            slivers = [[s] for s in slivers]
+        # one pickle of the reducer per call, not one per reduce task
+        fn_ref = ray.put(reduce_fn)
+        reduced = [
+            _reduce_partition.remote(
+                fn_ref, pkey_col, bounds[g], bounds[g + 1], *[s[g] for s in slivers]
+            )
+            for g in range(k)
+        ]
+    metas = ray.get([meta for _, meta in reduced])
+    outs = [(block, meta) for (block, _), meta in zip(reduced, metas)]
+    # no output rows: one typed empty output of a task that called the fn
+    kept = [o for o in outs if o[1].num_rows] or [o for o in outs if o[1].schema][:1]
+    if not kept and empty_schema is not None:
+        return dataset_from_tables([empty_schema.empty_table()])
+    return dataset_from_blocks([b for b, _ in kept], [m for _, m in kept])
 
 
 def grouped_sum_exchange(

@@ -604,9 +604,9 @@ def candidate_pairs(
     lsh_cfg = lsh_cfg or LSHConfig()
     # exchange_partitions() (4 per CPU) fixes only the hash space, rounded up
     # to a power of two for the ``bh & (P-1)`` mask; hash_exchange sizes the
-    # reduce tasks from the split's byte counts (one per CPU on a small
-    # exchange, so a skewed bucket-partition -- measured emit-partition
-    # max/mean ~3x -- can be the straggler of that one wave)
+    # reduce tasks from the upstream's block metadata (one per CPU on a
+    # small exchange, so a skewed bucket-partition -- measured
+    # emit-partition max/mean ~3x -- can be the straggler of that one wave)
     num_partitions = 1 << (exchange_partitions() - 1).bit_length()
 
     n_rows_slim = int(n_rows_hint) if n_rows_hint is not None else signed_slim.count()

@@ -3,8 +3,9 @@
 Mirrors the reference's Snakemake semantics (a rule is skipped when its
 outputs exist, ``lasvdedup/Snakefile:15-126``): each pinned stage writes a
 Parquet directory under ``checkpoint_dir`` atomically (write to a temp dir,
-rename) and records completion in ``manifest.json``; a re-run reads the
-completed stage instead of recomputing it.
+rename) and records completion, with its part files, in ``manifest.json``;
+a re-run reads the completed stage instead of recomputing it, unless its
+directory or a recorded file is gone (a missing output reruns its rule).
 
 ``pin`` returns the stage MATERIALIZED, so its consumers read its blocks by
 ref and none of them re-runs a Ray Data execution: a cached stage is read
@@ -89,18 +90,32 @@ class StageCheckpointer:
         return {}
 
     def _mark_done(self, name: str) -> None:
+        """Record the stage as done, with the names of its part files."""
         m = self._manifest()
-        m[name] = {"done": True, "fingerprint": self.fp}
+        files = [os.path.basename(f) for f in self._files(name)]
+        m[name] = {"done": True, "fingerprint": self.fp, "files": files}
         tmp = f"{self._manifest_path}.tmp.{os.getpid()}"
         with open(tmp, "w") as f:
             json.dump(m, f)
         os.replace(tmp, self._manifest_path)  # atomic
 
+    def _lost(self, name: str, entry: dict) -> bool:
+        """The stage's directory, or a part file its entry lists, is gone
+        (an entry without a file list predates the list and is trusted)."""
+        if "files" not in entry:
+            return False
+        stage = os.path.join(self.dir, name)
+        return not os.path.isdir(stage) or not all(
+            os.path.exists(os.path.join(stage, f)) for f in entry["files"]
+        )
+
     def status(self, name: str) -> str:
         """Dry-run probe: "cached" (reusable), "stale" (fingerprint
-        mismatch -> recompute), "forced" (force re-run), or "missing"."""
+        mismatch -> recompute), "forced" (force re-run), or "missing" (never
+        completed, or its files are gone: Snakemake reruns a rule whose
+        output is missing)."""
         entry = self._manifest().get(name, {})
-        if not entry.get("done"):
+        if not entry.get("done") or self._lost(name, entry):
             return "missing"
         if self.force:
             return "forced"
@@ -109,14 +124,11 @@ class StageCheckpointer:
         return "cached"
 
     def is_done(self, name: str) -> bool:
-        if self.force:
-            return False
-        entry = self._manifest().get(name, {})
-        if not entry.get("done"):
-            return False
-        if self.fp is not None and entry.get("fingerprint") != self.fp:
-            import logging
+        import logging
 
+        status = self.status(name)
+        entry = self._manifest().get(name, {})
+        if status == "stale":
             logging.getLogger(__name__).warning(
                 "checkpoint stage %r was pinned under fingerprint %s but the "
                 "current run is %s (input or config changed): recomputing",
@@ -124,8 +136,13 @@ class StageCheckpointer:
                 entry.get("fingerprint"),
                 self.fp,
             )
-            return False
-        return True
+        elif status == "missing" and entry.get("done"):
+            logging.getLogger(__name__).warning(
+                "checkpoint stage %r is in the manifest but its directory or "
+                "a part file is gone: recomputing",
+                name,
+            )
+        return status == "cached"
 
     def _files(self, name: str) -> list:
         """The stage's Parquet files, sorted by name (write order)."""

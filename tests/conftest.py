@@ -101,6 +101,23 @@ def tasks(monkeypatch):
 
 
 @pytest.fixture
+def task_returns(monkeypatch):
+    """``(function name, num_returns)`` of every Ray task submitted during
+    the test: the objects each task stores."""
+    from ray.remote_function import RemoteFunction
+
+    submitted = []
+    remote = RemoteFunction._remote
+
+    def counted(self, *args, **kwargs):
+        submitted.append((self._function_name, kwargs.get("num_returns", 1)))
+        return remote(self, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteFunction, "_remote", counted)
+    return submitted
+
+
+@pytest.fixture
 def parquet_reads(monkeypatch):
     """The Parquet files each raw checkpoint read task reads
     (``StageCheckpointer.pin`` on a completed stage), one list per task

@@ -5,6 +5,7 @@ import json
 import os
 
 import pyarrow as pa
+import pytest
 import ray.data
 
 from lasvdedup_ray.config import ExecutionConfig, PipelineConfig
@@ -190,3 +191,53 @@ def test_empty_input_writes_and_resumes(tmp_path):
     for _ in range(2):
         assert dedup_pipeline(read_parquet_clean([src]), cfg, num_partitions=4).count() == 0
         assert os.path.isdir(tmp_path / "ck" / "signed")
+
+
+@pytest.mark.parametrize("stage", ["signed", "reps"])
+def test_resume_recomputes_deleted_stage(tmp_path, stage):
+    """A stage whose directory is gone between a write and a resume is
+    recomputed, not read back as an empty stage: the dry-run plan reports
+    it ``missing`` and the resume returns the write's result."""
+    import shutil
+
+    from lasvdedup_ray.pipelines.dedup import plan_stages
+
+    corpus, _ = generate_corpus(CorpusSpec(n_files=120, seed=5))
+    # exact_driver_cap=0 pins ``reps`` (the sha exchange collapse)
+    cfg = PipelineConfig(
+        checkpoint_dir=str(tmp_path / "ck"), execution=ExecutionConfig(exact_driver_cap=0)
+    )
+
+    def run():
+        out = dedup_pipeline(ray.data.from_arrow(corpus), cfg, num_partitions=4)
+        return out.to_pandas().sort_values("id").reset_index(drop=True)
+
+    written = run()
+    shutil.rmtree(tmp_path / "ck" / stage)
+    plan = {p["stage"]: p["checkpoint"] for p in plan_stages(ray.data.from_arrow(corpus), cfg)}
+    assert plan[stage] == "missing"
+    resumed = run()
+    assert len(resumed) == corpus.num_rows
+    for col in ["id", "cluster_id", "classification"]:
+        assert (resumed[col] == written[col]).all(), col
+    plan = {p["stage"]: p["checkpoint"] for p in plan_stages(ray.data.from_arrow(corpus), cfg)}
+    assert plan[stage] == "cached"
+
+
+def test_deleted_part_file_recomputes_and_old_entries_trusted(tmp_path):
+    """A listed part file that is gone makes the stage ``missing``; a
+    manifest entry without a file list (written before the list existed)
+    keeps being read as it is."""
+    ck = StageCheckpointer(str(tmp_path))
+    ck.pin(ray.data.from_arrow([pa.table({"x": [1, 2]}), pa.table({"x": [3]})]), "s")
+    parts = sorted((tmp_path / "s").glob("*.parquet"))
+    assert json.load(open(tmp_path / "manifest.json"))["s"]["files"] == [p.name for p in parts]
+    parts[0].unlink()
+    assert ck.status("s") == "missing" and not ck.is_done("s")
+    out = ck.pin(ray.data.from_arrow(pa.table({"x": [7]})), "s").to_pandas()
+    assert sorted(out["x"]) == [7]
+    assert ck.status("s") == "cached"
+    m = json.load(open(tmp_path / "manifest.json"))
+    del m["s"]["files"]
+    json.dump(m, open(tmp_path / "manifest.json", "w"))
+    assert ck.status("s") == "cached"

@@ -298,8 +298,8 @@ def test_no_metadata_tasks_and_empty_blocks_skipped(ray_session, submitted):
     submitted.clear()
     out = hash_exchange(ds, "pkey", 4, _make_summarize())
     assert submitted["_split_by_pkey"] == 2
-    assert submitted["_reduce_partition"] == 3  # live partitions only
-    assert out.count() == 3
+    assert submitted["_reduce_partition"] == 4  # one per pkey run
+    assert out.count() == 3  # one summary row per live pkey
     assert sorted(out.to_pandas()["n"]) == [2, 2, 2]
     assert submitted["get_table_block_metadata_schema"] == 0
 
@@ -568,28 +568,123 @@ def test_large_partitions_get_one_reduce_task_each(ray_session, submitted, tmp_p
     assert len(list(tmp_path.iterdir())) == 4
 
 
-def test_reduce_groups_cut_by_bytes(monkeypatch):
-    """``_reduce_groups`` cuts the live partitions into consecutive runs of
-    about equal bytes: one run per CPU while the exchange holds less than
-    ``_REDUCE_BYTES`` per CPU, one per ``_REDUCE_BYTES`` above that, never
-    more runs than live partitions, and a partition heavier than its share
-    alone in its run."""
+def _split_returns(task_returns) -> list:
+    """``num_returns`` of each ``_split_by_pkey`` task submitted."""
+    return [n for name, n in task_returns if name.endswith("._split_by_pkey")]
+
+
+def _pkeys_per_block(ds) -> list:
+    return [sorted(set(t["pkey"].to_pylist())) for t in block_tables(ds)]
+
+
+@pytest.mark.parametrize("cpus, k", [(3, 3), (1, 1), (32, 16)])
+def test_reduce_runs_are_consecutive_pkeys(ray_session, task_returns, monkeypatch, cpus, k):
+    """A small exchange runs ``k = min(P, rows, cluster CPUs)`` reduce
+    tasks; run g holds the pkeys ``[g*P//k, (g+1)*P//k)``, every split task
+    stores exactly k objects, and the rows come in the order of reducing
+    each pkey on its own, in pkey order (k = 1 included: Ray hands back one
+    ref, not a tuple)."""
     from lasvdedup_ray.stages import exchange
 
-    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 32)
-    kib, mib = 1 << 10, exchange._REDUCE_BYTES
-    live = list(range(128))
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: cpus)
+    def identity(g):
+        return g
 
-    def runs(nbytes, live=live):
-        groups = exchange._reduce_groups(np.asarray(nbytes, np.int64), live)
-        assert sum(groups, []) == live
-        return [len(g) for g in groups]
+    ds = _mk(320, 16, n_blocks=4).materialize()
+    task_returns.clear()
+    out = hash_exchange(ds, "pkey", 16, identity)
+    assert _split_returns(task_returns) == [k] * 4
+    runs = [list(range(g * 16 // k, (g + 1) * 16 // k)) for g in range(k)]
+    assert _pkeys_per_block(out) == runs
+    src = pa.concat_tables(block_tables(ds))
+    want = pa.concat_tables([src.filter(pc.equal(src["pkey"], p)) for p in range(16)])
+    assert pa.concat_tables(block_tables(out)).equals(want)
 
-    assert runs([140 * kib] * 128) == [4] * 32
-    assert runs([mib // 2] * 128) == [2] * 64
-    assert runs([4 * mib] * 128) == [1] * 128
-    heavy = runs([10 * mib] + [10 * kib] * 127)
-    assert heavy[0] == 1 and len(heavy) <= 32
-    # dead partitions are not in ``live``; their counts are never read
-    odd = list(range(1, 128, 2))
-    assert runs([-1, 140 * kib] * 64, odd) == [2] * 32
+
+def test_fewer_rows_than_cpus(ray_session, task_returns):
+    """A 3-row exchange runs no more tasks than rows: k = 3 on 4 CPUs."""
+    ds = dataset_from_tables([pa.table({"pkey": pa.array([0, 7, 15], pa.int32()), "v": [1, 2, 3]})])
+    task_returns.clear()
+    out = hash_exchange(ds, "pkey", 16, _make_summarize())
+    assert _split_returns(task_returns) == [3]
+    assert sum(name.endswith("._reduce_partition") for name, _ in task_returns) == 3
+    assert _pkeys_per_block(out) == [[0], [7], [15]]
+
+
+def test_one_driver_get_per_exchange(ray_session, monkeypatch):
+    """The reduce tasks are submitted on the split refs: one ``hash_exchange``
+    call waits on the driver once, for the reduce tasks' metadata (Ray
+    Data's own stats-actor calls aside)."""
+    import sys
+
+    import ray
+
+    from lasvdedup_ray.stages import exchange
+
+    ds = _mk(1000, 8).materialize()
+    gets = []
+    real_get = ray.get
+
+    def get(*args, **kwargs):
+        gets.append(sys._getframe(1).f_code.co_filename)
+        return real_get(*args, **kwargs)
+
+    monkeypatch.setattr(ray, "get", get)
+    out = hash_exchange(ds, "pkey", 8, _make_summarize())
+    assert gets.count(exchange.__file__) == 1, gets
+    monkeypatch.undo()
+    assert int(out.to_pandas()["n"].sum()) == 1000
+
+
+def test_fn_never_called_on_empty_pkey(ray_session, tmp_path):
+    """Of 16 pkeys only 3 hold rows: the reduce fn runs once for each of
+    them and never on an empty pkey, though every run of pkeys gets a
+    task."""
+    t = pa.table({"pkey": pa.array([9, 0, 5, 9, 0], pa.int32()), "v": range(5)})
+    out = hash_exchange(
+        dataset_from_tables([t, t]), "pkey", 16, _make_marking_identity(str(tmp_path))
+    )
+    assert sorted(int(f.name.split("-")[0]) for f in tmp_path.iterdir()) == [0, 5, 9]
+    assert out.count() == 10
+    assert _pkeys_per_block(out) == [[0], [5], [9]]
+
+
+def test_unknown_upstream_metadata_keeps_every_row(ray_session, monkeypatch):
+    """Blocks whose metadata leaves rows or bytes unknown still reach the
+    split: an unknown count reads as P rows, an unknown size as
+    ``_REDUCE_BYTES``.  (A ``RefBundle`` needs the size, so the unknowns
+    are put in where ``hash_exchange`` reads the metadata.)"""
+    from ray.data.block import BlockMetadata, BlockMetadataWithSchema
+
+    from lasvdedup_ray.stages import exchange
+
+    ds = dataset_from_tables(
+        [
+            pa.table({"pkey": pa.array(np.arange(i, i + 40) % 8, pa.int32()), "v": np.arange(40)})
+            for i in range(3)
+        ]
+    )
+    blocks = exchange._live_blocks(ds)
+    # block 0: rows unknown; block 1: bytes unknown; block 2: both
+    known = [(None, blocks[0][1].size_bytes), (40, None), (None, None)]
+    unknown = [
+        (ref, BlockMetadataWithSchema(BlockMetadata(rows, size, None, []), schema=meta.schema))
+        for (ref, meta), (rows, size) in zip(blocks, known)
+    ]
+    monkeypatch.setattr(exchange, "_live_blocks", lambda _ds: unknown)
+    got = hash_exchange(ds, "pkey", 8, _make_summarize()).to_pandas()
+    assert int(got["n"].sum()) == 120
+    assert sorted(got["pkey"]) == list(range(8))
+
+
+def test_all_outputs_empty_returns_one_typed_block(ray_session):
+    """When the fn runs but every output is empty, the result is one typed
+    empty block of a task that called the fn, not a schemaless one."""
+
+    def drop_all(g):
+        return g.slice(0, 0)
+
+    out = hash_exchange(_mk(200, 8).materialize(), "pkey", 8, drop_all)
+    metas = [m for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
+    assert len(metas) == 1 and metas[0].num_rows == 0
+    assert out.schema().names == ["pkey", "v"]

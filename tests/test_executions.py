@@ -12,7 +12,8 @@ over an input-only DAG.  These tests pin every executor start
 sign, and a resume none.  They also pin the executions with an operator
 besides the input buffer (``executions``), the Ray tasks submitted
 (``tasks``), the Parquet files each raw checkpoint read task reads
-(``parquet_reads``), and that a resume runs no sha exchange and no more
+(``parquet_reads``), the objects the exchanges' split tasks store
+(``task_returns``), and that a resume runs no sha exchange and no more
 ``map_blocks`` tasks than its write."""
 
 import glob
@@ -52,6 +53,10 @@ def _job(files, config) -> pa.Table:
 # default driver collapse of this 300-row corpus.
 TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 28, 54, 27
 TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 29, 26
+# Objects the exchanges' split tasks stored per job, likewise: each split
+# task stores one per reduce task of its exchange.
+OBJECTS_WRITE, OBJECTS_RESUME = 24, 8
+OBJECTS_DRIVER_WRITE, OBJECTS_DRIVER_RESUME = 8, 8
 
 
 def _map_block_tasks(tasks) -> int:
@@ -59,6 +64,12 @@ def _map_block_tasks(tasks) -> int:
     wave, so a resume that read a stage back in more blocks than the write
     produced submits more."""
     return sum(name.endswith("._map_block") for name in tasks)
+
+
+def _split_objects(task_returns) -> int:
+    """Objects the ``hash_exchange`` split tasks store: one per reduce task
+    of their exchange, from each submission's ``num_returns``."""
+    return sum(n for name, n in task_returns if name.endswith("._split_by_pkey"))
 
 
 def _reduce_tasks(tasks) -> int:
@@ -96,6 +107,7 @@ def test_resume_skips_sha_exchange(
     executor_starts,
     parquet_reads,
     tasks,
+    task_returns,
     monkeypatch,
     tmp_path,
 ):
@@ -121,17 +133,20 @@ def test_resume_skips_sha_exchange(
     assert len(executor_starts) == 1, executor_starts
     assert parquet_reads == []
     assert len(tasks) <= TASKS_WRITE, tasks
+    assert _split_objects(task_returns) <= OBJECTS_WRITE, task_returns
     written_maps = _map_block_tasks(tasks)
     calls.clear()
     executions.clear()
     executor_starts.clear()
     parquet_reads.clear()
     tasks.clear()
+    task_returns.clear()
     resumed = _job(corpus_files, config)
     assert calls == []
     assert executions == []
     assert executor_starts == []
     assert len(tasks) <= TASKS_RESUME, tasks
+    assert _split_objects(task_returns) <= OBJECTS_RESUME, task_returns
     assert _map_block_tasks(tasks) <= written_maps, tasks
     files = _stage_files(ckpt, "signed", "reps")
     assert _stage_files(ckpt, "signed") and _stage_files(ckpt, "reps")
@@ -146,6 +161,7 @@ def test_driver_collapse_resume(
     executor_starts,
     parquet_reads,
     tasks,
+    task_returns,
     monkeypatch,
     tmp_path,
 ):
@@ -172,6 +188,7 @@ def test_driver_collapse_resume(
     assert len(executor_starts) == 1, executor_starts
     assert parquet_reads == []
     assert len(tasks) <= TASKS_DRIVER_WRITE, tasks
+    assert _split_objects(task_returns) <= OBJECTS_DRIVER_WRITE, task_returns
     assert _reduce_tasks(tasks) <= 2 * cluster_cpus(), tasks
     written_maps = _map_block_tasks(tasks)
     calls.clear()
@@ -179,11 +196,13 @@ def test_driver_collapse_resume(
     executor_starts.clear()
     parquet_reads.clear()
     tasks.clear()
+    task_returns.clear()
     resumed = _job(corpus_files, config)
     assert calls == ["exact_collapse_driver"]
     assert executions == []
     assert executor_starts == []
     assert len(tasks) <= TASKS_DRIVER_RESUME, tasks
+    assert _split_objects(task_returns) <= OBJECTS_DRIVER_RESUME, task_returns
     assert _reduce_tasks(tasks) <= 2 * cluster_cpus(), tasks
     assert _map_block_tasks(tasks) <= written_maps, tasks
     assert _stage_files(ckpt, "signed")
