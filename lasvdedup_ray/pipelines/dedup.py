@@ -6,9 +6,9 @@ Ray-Data-first rebuild of the reference's analytical core
 
 Stages:
 
-    read_parquet
-      -> prepare + sign      (Ray Data map_batches: id, sha256, stats,
-                              OPH signatures)                  [pinned: signed]
+    read + prepare + sign    (raw tasks that run the read's own read
+                              tasks: id, sha256, stats, OPH
+                              signatures)                      [pinned: signed]
       -> sha collapse        (driver lexsort under exact_driver_cap, else
                               a sha hash_exchange: reps + 0-dist
                               star edges)       [pinned above the cap: reps]
@@ -18,11 +18,14 @@ Stages:
       -> classification      (hash_exchange on cluster_id: 5-case tree)
       -> write_parquet       (partitioned by classification) + metrics
 
-Ray Data executes only the read + sign (``StageCheckpointer.pin`` returns
-a materialized stage and writes and reads its Parquet with raw tasks).
-Every step after sign is a raw task over block refs: a per-block map is
-``map_blocks``, a union is ``concat_blocks`` and a shuffle is
-``hash_exchange`` (``stages/exchange.py``), so no consumer re-runs a stage.
+A job starts no Ray Data executor.  Sign reads a bare datasource read
+through the datasource's read tasks, inside one raw task per run of about
+``_SIGN_BYTES`` (``stages/signatures.py``), and ``StageCheckpointer.pin``
+writes and reads its Parquet with raw tasks, as ``edges_out`` writes the
+edge list.  Every step after sign is a raw task over block refs: a
+per-block map is ``map_blocks``, a union is ``concat_blocks`` and a
+shuffle is ``hash_exchange`` (``stages/exchange.py``), so no consumer
+re-runs a stage.
 Everything between the signer and the final classification shuffles ONLY
 ids + signatures (content is projected out inside the map tasks — SURVEY
 §7 "very wide rows").
@@ -46,10 +49,9 @@ from ..stages.exchange import (
     worker_get,
 )
 from ..stages.lsh import candidate_pairs
-from ..stages.prepare import prepare
 from ..stages.signatures import add_signatures
 from ..stages.verify import verify_pairs
-from ..state.checkpoint import StageCheckpointer
+from ..state.checkpoint import StageCheckpointer, write_blocks
 from ..state.unionfind import assign_clusters
 
 SLIM_COLS = ["id", "sha_hex", "lang", "n_chars", "n_lines", "sha256"]
@@ -127,8 +129,10 @@ def dedup_pipeline(
     the reference's ranked contigs table (``io_utils.py:30-61``); left-join
     by id, its columns become usable in ``config.selection_columns``
     (missing rows rank last).  ``edges_out``: optional Parquet directory for
-    the verified edge list — the scalable analog of the reference's dense
-    ``.mldist`` distance-matrix sink (``io_utils.py:69-83``)."""
+    the verified edge list, one ``part-{block:05d}.parquet`` per block
+    written by raw tasks (``write_blocks``) — the scalable analog of the
+    reference's dense ``.mldist`` distance-matrix sink
+    (``io_utils.py:69-83``)."""
     config = config or PipelineConfig()
     if config.group_only and not config.group_regex:
         raise ValueError("group_only=True requires group_regex")
@@ -156,18 +160,10 @@ def dedup_pipeline(
     # stage and links members by zero-distance star edges.  On dup-heavy
     # corpora (2/3 exact dups measured on the bench corpus) this cuts the
     # band shuffle ~3x and the in-bucket pair verification ~9x — the
-    # single biggest scaling lever.  Batch size adapts to input size:
-    # small enough that every CPU gets tasks, large enough that driver
-    # scheduling (~ms per task) doesn't serialize the run at scale.
-    adaptive_bs = max(256, min(4096, n_rows_in // (num_partitions * 8) or 256))
-    signed = ck.pin(
-        add_signatures(
-            prepare(ds, batch_size=adaptive_bs),
-            cfg=config.signature,
-            batch_size=adaptive_bs,
-        ),
-        "signed",
-    )
+    # single biggest scaling lever.  A builder, not a dataset: signing
+    # runs its tasks when it is built, so a resume that reads "signed"
+    # back never signs.
+    signed = ck.pin(lambda: add_signatures(ds, config.signature), "signed")
     if signed.count() == 0:
         from ..stages.classify import RESULT_SCHEMA
 
@@ -257,8 +253,7 @@ def dedup_pipeline(
         edges = concat_blocks(edges, group_key_edges(meta, config.group_regex))
 
     if edges_out is not None:
-        edges = edges.materialize()
-        edges.write_parquet(edges_out)
+        write_blocks(edges, edges_out)
 
     clustered = assign_clusters(
         meta,

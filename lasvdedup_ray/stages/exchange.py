@@ -326,6 +326,24 @@ def map_blocks(
     return dataset_from_blocks([b for b, _ in kept], [m for _, m in kept])
 
 
+def byte_runs(items: Sequence, sizes: Sequence[Optional[int]], target: int) -> list:
+    """``items`` cut into runs of consecutive items of about ``target``
+    bytes each: ``k = min(len(items), max(1, ceil(total / target)))`` runs
+    of about equal bytes (an unknown size counts as ``target``), each item
+    in the run its byte midpoint falls in.  An item larger than a run's
+    share forms its own run, so fewer than ``k`` runs may come back."""
+    if not items:
+        return []
+    b = np.array([target if s is None else s for s in sizes], dtype=np.float64)
+    total = b.sum()
+    k = min(len(items), max(1, int(-(-total // target))))
+    if k == 1:
+        return [list(items)]
+    run = np.minimum(((np.cumsum(b) - b / 2) * k / total).astype(np.int64), k - 1)
+    starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+    return [list(items[a:z]) for a, z in zip(starts, np.r_[starts[1:], len(items)])]
+
+
 @ray.remote
 def _split_by_pkey(block, pkey_col: str, num_partitions: int, bounds: list):
     """One upstream block -> one sub-table per reduce run, each sorted by

@@ -1,8 +1,12 @@
 """Prepare stage: row ids, content sha256, and ranking stats.
 
-Stateless ``map_batches`` over zero-copy Arrow batches — the Ray analog of
-the reference's metadata derivation (``lasvdedup/utils/io_utils.py:30-61``:
-read table, derive ``distance_to_expectation``).  Adds:
+``prepare_batch`` is a stateless function of one zero-copy Arrow batch --
+the Ray analog of the reference's metadata derivation
+(``lasvdedup/utils/io_utils.py:30-61``: read table, derive
+``distance_to_expectation``).  The flagship runs it inside its sign tasks
+(``stages/signatures.sign_table``); ``prepare(ds)`` maps it over a dataset
+with Ray Data ``map_batches``, for a caller that wants the prepared rows
+without signatures (e.g. the content side of ``attach_content``).  Adds:
 
 - ``id``       : ``f"{repo}:{path}@{commit}"`` (unique row key; FIXTURES F1)
 - ``sha_hex``  : hex sha256 of content — the exact-dedup shuffle key

@@ -62,6 +62,20 @@ def _read_parts(paths: list):
     return table, BlockMetadataWithSchema.from_block(table, stats=stats.build())
 
 
+def write_blocks(ds: ray.data.Dataset, path: str) -> None:
+    """One raw task per non-empty block of ``ds``, each writing
+    ``part-{block:05d}.parquet`` into the directory ``path``, which is
+    created even when there is none; no Ray Data executor starts on a
+    ``ds`` with a computed snapshot."""
+    os.makedirs(path, exist_ok=True)
+    ray.get(
+        [
+            _write_part.remote(ref, os.path.join(path, f"part-{i:05d}.parquet"))
+            for i, ref in enumerate(_block_refs(ds))
+        ]
+    )
+
+
 class StageCheckpointer:
     def __init__(
         self,
@@ -174,18 +188,6 @@ class StageCheckpointer:
         out = [_read_parts.remote(list(run)) for run in runs]
         return dataset_from_blocks([b for b, _ in out], ray.get([m for _, m in out]))
 
-    def _write(self, stage: ray.data.Dataset, path: str) -> None:
-        """One raw task per non-empty block of ``stage``, each writing
-        ``part-{block:05d}.parquet`` into the directory ``path``, which is
-        created even when there is none."""
-        os.makedirs(path)
-        ray.get(
-            [
-                _write_part.remote(ref, os.path.join(path, f"part-{i:05d}.parquet"))
-                for i, ref in enumerate(_block_refs(stage))
-            ]
-        )
-
     def pin(
         self,
         ds: Union[ray.data.Dataset, Callable[[], ray.data.Dataset]],
@@ -218,7 +220,7 @@ class StageCheckpointer:
         tmp = f"{final}.tmp.{os.getpid()}"
         if os.path.exists(tmp):
             shutil.rmtree(tmp)
-        self._write(stage, tmp)
+        write_blocks(stage, tmp)
         if os.path.exists(final):
             shutil.rmtree(final)
         try:

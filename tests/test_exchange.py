@@ -13,6 +13,7 @@ import ray.data as rd
 
 from lasvdedup_ray.stages.exchange import (
     block_tables,
+    byte_runs,
     concat_blocks,
     dataset_from_blocks,
     dataset_from_tables,
@@ -688,3 +689,24 @@ def test_all_outputs_empty_returns_one_typed_block(ray_session):
     metas = [m for b in out.iter_internal_ref_bundles() for _, m in b.blocks]
     assert len(metas) == 1 and metas[0].num_rows == 0
     assert out.schema().names == ["pkey", "v"]
+
+
+@pytest.mark.parametrize(
+    "sizes, target, runs",
+    [
+        ([100] * 8, 1000, [8]),  # under one target: one run
+        ([100] * 8, 200, [2, 2, 2, 2]),  # ceil(800 / 200) = 4 equal runs
+        ([100] * 3, 50, [1, 1, 1]),  # never more runs than items
+        ([1000, 10, 10, 10], 300, [1, 3]),  # a heavy item forms its own run
+        ([None, None, 100], 100, [1, 1, 1]),  # an unknown size counts as target
+        ([0, 0], 100, [2]),
+        ([], 100, []),
+    ],
+)
+def test_byte_runs(sizes, target, runs):
+    """Consecutive runs of about ``target`` bytes, every item once, in
+    order."""
+    items = list(range(len(sizes)))
+    got = byte_runs(items, sizes, target)
+    assert [len(r) for r in got] == runs
+    assert [i for r in got for i in r] == items

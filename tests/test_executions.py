@@ -1,20 +1,21 @@
 """Ray Data executions of one flagship job.
 
 Each execution costs a fixed ~150 ms of CPU however few rows it moves, so
-after sign the flagship runs raw tasks over block refs only (``map_blocks``,
-``concat_blocks``, ``hash_exchange``), writes and reads each checkpointed
-stage's Parquet with raw tasks (a stage is read once per job), and never
-builds a stage its checkpoint already holds.  A block-ref dataset carries
-its blocks as a computed snapshot (``dataset_from_blocks``), so reading it
-starts no executor either; without the snapshot every read would start one
-over an input-only DAG.  These tests pin every executor start
-(``executor_starts`` fixture, conftest.py): a job starts one, for read +
-sign, and a resume none.  They also pin the executions with an operator
-besides the input buffer (``executions``), the Ray tasks submitted
-(``tasks``), the Parquet files each raw checkpoint read task reads
-(``parquet_reads``), the objects the exchanges' split tasks store
-(``task_returns``), and that a resume runs no sha exchange and no more
-``map_blocks`` tasks than its write."""
+the flagship reads, prepares and signs its input in raw tasks that run the
+datasource's read tasks themselves (``add_signatures``), runs raw tasks
+over block refs after sign (``map_blocks``, ``concat_blocks``,
+``hash_exchange``), writes and reads each checkpointed stage's Parquet with
+raw tasks (a stage is read once per job), and never builds a stage its
+checkpoint already holds.  A block-ref dataset carries its blocks as a
+computed snapshot (``dataset_from_blocks``), so reading it starts no
+executor either; without the snapshot every read would start one over an
+input-only DAG.  These tests pin every executor start (``executor_starts``
+fixture, conftest.py): a job, its checkpointed write and its resume start
+none.  They also pin the executions with an operator besides the input
+buffer (``executions``), the Ray tasks submitted (``tasks``), the Parquet
+files each raw checkpoint read task reads (``parquet_reads``), the objects
+the exchanges' split tasks store (``task_returns``), and that a resume runs
+no sha exchange and no more ``map_blocks`` tasks than its write."""
 
 import glob
 import os
@@ -51,8 +52,8 @@ def _job(files, config) -> pa.Table:
 # these bounds were set; a job may not submit more.  The exchange pair is
 # the sha-exchange collapse (``exact_driver_cap=0``), the driver pair the
 # default driver collapse of this 300-row corpus.
-TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 28, 54, 27
-TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 29, 26
+TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 26, 52, 27
+TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 27, 26
 # Objects the exchanges' split tasks stored per job, likewise: each split
 # task stores one per reduce task of its exchange.
 OBJECTS_WRITE, OBJECTS_RESUME = 24, 8
@@ -80,11 +81,11 @@ def _reduce_tasks(tasks) -> int:
 def test_job_without_checkpoint(
     ray_session, corpus_files, executions, executor_starts, tasks
 ):
-    """Read + sign is the only execution a job needs, and the only executor
-    it starts, reading the result by ``to_arrow_refs`` included."""
+    """A job starts no Ray Data executor, from the read through to reading
+    the result by ``to_arrow_refs``."""
     _job(corpus_files, PipelineConfig())
-    assert len(executions) <= 2, executions
-    assert len(executor_starts) == 1, executor_starts
+    assert executions == [], executions
+    assert executor_starts == [], executor_starts
     assert len(tasks) <= TASKS_RUN, tasks
 
 
@@ -112,9 +113,9 @@ def test_resume_skips_sha_exchange(
     tmp_path,
 ):
     """With the sha collapse forced through the exchange
-    (``exact_driver_cap=0``), the checkpointed write runs one execution and
-    starts one executor (read + sign), writes its stages with raw tasks and
-    hands them on without reading them back.  The resume reads ``reps``
+    (``exact_driver_cap=0``), the checkpointed write starts no executor,
+    writes its stages with raw tasks and hands them on without reading them
+    back.  The resume reads ``reps``
     back without building the sha exchange, reads every file of each stage
     in exactly one raw task, starts no executor, submits no more
     ``map_blocks`` tasks than the write (a stage is read back in no more
@@ -129,8 +130,8 @@ def test_resume_skips_sha_exchange(
     config = PipelineConfig(checkpoint_dir=ckpt, execution=ExecutionConfig(exact_driver_cap=0))
     written = _job(corpus_files, config)
     assert calls == ["exact_collapse", "_sha_exchange"]
-    assert len(executions) <= 1, executions
-    assert len(executor_starts) == 1, executor_starts
+    assert executions == [], executions
+    assert executor_starts == [], executor_starts
     assert parquet_reads == []
     assert len(tasks) <= TASKS_WRITE, tasks
     assert _split_objects(task_returns) <= OBJECTS_WRITE, task_returns
@@ -167,8 +168,7 @@ def test_driver_collapse_resume(
 ):
     """Below ``exact_driver_cap`` (the default at this size) a checkpointed
     job collapses exact dups on the driver and pins ``signed`` only: the
-    write runs one execution and starts one executor (read + sign), reads
-    no stage back and writes no ``reps``; the resume starts no executor,
+    write starts no executor, reads no stage back and writes no ``reps``; the resume starts no executor,
     reads every file of ``signed`` in exactly one raw task, redoes the
     driver collapse from it, submits no more ``map_blocks`` tasks than the
     write, and returns the write's output.  Each job's two exchanges (LSH bands,
@@ -184,8 +184,8 @@ def test_driver_collapse_resume(
     written = _job(corpus_files, config)
     assert calls == ["exact_collapse_driver"]
     assert not os.path.exists(os.path.join(ckpt, "reps"))
-    assert len(executions) <= 1, executions
-    assert len(executor_starts) == 1, executor_starts
+    assert executions == [], executions
+    assert executor_starts == [], executor_starts
     assert parquet_reads == []
     assert len(tasks) <= TASKS_DRIVER_WRITE, tasks
     assert _split_objects(task_returns) <= OBJECTS_DRIVER_WRITE, task_returns

@@ -25,7 +25,6 @@ from lasvdedup_ray.config import ExecutionConfig, PipelineConfig
 from lasvdedup_ray.pipelines.dedup import candidate_tau, dedup_pipeline
 from lasvdedup_ray.sources.corpus import CorpusSpec, generate_corpus
 from lasvdedup_ray.stages.lsh import candidate_pairs
-from lasvdedup_ray.stages.prepare import prepare
 from lasvdedup_ray.stages.signatures import add_signatures
 
 
@@ -33,9 +32,7 @@ from lasvdedup_ray.stages.signatures import add_signatures
 def signed_corpus():
     corpus, _ = generate_corpus(CorpusSpec(n_files=300, seed=17))
     cfg = PipelineConfig()
-    signed = add_signatures(
-        prepare(ray.data.from_arrow(corpus)), cfg=cfg.signature
-    ).materialize()
+    signed = add_signatures(ray.data.from_arrow(corpus), cfg=cfg.signature).materialize()
     return corpus, cfg, signed
 
 
@@ -119,7 +116,7 @@ def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
         "content",
         pa.array([corpus["content"][0].as_py()] * corpus.num_rows, corpus.schema.field("content").type),
     )
-    signed_same = add_signatures(prepare(ray.data.from_arrow(same)), cfg=cfg.signature)
+    signed_same = add_signatures(ray.data.from_arrow(same), cfg=cfg.signature)
     fused = exact_collapse(
         signed_same.select_columns(["id", "sha_hex", "minhash", "simhash"])
     ).materialize()

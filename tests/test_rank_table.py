@@ -5,6 +5,7 @@ choice; edge-list sink replaces the dense matrix writer."""
 import os
 
 import pyarrow as pa
+import ray
 import ray.data
 
 from lasvdedup_ray.config import PipelineConfig
@@ -68,13 +69,40 @@ def test_rank_table_missing_rows_rank_last():
     assert rep["id"] == ids[1]
 
 
-def test_edges_out_sink(tmp_path):
+def test_edges_out_sink(tmp_path, executor_starts, monkeypatch):
+    """The verified edge list is written by raw tasks, one part file per
+    block, without a Ray Data executor, and reads back as the edge set the
+    clustering received."""
+    import pyarrow.parquet as pq
+
+    from lasvdedup_ray.pipelines import dedup
+    from lasvdedup_ray.sources.readers import read_parquet_clean
+
     corpus, ids = _corpus_of_exact_dups()
+    src = str(tmp_path / "corpus.parquet")
+    pq.write_table(corpus, src)
+    seen = []
+    assign = dedup.assign_clusters
+
+    def recording(meta, edges, **kw):
+        seen.append(edges)
+        return assign(meta, edges, **kw)
+
+    monkeypatch.setattr(dedup, "assign_clusters", recording)
     edir = str(tmp_path / "edges")
-    dedup_pipeline(
-        ray.data.from_arrow(corpus), PipelineConfig(), num_partitions=2, edges_out=edir
-    ).to_pandas()
+    ray.get(
+        dedup_pipeline(
+            read_parquet_clean([src]), PipelineConfig(), num_partitions=2, edges_out=edir
+        ).to_arrow_refs()
+    )
+    assert executor_starts == []
+    files = sorted(os.listdir(edir))
+    assert files == [f"part-{i:05d}.parquet" for i in range(len(files))]
     edges = ray.data.read_parquet(edir).to_pandas()
     assert len(edges) >= 2  # 3 identical docs connect
     assert set(edges.columns) == {"id_a", "id_b", "est_distance"}
     assert (edges["est_distance"] == 0.0).all()
+    cols = ["id_a", "id_b", "est_distance"]
+    got = sorted(map(tuple, edges[cols].itertuples(index=False)))
+    (sent,) = seen
+    assert got == sorted(map(tuple, sent.to_pandas()[cols].itertuples(index=False)))

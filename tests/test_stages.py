@@ -10,7 +10,7 @@ from lasvdedup_ray.config import LSHConfig, SignatureConfig
 from lasvdedup_ray.sources.corpus import SOURCE_SCHEMA
 from lasvdedup_ray.stages.exact import exact_collapse, fused_edges, fused_reps
 from lasvdedup_ray.stages.lsh import band_stats, candidate_pairs
-from lasvdedup_ray.stages.prepare import prepare, prepare_batch
+from lasvdedup_ray.stages.prepare import prepare_batch
 from lasvdedup_ray.stages.signatures import MinHashSigner, add_signatures
 
 
@@ -45,7 +45,7 @@ def test_prepare_batch_fields():
 
 
 def test_exact_dedup_roundtrip():
-    ds = add_signatures(prepare(ray.data.from_arrow(small_table())))
+    ds = add_signatures(ray.data.from_arrow(small_table()))
     fused = exact_collapse(ds).materialize()
     reps = fused_reps(fused).to_pandas()
     assert len(reps) == 2  # a/b collapse
@@ -82,7 +82,7 @@ def test_candidate_pairs_finds_near_dups():
         schema=SOURCE_SCHEMA,
     )
     cfg = SignatureConfig()
-    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg)
+    signed = add_signatures(ray.data.from_arrow(t), cfg)
     pairs = candidate_pairs(
         signed.select_columns(["id", "minhash", "simhash"]), cfg, LSHConfig(), tau=0.3
     ).to_pandas()
@@ -108,7 +108,7 @@ def test_band_cap_keeps_connectivity():
     )
     cfg = SignatureConfig()
     lsh = LSHConfig(band_cap=4, cap_neighbors=2)
-    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg)
+    signed = add_signatures(ray.data.from_arrow(t), cfg)
     pairs = candidate_pairs(
         signed.select_columns(["id", "minhash", "simhash"]), cfg, lsh, tau=0.2
     ).to_pandas()
@@ -133,7 +133,7 @@ def test_band_stats_reports_drops():
         schema=SOURCE_SCHEMA,
     )
     cfg = SignatureConfig()
-    signed = add_signatures(prepare(ray.data.from_arrow(t)), cfg)
+    signed = add_signatures(ray.data.from_arrow(t), cfg)
     stats = band_stats(
         signed.select_columns(["id", "minhash", "simhash"]), cfg, LSHConfig(band_cap=4, cap_neighbors=2)
     ).to_pandas()
