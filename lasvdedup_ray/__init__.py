@@ -9,7 +9,6 @@ source-code tables.  See SURVEY.md for the full blueprint.
 from . import _alloc  # noqa: F401  (side effect: THP-madvise hygiene, must run first)
 from .config import (
     ClassThresholds,
-    ExecutionConfig,
     LSHConfig,
     PipelineConfig,
     SignatureConfig,
@@ -18,7 +17,6 @@ from .config_io import build_config
 
 __all__ = [
     "ClassThresholds",
-    "ExecutionConfig",
     "LSHConfig",
     "PipelineConfig",
     "SignatureConfig",

@@ -92,22 +92,6 @@ class LSHConfig:
 
     band_cap: int = 256
     cap_neighbors: int = 4
-    # hot-bucket key set: collected exactly (sorted uint64 array) while the
-    # distinct colliding-key count fits this cap; above it, a fixed-size
-    # two-probe bloom bitmap is built instead (streaming, bounded driver
-    # memory — a false positive only ships one extra row into the shuffle,
-    # never drops a pair).
-    hot_exact_cap: int = 4_000_000
-    # While the corpus' signature table fits this row budget, signatures
-    # are BROADCAST as one hash-indexed blob (ray.put once, zero-copy
-    # plasma reads, one copy per node) and band rows shrink to ~40 B
-    # (band, bh, id-hash, simhash, cmask) — a ~9x band-shuffle byte cut.
-    # The cap bounds DRIVER RAM: the driver assembles the blob, ~300 MB of
-    # sig16 (256 B per row) + ids + id hashes at 1M rows, held up to three
-    # times while it concatenates and sorts.  Beyond the cap, signatures
-    # ride inline in the band rows and the driver never holds them.  Both
-    # transports emit identical pair sets (tests/test_path_equivalence.py).
-    sig_broadcast_cap: int = 1_000_000
     # pairs with est_distance in (tau - exact_margin_low, tau +
     # exact_margin_high] get an exact-Jaccard re-check: removes MinHash
     # estimator noise at the inclusive <= boundary the reference pins
@@ -123,27 +107,9 @@ class LSHConfig:
 
 
 @dataclass(frozen=True)
-class ExecutionConfig:
-    """Per-stage physical knobs, sized for a 32-CPU node by default."""
-
-    dsu_edge_limit: int = 2_000_000   # above this, use distributed label propagation
-    # Below this many input rows the exact-dup sha collapse runs ON THE
-    # DRIVER: one streamed (id, sha_hex) pass + a vectorized lexsort replace
-    # the sha ``hash_exchange``: sending every job through the exchange
-    # cost +32% ``run_cpu_s`` on the 1000-file ``mixed_5kb`` benchmark
-    # (median of 6 alternating pairs).  Representatives then come from a
-    # broadcast is_in filter (exact string membership — no hash-collision
-    # exposure).  Both plans pick the same min(id)-per-sha reps and star
-    # edges (pinned by tests/test_path_equivalence.py).  The driver
-    # collapse is not checkpointed: a resume redoes it from ``signed``.
-    exact_driver_cap: int = 150_000
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     signature: SignatureConfig = field(default_factory=SignatureConfig)
     lsh: LSHConfig = field(default_factory=LSHConfig)
-    execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     default_thresholds: ClassThresholds = field(default_factory=ClassThresholds)
     # per-lang overrides, reference's per-segment THRESHOLDS (config.yaml:31-41)
     lang_thresholds: Mapping[str, ClassThresholds] = field(default_factory=dict)

@@ -15,7 +15,6 @@ from typing import Any, Dict, Mapping, Optional
 
 from .config import (
     ClassThresholds,
-    ExecutionConfig,
     LSHConfig,
     PipelineConfig,
     SignatureConfig,
@@ -87,7 +86,6 @@ _SCALAR_KEYS = (
 _SECTIONS = {
     "signature": "signature",
     "lsh": "lsh",
-    "execution": "execution",
     "thresholds": "default_thresholds",
 }
 
@@ -102,9 +100,8 @@ def build_config(
     raises ``ValueError``)::
 
         signature: {k, num_perms, bands, rows, seed, sample_mod, ...}
-        lsh: {band_cap, cap_neighbors, hot_exact_cap, sig_broadcast_cap,
-              exact_verify, exact_margin_low, exact_margin_high}
-        execution: {dsu_edge_limit, exact_driver_cap}
+        lsh: {band_cap, cap_neighbors, exact_verify, exact_margin_low,
+              exact_margin_high}
         thresholds: {tau, min_neighborhood, z_threshold, target_length}
         lang_thresholds: {"py": {tau: ...}, ...}
         selection_columns: [..]

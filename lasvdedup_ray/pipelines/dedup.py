@@ -9,17 +9,20 @@ Stages:
     read + prepare + sign    (raw tasks that run the read's own read
                               tasks: id, sha256, stats, OPH
                               signatures)                      [pinned: signed]
-      -> sha collapse        (driver lexsort under exact_driver_cap, else
-                              a sha hash_exchange: reps + 0-dist
-                              star edges)       [pinned above the cap: reps]
+      -> sha collapse        (min-id reps + 0-dist star edges: on the
+                              driver for small inputs, else a sha
+                              hash_exchange; stages/exact.py)
+                                        [pinned on the exchange plan: reps]
       -> LSH candidates      (sig store + band hash_exchange: pairs)
       -> verify              (sure filter + exact border re-check)
-      -> union-find          (driver DSU / distributed label prop)
+      -> union-find          (driver DSU / distributed label prop;
+                              state/unionfind.py)
       -> classification      (hash_exchange on cluster_id: 5-case tree)
       -> write_parquet       (partitioned by classification) + metrics
 
-A job starts no Ray Data executor.  Sign reads a bare datasource read
-through the datasource's read tasks, inside one raw task per run of about
+A job over a bare datasource read starts no Ray Data executor, and any
+other lazy input runs once, at the top.  Sign reads a bare read through
+the datasource's read tasks, inside one raw task per run of about
 ``_SIGN_BYTES`` (``stages/signatures.py``), and ``StageCheckpointer.pin``
 writes and reads its Parquet with raw tasks, as ``edges_out`` writes the
 edge list.  Every step after sign is a raw task over block refs: a
@@ -33,28 +36,35 @@ ids + signatures (content is projected out inside the map tasks — SURVEY
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional
 
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
 from ..config import PipelineConfig
+from ..functions.hashing import id_hash64
 from ..stages.classify import classify_clusters
+from ..stages.exact import collapses_on_driver, min_id_stars, sha_collapse
 from ..stages.exchange import (
+    _arrow,
+    _block_refs,
     concat_blocks,
     dataset_from_tables,
     hash_exchange,
     map_blocks,
-    worker_get,
 )
 from ..stages.lsh import candidate_pairs
-from ..stages.signatures import add_signatures
+from ..stages.signatures import add_signatures, bare_read
 from ..stages.verify import verify_pairs
 from ..state.checkpoint import StageCheckpointer, write_blocks
 from ..state.unionfind import assign_clusters
 
-SLIM_COLS = ["id", "sha_hex", "lang", "n_chars", "n_lines", "sha256"]
+SLIM_COLS = ["id", "lang", "n_chars", "n_lines", "sha256"]
+SOURCE_COLS = ["repo", "path", "commit", "lang", "content"]
+
 
 def candidate_tau(config: PipelineConfig) -> float:
     """Candidate-generation threshold: the loosest tau across partition
@@ -66,6 +76,16 @@ def candidate_tau(config: PipelineConfig) -> float:
     return max(taus)
 
 
+@ray.remote
+def _block_digest(block) -> bytes:
+    """sha256 of the row hashes of every input column of one block."""
+    t = _arrow(block)
+    h = hashlib.sha256()
+    for c in SOURCE_COLS:
+        h.update(id_hash64(t[c]).tobytes())
+    return h.digest()
+
+
 def _input_fingerprint(
     ds: ray.data.Dataset, n_rows: int, schema_names, config: PipelineConfig
 ) -> str:
@@ -75,15 +95,18 @@ def _input_fingerprint(
     (``input_files``), so nothing executes; their stats fold in through
     ``corpus_fingerprint_of``, the near-dup index cache's rule, so an input
     file edited in place with the same row count invalidates both caches
-    alike.  An in-memory input has no files and keys on rows + columns."""
-    import hashlib as _hashlib
-
+    alike.  Only a bare read reports its files: any other input (in
+    memory, materialized, or with a map stage) with a ``checkpoint_dir``
+    folds in a digest of its rows instead (one raw task per block), so a
+    different table of the same shape does not resume stale stages."""
     from ..state.neardup_index import corpus_fingerprint_of
 
     files = ";".join(
         corpus_fingerprint_of(f, n_rows) for f in sorted(ds.input_files())
     )
-    return _hashlib.sha256(
+    if not files and config.checkpoint_dir:
+        files = b"".join(ray.get([_block_digest.remote(r) for r in _block_refs(ds)])).hex()
+    return hashlib.sha256(
         f"{n_rows}|{sorted(schema_names)}|{files}|{config!r}".encode()
     ).hexdigest()[:16]
 
@@ -94,7 +117,8 @@ def plan_stages(
     """Dry-run plan (the reference's ``run_pipeline(..., dry_run)``,
     ``lasvdedup/pipeline.py:9-83``): the ordered stage list with each
     checkpointable stage's resume status — nothing executes beyond the
-    input's metadata row count."""
+    input's metadata row count (and, for an in-memory input with a
+    checkpoint dir, its fingerprint digest)."""
     config = config or PipelineConfig()
     n_rows = ds.count()
     fp = _input_fingerprint(ds, n_rows, ds.schema().names, config)
@@ -103,7 +127,7 @@ def plan_stages(
     for name in ("signed", "reps"):
         if not config.checkpoint_dir:
             status = "no checkpoint_dir"
-        elif name == "reps" and n_rows <= config.execution.exact_driver_cap:
+        elif name == "reps" and collapses_on_driver(n_rows):
             status = "not checkpointed (driver sha collapse)"
         else:
             status = ck.status(name)
@@ -136,16 +160,20 @@ def dedup_pipeline(
     config = config or PipelineConfig()
     if config.group_only and not config.group_regex:
         raise ValueError("group_only=True requires group_regex")
+    if not bare_read(ds):
+        # a lazy plan with a map stage would otherwise run once each for
+        # its schema, its count and sign; sign runs a bare read's own read
+        # tasks instead
+        ds = ds.materialize()
     # schema validation up front (reference: missing-column ValueError,
     # io_utils.py:39-42) — fail fast instead of deep inside a shuffle
     schema_names = set(ds.schema().names)
-    missing = [c for c in ("repo", "path", "commit", "lang", "content") if c not in schema_names]
+    missing = [c for c in SOURCE_COLS if c not in schema_names]
     if missing:
         raise ValueError(
             f"input is missing required columns {missing}; expected "
             f"(repo, path, commit, lang, content)"
         )
-    ex = config.execution
     n_rows_in = ds.count()
     fp = _input_fingerprint(ds, n_rows_in, schema_names, config)
     # force (reference --force/forceall): recompute every pinned stage
@@ -155,12 +183,11 @@ def dedup_pipeline(
 
     # sign every row (OPH signing is O(shingles); identical content yields
     # identical signatures), then collapse exact dups at the SLIM level
-    # before banding: one slim shuffle on sha (ids + signatures, no
-    # content) keeps one representative per distinct content in the LSH
-    # stage and links members by zero-distance star edges.  On dup-heavy
-    # corpora (2/3 exact dups measured on the bench corpus) this cuts the
-    # band shuffle ~3x and the in-bucket pair verification ~9x — the
-    # single biggest scaling lever.  A builder, not a dataset: signing
+    # before banding: one representative per distinct content enters the
+    # LSH stage and the others link to it by zero-distance star edges.  On
+    # dup-heavy corpora (2/3 exact dups measured on the bench corpus) this
+    # cuts the band shuffle ~3x and the in-bucket pair verification ~9x —
+    # the single biggest scaling lever.  A builder, not a dataset: signing
     # runs its tasks when it is built, so a resume that reads "signed"
     # back never signs.
     signed = ck.pin(lambda: add_signatures(ds, config.signature), "signed")
@@ -177,53 +204,11 @@ def dedup_pipeline(
 
         edges = dataset_from_tables([PAIR_SCHEMA.empty_table()])
     else:
-        if n_rows_in <= ex.exact_driver_cap:
-            # small input: the sha collapse runs on the driver (one slim
-            # streamed pass + lexsort) instead of paying the sha
-            # exchange's tasks (see ``exact_driver_cap``); reps are
-            # recovered by an exact broadcast is_in filter over the pinned
-            # signed dataset.  Nothing here is checkpointed: a resume
-            # redoes the collapse from ``signed``.
-            from ..stages.exact import exact_collapse_driver
-
-            rep_ids, edges_tbl = exact_collapse_driver(signed)
-            reps_hint = len(rep_ids)
-            # ship the rep-id set through plasma once (ray.put + per-worker
-            # cache), not pickled into every task closure
-            rep_ref = ray.put(pa.array(list(rep_ids), pa.string()))
-
-            def keep_reps(t: pa.Table) -> pa.Table:
-                reps = worker_get(rep_ref, "dedup.reps")
-                return t.filter(pc.is_in(t["id"], value_set=reps))
-
-            reps_slim = map_blocks(
-                signed, keep_reps, cols=["id", "minhash", "simhash"]
-            )
-            e_edges = dataset_from_tables([edges_tbl])
-        else:
-            # ONE sha shuffle yields both the per-sha representatives and
-            # the zero-distance star edges (two separate groupbys before r3)
-            from ..stages.exact import exact_collapse, fused_edges, fused_reps
-
-            # a builder, not a dataset: the exchange starts when it is
-            # built, so a resume that reads "reps" back skips it
-            fused = ck.pin(lambda: exact_collapse(signed), "reps")
-            reps_slim = fused_reps(fused)
-            # one fused row per input row (a rep or a star edge): the
-            # pinned stage's metadata count bounds the rep count from
-            # above without a filter + count pass
-            reps_hint = fused.count()
-            e_edges = fused_edges(fused)
+        reps_slim, e_edges = sha_collapse(signed, ck)
         # candidates read (id, minhash, simhash) by name; verify
         # projects signed to (id, content) inside its gather tasks
         near_edges = verify_pairs(
-            candidate_pairs(
-                reps_slim,
-                config.signature,
-                config.lsh,
-                tau=emit_tau,
-                n_rows_hint=reps_hint,
-            ),
+            candidate_pairs(reps_slim, config.signature, config.lsh, tau=emit_tau),
             signed,
             config.signature,
             config.lsh,
@@ -255,12 +240,7 @@ def dedup_pipeline(
     if edges_out is not None:
         write_blocks(edges, edges_out)
 
-    clustered = assign_clusters(
-        meta,
-        edges,
-        dsu_edge_limit=ex.dsu_edge_limit,
-        num_partitions=num_partitions,
-    )
+    clustered = assign_clusters(meta, edges, num_partitions=num_partitions)
     return classify_clusters(clustered, config)
 
 
@@ -271,8 +251,6 @@ def group_key_edges(ids_ds: ray.data.Dataset, pattern: str) -> ray.data.Dataset:
     key; within-partition star emission is vectorized (min id per key ->
     every other member).  ``ids_ds`` needs an ``id`` column; only it
     enters the shuffle."""
-    import numpy as np
-
     from ..functions.text import extract_group_key
     from ..stages.exchange import exchange_partitions, string_pkey
     from ..stages.lsh import PAIR_SCHEMA
@@ -284,34 +262,11 @@ def group_key_edges(ids_ds: ray.data.Dataset, pattern: str) -> ray.data.Dataset:
         out = pa.table({"id": t["id"], "gkey": keys}).filter(pc.is_valid(keys))
         return out.append_column("pkey", string_pkey(out["gkey"], num_partitions))
 
-    def star_edges(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0 or "gkey" not in g.column_names:
-            return PAIR_SCHEMA.empty_table()
-        keys = np.asarray(g["gkey"].to_pylist(), dtype=object)
-        ids = np.asarray(g["id"].to_pylist(), dtype=object)
-        order = np.lexsort((ids, keys))
-        keys, ids = keys[order], ids[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        starts = np.flatnonzero(first)
-        sizes = np.diff(np.append(starts, len(keys)))
-        hub = np.repeat(ids[starts], sizes)  # min id per key (sorted)
-        other = ids
-        keep = hub != other
-        return pa.table(
-            {
-                "id_a": pa.array(hub[keep], pa.string()),
-                "id_b": pa.array(other[keep], pa.string()),
-                "est_distance": pa.array(np.zeros(int(keep.sum())), pa.float64()),
-            },
-            schema=PAIR_SCHEMA,
-        )
-
     return hash_exchange(
         map_blocks(ids_ds, keyed, cols=["id"]),
         "pkey",
         num_partitions,
-        star_edges,
+        lambda g: min_id_stars(g["gkey"], g["id"])[1],
         empty_schema=PAIR_SCHEMA,
     )
 

@@ -1592,8 +1592,8 @@ def jaccard_cluster_docs(sf_dir: str, threshold: float = 0.5) -> ray.data.Datase
 
     Scale shape: the edge list (near-dup pairs only) is orders of magnitude
     smaller than the corpus; ``assign_clusters`` streams it into a driver
-    DSU below ``dsu_edge_limit`` and switches to distributed min-label
-    propagation + pointer jumping above it.  Node ids ride as zero-padded
+    DSU up to ``unionfind._DSU_EDGES`` edges and switches to distributed
+    min-label propagation + pointer jumping above it.  Node ids ride as zero-padded
     strings so the DSU's lexicographic min equals the numeric min."""
     pairs = ngram_jaccard_pairs(sf_dir, threshold)
 

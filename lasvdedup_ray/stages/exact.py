@@ -7,34 +7,112 @@ content): only one row per distinct content enters LSH, and the other
 members link to it by zero-distance star edges.  The rep choice is
 min(id): any member works because identical content ⇒ identical
 signature; final ranking happens in the classification stage over the
-whole cluster.
+whole cluster.  Rows are keyed by the 32-byte ``sha256`` digest, and every
+plan builds its reps and edges with one kernel, ``min_id_stars``.
 
-Two plans give the same reps and edges: ``exact_collapse`` (a
-``hash_exchange`` on ``pkey = hash(sha_hex) % P``, each partition one
-vectorized call: sort by (sha, id), first-occurrence mask) and, for small
-inputs, ``exact_collapse_driver`` (one lexsort on the driver).
+``sha_collapse`` picks one of two plans by input size; both give the same
+reps and edges (``tests/test_path_equivalence.py``):
+
+- at most ``_DRIVER_ROWS`` input rows: ``exact_collapse_driver`` reads
+  (id, sha256) to the driver and runs the kernel once, and the reps are
+  kept from ``signed`` by an exact ``is_in`` filter in raw tasks.  Sending
+  every job through the exchange cost +32% ``run_cpu_s`` on the 1000-file
+  ``mixed_5kb`` benchmark (median of 6 alternating pairs).  Nothing is
+  checkpointed: a resume redoes the collapse from ``signed``.
+- above it: ``exact_collapse``, a ``hash_exchange`` on ``pkey`` = the
+  digest's first 8 bytes mod P, each partition one kernel call.  Its
+  output is pinned as ``reps``, so a resume reads it back without the
+  exchange.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
 from .lsh import PAIR_SCHEMA
 
+# inputs of at most this many rows collapse on the driver (module docstring)
+_DRIVER_ROWS = 150_000
+
+
+def min_id_stars(keys, ids) -> Tuple[np.ndarray, pa.Table]:
+    """``(rep_rows, edges)`` of rows grouped by ``keys``: the row index of
+    each distinct key's min id, in key order, and the zero-distance star
+    edges in PAIR_SCHEMA from that id to every other id of its key.  Ids
+    compare as UTF-8 bytes, which is Python ``str`` order."""
+    order = pc.sort_indices(
+        pa.table({"key": keys, "id": ids}),
+        sort_keys=[("key", "ascending"), ("id", "ascending")],
+    )
+    keys, ids = pc.take(keys, order), pc.take(ids, order)
+    first = np.ones(len(order), dtype=bool)
+    if len(order) > 1:
+        first[1:] = np.asarray(pc.not_equal(keys[1:], keys[:-1]))
+    starts = np.flatnonzero(first)
+    members = np.flatnonzero(~first)
+    hubs = starts[np.cumsum(first)[members] - 1]
+    edges = pa.table(
+        {
+            "id_a": pc.take(ids, hubs),
+            "id_b": pc.take(ids, members),
+            "est_distance": np.zeros(len(members)),
+        },
+        schema=PAIR_SCHEMA,
+    )
+    return order.to_numpy()[starts], edges
+
+
+def collapses_on_driver(n_rows: int) -> bool:
+    """Whether an input of ``n_rows`` rows takes the driver plan, which
+    pins no ``reps`` stage."""
+    return n_rows <= _DRIVER_ROWS
+
+
+def sha_collapse(signed: ray.data.Dataset, ck) -> Tuple[ray.data.Dataset, ray.data.Dataset]:
+    """``(reps_slim, edges)`` of the pinned ``signed`` stage: the (id,
+    minhash, simhash) rows of each distinct sha256's min id, and the
+    zero-distance star edges (PAIR_SCHEMA) that link every other row to
+    it.  The plan follows the row count (module docstring); ``ck``, the
+    job's ``StageCheckpointer``, pins the exchange plan's output."""
+    from .exchange import dataset_from_tables, map_blocks, worker_get
+
+    if collapses_on_driver(signed.count()):
+        rep_ids, edges = exact_collapse_driver(signed)
+        # ship the rep-id set through plasma once (ray.put + per-worker
+        # cache), not pickled into every task closure
+        rep_ref = ray.put(rep_ids)
+
+        def keep_reps(t: pa.Table) -> pa.Table:
+            return t.filter(pc.is_in(t["id"], value_set=worker_get(rep_ref, "exact.reps")))
+
+        reps = map_blocks(signed, keep_reps, cols=["id", "minhash", "simhash"])
+        return reps, dataset_from_tables([edges])
+    # a builder, not a dataset: the exchange starts when it is built, so a
+    # resume that reads "reps" back skips it
+    fused = ck.pin(lambda: exact_collapse(signed), "reps")
+    return fused_reps(fused), fused_edges(fused)
+
 
 def _sha_exchange(ds: ray.data.Dataset, reduce_fn, cols=None) -> ray.data.Dataset:
-    """Hash exchange on ``sha_hex``: every row of one sha reaches one
+    """Hash exchange on ``sha256``: every row of one digest reaches one
     ``reduce_fn`` call.  ``cols``: the columns of ``ds`` that enter the
     exchange (projected inside the pkey tasks; None keeps all)."""
-    from .exchange import exchange_partitions, hash_exchange, map_blocks, string_pkey
+    from .exchange import exchange_partitions, hash_exchange, map_blocks
 
     num_partitions = exchange_partitions()
 
     def add_pkey(t: pa.Table) -> pa.Table:
-        return t.append_column("pkey", string_pkey(t["sha_hex"], num_partitions))
+        # a digest is uniform already: its first 8 bytes are the hash
+        d = pc.cast(t["sha256"], pa.binary(32)).combine_chunks()
+        head = np.frombuffer(d.buffers()[1], np.uint64, 4 * len(d), 32 * d.offset)[::4]
+        pk = (head % np.uint64(num_partitions)).astype(np.int32)
+        return t.append_column("pkey", pa.array(pk))
 
     return hash_exchange(
         map_blocks(ds, add_pkey, cols=cols),
@@ -44,93 +122,36 @@ def _sha_exchange(ds: ray.data.Dataset, reduce_fn, cols=None) -> ray.data.Datase
     )
 
 
-def _sha_sort(g: pa.Table):
-    sha = np.asarray(g.column("sha_hex").to_pylist(), dtype=object)
-    ids = np.asarray(g.column("id").to_pylist(), dtype=object)
-    order = np.lexsort((ids, sha))
-    first = np.ones(len(order), dtype=bool)
-    sha_sorted = sha[order]
-    first[1:] = sha_sorted[1:] != sha_sorted[:-1]
-    return order, first
-
-
-FUSED_SCHEMA = pa.schema(
-    [
-        ("kind", pa.int8()),  # 0 = representative row, 1 = star edge row
-        ("id", pa.string()),
-        ("sha_hex", pa.string()),
-        ("minhash", pa.large_binary()),
-        ("simhash", pa.uint64()),
-        ("id_a", pa.string()),
-        ("id_b", pa.string()),
-    ]
-)
-
-
 def exact_collapse(signed: ray.data.Dataset) -> ray.data.Dataset:
     """ONE sha shuffle producing both the per-sha representative rows
-    (kind=0: id, sha_hex, minhash, simhash) and the rep--member star edges
-    (kind=1: id_a, id_b).  ``signed`` may carry content: only the four
-    slim columns enter the exchange.  Callers filter the
-    (materialized) fused output by ``kind``."""
+    (``kind`` 0: id, minhash, simhash) and the rep--member star edges
+    (``kind`` 1: id_a, id_b).  ``signed`` may carry content: only the four
+    slim columns enter the exchange.  Callers filter the (materialized)
+    fused output by ``kind``."""
 
     def emit_fused(g: pa.Table) -> pa.Table:
-        if g.num_rows == 0:
-            return FUSED_SCHEMA.empty_table()
-        g = g.drop_columns(["pkey"])
-        order, first = _sha_sort(g)
-        take = pa.array(order[first], pa.int64())
-        reps = g.take(take)
-        n_reps = reps.num_rows
-        ids = np.asarray(g.column("id").to_pylist(), dtype=object)[order]
-        group_idx = np.cumsum(first) - 1
-        rep_positions = np.flatnonzero(first)
-        reps_for_row = ids[rep_positions[group_idx]]
-        members_mask = ~first
-        n_edges = int(members_mask.sum())
-        rep_part = pa.table(
-            {
-                "kind": pa.array(np.zeros(n_reps, dtype=np.int8), pa.int8()),
-                "id": pc.cast(reps["id"], pa.string()),
-                "sha_hex": pc.cast(reps["sha_hex"], pa.string()),
-                "minhash": pc.cast(reps["minhash"], pa.large_binary()),
-                "simhash": pc.cast(reps["simhash"], pa.uint64()),
-                "id_a": pa.nulls(n_reps, pa.string()),
-                "id_b": pa.nulls(n_reps, pa.string()),
-            },
-            schema=FUSED_SCHEMA,
+        rep_rows, edges = min_id_stars(g["sha256"], g["id"])
+        reps = g.select(["id", "minhash", "simhash"]).take(rep_rows)
+        kinds = [(reps, 0), (edges.select(["id_a", "id_b"]), 1)]
+        # each part lacks the other's columns: concat fills them with nulls
+        return pa.concat_tables(
+            [t.append_column("kind", pa.array(np.full(t.num_rows, k, np.int8))) for t, k in kinds],
+            promote_options="default",
         )
-        if n_edges == 0:
-            return rep_part
-        edge_part = pa.table(
-            {
-                "kind": pa.array(np.ones(n_edges, dtype=np.int8), pa.int8()),
-                "id": pa.nulls(n_edges, pa.string()),
-                "sha_hex": pa.nulls(n_edges, pa.string()),
-                "minhash": pa.nulls(n_edges, pa.large_binary()),
-                "simhash": pa.nulls(n_edges, pa.uint64()),
-                "id_a": pa.array(list(reps_for_row[members_mask]), pa.string()),
-                "id_b": pa.array(list(ids[members_mask]), pa.string()),
-            },
-            schema=FUSED_SCHEMA,
-        )
-        return pa.concat_tables([rep_part, edge_part])
 
     return _sha_exchange(
-        signed, emit_fused, cols=["id", "sha_hex", "minhash", "simhash"]
+        signed, emit_fused, cols=["id", "sha256", "minhash", "simhash"]
     )
 
 
 def fused_reps(fused: ray.data.Dataset) -> ray.data.Dataset:
-    """kind=0 slice of ``exact_collapse`` output -> (id, sha_hex, minhash,
-    simhash), one raw task per block."""
+    """kind=0 slice of ``exact_collapse`` output -> (id, minhash, simhash),
+    one raw task per block."""
     from .exchange import map_blocks
 
     return map_blocks(
         fused,
-        lambda t: t.filter(pc.equal(t["kind"], 0)).select(
-            ["id", "sha_hex", "minhash", "simhash"]
-        ),
+        lambda t: t.filter(pc.equal(t["kind"], 0)).select(["id", "minhash", "simhash"]),
     )
 
 
@@ -140,61 +161,24 @@ def fused_edges(fused: ray.data.Dataset) -> ray.data.Dataset:
     from .exchange import map_blocks
 
     def to_pairs(t: pa.Table) -> pa.Table:
-        e = t.filter(pc.equal(t["kind"], 1))
-        return pa.table(
-            {
-                "id_a": pc.cast(e["id_a"], pa.string()),
-                "id_b": pc.cast(e["id_b"], pa.string()),
-                "est_distance": pa.array(
-                    np.zeros(e.num_rows, dtype=np.float64), pa.float64()
-                ),
-            },
-            schema=PAIR_SCHEMA,
-        )
+        e = t.filter(pc.equal(t["kind"], 1)).select(["id_a", "id_b"])
+        return e.append_column("est_distance", pa.array(np.zeros(e.num_rows)))
 
     return map_blocks(fused, to_pairs)
 
 
 def exact_collapse_driver(signed_slim: ray.data.Dataset):
-    """Driver-side sha collapse for small inputs (gated by
-    ``ExecutionConfig.exact_driver_cap``): streams only (id, sha_hex) to the
-    driver, lexsorts once, and returns
-
-        (rep_ids, edges_table)
-
-    where ``rep_ids`` is the min(id)-per-distinct-sha id array (object
-    dtype, in sha-sorted order) and ``edges_table`` is the rep--member
-    zero-distance star edge list in PAIR_SCHEMA — the exact output the
-    ``exact_collapse`` exchange produces, without its exchange tasks.  The caller
-    filters the signed dataset by id membership to recover the rep rows.
-    The (id, sha_hex) columns are read by ref (``block_tables``): on the
-    pinned signed dataset no Ray Data execution starts, and content stays
+    """Driver plan of the sha collapse (module docstring): ``(rep_ids,
+    edges_table)``, the string array of each distinct sha256's min id and
+    the star edges in PAIR_SCHEMA, as ``exact_collapse`` gives them.  Only
+    (id, sha256) reach the driver, read by ref (``block_tables``): no Ray
+    Data execution starts on the pinned signed dataset, and content stays
     in the object store."""
     from .exchange import block_tables
 
-    id_parts, sha_parts = [], []
-    for b in block_tables(signed_slim, ["id", "sha_hex"]):
-        id_parts.append(np.asarray(b.column("id").to_pylist(), dtype=object))
-        sha_parts.append(np.asarray(b.column("sha_hex").to_pylist(), dtype=object))
-    if not id_parts:
-        return np.empty(0, dtype=object), PAIR_SCHEMA.empty_table()
-    ids = np.concatenate(id_parts)
-    sha = np.concatenate(sha_parts)
-    order = np.lexsort((ids, sha))
-    ids, sha = ids[order], sha[order]
-    first = np.ones(len(ids), dtype=bool)
-    first[1:] = sha[1:] != sha[:-1]
-    rep_ids = ids[first]
-    group_idx = np.cumsum(first) - 1
-    reps_for_row = rep_ids[group_idx]
-    members = ~first
-    n_edges = int(members.sum())
-    edges = pa.table(
-        {
-            "id_a": pa.array(list(reps_for_row[members]), pa.string()),
-            "id_b": pa.array(list(ids[members]), pa.string()),
-            "est_distance": pa.array(np.zeros(n_edges), pa.float64()),
-        },
-        schema=PAIR_SCHEMA,
-    )
-    return rep_ids, edges
+    tables = list(block_tables(signed_slim, ["id", "sha256"]))
+    if not tables:
+        return pa.array([], pa.string()), PAIR_SCHEMA.empty_table()
+    t = pa.concat_tables(tables)
+    rep_rows, edges = min_id_stars(t["sha256"], t["id"])
+    return pc.take(t["id"], rep_rows).combine_chunks(), edges

@@ -6,9 +6,9 @@ self-join keyed by ``(band, band_hash)``.  Every plan bands the low 16
 bits of each signature slot (``_sig16`` + ``_band_keys``, the one band-key
 kernel), and ``candidate_pairs`` runs three steps:
 
-1. signature transport: at or below ``sig_broadcast_cap`` rows the sig16
+1. signature transport: at or below ``_BROADCAST_ROWS`` rows the sig16
    signatures ship once as a driver-assembled, hash-indexed broadcast blob;
-   above the cap they ride inline in the band rows;
+   above it they ride inline in the band rows;
 2. hot/capped bucket sets: the combined (band, bh) keys with >= 2 members
    (hot) and > ``band_cap`` members (capped), derived on the driver from
    the blob's sig16 matrix while it has at most ``_DRIVER_HOT_ROWS`` rows,
@@ -49,6 +49,19 @@ from .exchange import (
     worker_get,
 )
 from .signatures import sig_matrix_from_column
+
+# signatures ship as the broadcast blob up to this many rows (step 1
+# above).  It bounds DRIVER RAM: the driver assembles the blob, ~300 MB of
+# sig16 + ids + id hashes at 1M rows, held up to three times while it
+# sorts.  Inline transport on every job cost > 25% ``run_cpu_s`` on both
+# benchmark workloads.
+_BROADCAST_ROWS = 1_000_000
+
+# the counted hot-key set is held exactly (a sorted uint64 array) while it
+# has at most this many keys; above, as a fixed-size two-probe bloom bitmap
+# (bounded driver memory -- a false positive only ships one extra row into
+# the band shuffle, never drops a pair)
+_HOT_EXACT_KEYS = 4_000_000
 
 # the hot/capped bucket sets come from the driver-held sig16 matrix (one
 # serial np.unique over rows * bands keys, ~3.4 s at 600k rows) only up to
@@ -518,15 +531,14 @@ def make_partition_pair_emitter(
 
 
 def _count_hot_sets(
-    signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig, lsh_cfg: LSHConfig, num_partitions: int
+    signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig, band_cap: int, num_partitions: int
 ):
     """``_derive_hot_sets`` without a driver-side sig16 matrix: a
     ``hash_exchange`` on the combined key counts every bucket.  The hot
-    set comes back exact while it fits ``hot_exact_cap`` keys, else as a
+    set comes back exact while it fits ``_HOT_EXACT_KEYS`` keys, else as a
     bloom bitmap (a false positive ships one extra row into the band
     shuffle, never drops a pair); the capped set is always exact, so
     ``cmask`` is never approximate."""
-    band_cap = lsh_cfg.band_cap
 
     def emit_keys(t: pa.Table) -> pa.Table:
         sig16 = _sig16(t.column("minhash"), sig_cfg.num_perms)
@@ -563,7 +575,7 @@ def _count_hot_sets(
             capped_parts.append(ck[b.column("capped").to_numpy(zero_copy_only=False)])
             yield ck
 
-    if n_hot <= lsh_cfg.hot_exact_cap:
+    if n_hot <= _HOT_EXACT_KEYS:
         hot_struct = ("exact", np.sort(np.concatenate([np.empty(0, np.uint64), *hot_keys()])))
     else:
         hot_struct = ("bloom", bloom_build(hot_keys(), n_hot))
@@ -575,7 +587,6 @@ def candidate_pairs(
     sig_cfg: SignatureConfig,
     lsh_cfg: Optional[LSHConfig] = None,
     tau: float = 0.2,
-    n_rows_hint: Optional[int] = None,
 ) -> ray.data.Dataset:
     """(id, minhash, simhash) dataset -> verified near-dup pairs
     (id_a < id_b, est_distance <= tau).
@@ -583,7 +594,7 @@ def candidate_pairs(
     One band-shuffle plan with two size-gated ingredients (all variants
     emit identical pair sets, pinned by ``tests/test_path_equivalence.py``):
 
-    - SIGNATURE TRANSPORT: at or below ``sig_broadcast_cap`` rows,
+    - SIGNATURE TRANSPORT: at or below ``_BROADCAST_ROWS`` rows,
       signatures ship once as the driver-assembled broadcast blob and band
       rows are ~40 B slim; above it (or on an id-hash collision in the
       blob) they ride inline, and the driver never holds the matrix.
@@ -595,10 +606,8 @@ def candidate_pairs(
       the band shuffle, and canonical-band emission keeps pair
       multiplicity ~1 with no pair-dedup shuffle.
 
-    ``n_rows_hint``: caller-known UPPER BOUND on the row count of
-    ``signed_slim`` (skips a count pass).  It feeds only the ``< 2`` early
-    exit and the size gates above, and every gated plan emits the same
-    pairs, so a loose bound changes the plan, never the output."""
+    The row count that picks the plans comes from the block metadata of
+    ``signed_slim``, which every flagship caller has materialized."""
     from .exchange import exchange_partitions
 
     lsh_cfg = lsh_cfg or LSHConfig()
@@ -609,7 +618,7 @@ def candidate_pairs(
     # emit-partition max/mean ~3x -- can be the straggler of that one wave)
     num_partitions = 1 << (exchange_partitions() - 1).bit_length()
 
-    n_rows_slim = int(n_rows_hint) if n_rows_hint is not None else signed_slim.count()
+    n_rows_slim = signed_slim.count()
     if n_rows_slim < 2:
         # 0/1-row input: no pair can exist (and a zero-block dataset
         # downstream would be schemaless)
@@ -622,7 +631,7 @@ def candidate_pairs(
     # hash-indexed blob; band rows shrink to ~40 B (measured ~9x fewer
     # bytes through the sort exchange than inline sig16 + id strings).
     sig_store_ref = sig16_drv = None
-    if n_rows_slim <= lsh_cfg.sig_broadcast_cap:
+    if n_rows_slim <= _BROADCAST_ROWS:
         sig_store_ref, sig16_drv = _build_sig_store(signed_slim, sig_cfg)
 
     # ---- phase 1: hot/capped bucket sets ---------------------------------
@@ -634,7 +643,9 @@ def candidate_pairs(
         # derive the EXACT hot/capped key sets locally
         hot_struct, capped_sorted = _derive_hot_sets(sig16_drv, sig_cfg, lsh_cfg.band_cap)
     else:
-        hot_struct, capped_sorted = _count_hot_sets(signed_slim, sig_cfg, lsh_cfg, num_partitions)
+        hot_struct, capped_sorted = _count_hot_sets(
+            signed_slim, sig_cfg, lsh_cfg.band_cap, num_partitions
+        )
     del sig16_drv  # plasma holds the blob: free the driver's copy before the band exchange
     if hot_struct[0] == "exact" and hot_struct[1].size == 0:
         # no bucket has >= 2 members -> no candidate pairs at all

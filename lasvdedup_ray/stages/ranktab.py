@@ -17,13 +17,13 @@ reproducible under distributed execution), and the miss policy is
 configurable — ``"error"`` (reference behavior) or ``"rank_last"`` (miss
 rows get null metadata and sort last in ranking).
 
-Execution shape: the rank table is a metadata side table — while it fits
-the row budget it is broadcast (ray.put once, probed per batch like the
-reference's dict).  Beyond the budget the resolution becomes a distributed
-candidate-key explode (every name contributes its exact key, its base key,
-and its dot-boundary prefixes — a handful of slim rows each) joined against
-the rank table, keeping the best (lowest-stage, then longest-prefix) hit
-per name.  No per-probe table scans in either path.
+Execution shape: the rank table is a metadata side table — while it has
+at most ``_BROADCAST_ROWS`` rows it is broadcast (ray.put once, probed per
+batch like the reference's dict).  Beyond it the resolution becomes a
+distributed candidate-key explode (every name contributes its exact key,
+its base key, and its dot-boundary prefixes — a handful of slim rows each)
+joined against the rank table, keeping the best (lowest-stage, then
+longest-prefix) hit per name.  No per-probe table scans in either path.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import ray.data
 
 from .exchange import cluster_cpus, worker_get
 
-RANK_BROADCAST_ROW_CAP = 1_000_000
+# rank tables of up to this many rows are broadcast (module docstring)
+_BROADCAST_ROWS = 1_000_000
 
 def canonical_base(name: str) -> str:
     """Stage-2 key: ``_R_`` marker strip + first-dot suffix strip
@@ -73,7 +74,6 @@ def attach_rank_table(
     id_col: str = "id",
     miss_policy: str = "rank_last",
     num_partitions: int = 8,
-    broadcast_row_cap: int = RANK_BROADCAST_ROW_CAP,
 ) -> ray.data.Dataset:
     """Left-attach rank-table value columns to ``meta`` by fuzzy-resolved
     key.  ``miss_policy``: "error" raises on any unresolved id (reference
@@ -86,7 +86,7 @@ def attach_rank_table(
     value_types = [rank_schema.field(c).type for c in value_cols]
     n_rank = rank_table.count()
 
-    if n_rank <= broadcast_row_cap:
+    if n_rank <= _BROADCAST_ROWS:
         rdf = rank_table.to_pandas()
         table = {
             str(k): tuple(vals)

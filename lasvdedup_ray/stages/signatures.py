@@ -180,14 +180,20 @@ def _sign_sources(cfg, *sources):
     return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
 
-def _sources(ds: ray.data.Dataset) -> Tuple[list, list]:
-    """``(sources, in-memory bytes of each)`` of ``ds``: the ``ReadTask``s
-    of an unexecuted bare datasource read, as many as the datasource splits
-    its estimated size into ``_SIGN_BYTES`` pieces (one per CPU if it gives
-    no estimate), else the block refs of ``ds``."""
+def bare_read(ds: ray.data.Dataset) -> bool:
+    """Whether ``ds`` is an unexecuted bare datasource read, whose
+    ``ReadTask``s the sign tasks run themselves."""
     from ray.data._internal.logical.operators.read_operator import Read
 
-    if isinstance(ds._logical_plan.dag, Read) and not ds._plan.has_computed_output():
+    return isinstance(ds._logical_plan.dag, Read) and not ds._plan.has_computed_output()
+
+
+def _sources(ds: ray.data.Dataset) -> Tuple[list, list]:
+    """``(sources, in-memory bytes of each)`` of ``ds``: the ``ReadTask``s
+    of a ``bare_read``, as many as the datasource splits its estimated size
+    into ``_SIGN_BYTES`` pieces (one per CPU if it gives no estimate), else
+    the block refs of ``ds``."""
+    if bare_read(ds):
         datasource = ds._logical_plan.dag._datasource_or_legacy_reader
         est = datasource.estimate_inmemory_data_size()
         k = cluster_cpus() if est is None else max(1, -(-int(est) // _SIGN_BYTES))

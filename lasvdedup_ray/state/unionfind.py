@@ -7,7 +7,7 @@ pinned by ``tests/utils/test_sequence_grouping.py:247-327``).
 
 Two execution paths:
 
-- **Driver DSU** (default below ``dsu_edge_limit`` edges): edges are already
+- **Driver DSU** (up to ``_DSU_EDGES`` edges): edges are already
   the *verified near-dup* pairs — a tiny fraction of corpus rows — so their
   materialized blocks stream to the driver by ref into a union-find with
   path compression.  O(E α(E)) and exact.
@@ -38,6 +38,10 @@ from ray.data.aggregate import Min
 # round budget of the distributed label propagation (pointer jumping
 # converges in O(log diameter) rounds)
 MAX_LABEL_ROUNDS = 50
+
+# edge lists of up to this many edges cluster on the driver DSU; longer
+# ones by distributed label propagation
+_DSU_EDGES = 2_000_000
 
 
 def strict_project(ds: ray.data.Dataset, cols: List[str]) -> ray.data.Dataset:
@@ -217,7 +221,6 @@ def components_distributed(
 def assign_clusters(
     nodes: ray.data.Dataset,
     edges: ray.data.Dataset,
-    dsu_edge_limit: int = 2_000_000,
     num_partitions: int = 32,
 ) -> ray.data.Dataset:
     """Attach ``cluster_id`` (string, = min member id) to every node row.
@@ -230,7 +233,7 @@ def assign_clusters(
 
     edges = concat_blocks(edges.materialize())
     n_edges = edges.count()
-    if n_edges <= dsu_edge_limit:
+    if n_edges <= _DSU_EDGES:
         label_map = components_driver(edges) if n_edges else {}
         # ship as two Arrow string arrays, not a pickled dict: Arrow
         # buffers travel out-of-band through plasma (zero-copy), while a

@@ -8,9 +8,10 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from lasvdedup_ray.config import ExecutionConfig, PipelineConfig
+from lasvdedup_ray.config import PipelineConfig
 from lasvdedup_ray.pipelines.dedup import dedup_pipeline
 from lasvdedup_ray.sources.corpus import CorpusSpec, generate_corpus
+from lasvdedup_ray.stages import exact
 from lasvdedup_ray.state.checkpoint import StageCheckpointer
 
 
@@ -88,6 +89,35 @@ def test_pipeline_fingerprint_recomputes_on_new_input(tmp_path):
     assert b == corpus2.num_rows  # not the stale corpus1 stages
 
 
+def test_in_memory_input_of_same_shape_recomputes(tmp_path, monkeypatch):
+    """Two in-memory tables with the same row count and columns but
+    different content share a checkpoint dir: the second job recomputes
+    ``signed`` (an in-memory input has no files, so its fingerprint digests
+    its rows) and returns what a fresh run of its own input returns; a
+    third job over the same table resumes."""
+    from lasvdedup_ray.pipelines import dedup
+
+    first, _ = generate_corpus(CorpusSpec(n_files=60, seed=1))
+    second, _ = generate_corpus(CorpusSpec(n_files=60, seed=2))
+    assert first.num_rows == second.num_rows and first.schema == second.schema
+    assert not first.equals(second)
+    signs = []
+    real = dedup.add_signatures
+    monkeypatch.setattr(dedup, "add_signatures", lambda *a, **k: signs.append(1) or real(*a, **k))
+
+    def run(table, config):
+        out = dedup_pipeline(ray.data.from_arrow(table), config, num_partitions=4).to_pandas()
+        return out[["id", "cluster_id", "classification"]].sort_values("id").reset_index(drop=True)
+
+    cfg = PipelineConfig(checkpoint_dir=str(tmp_path / "ck"))
+    run(first, cfg)
+    resumed = run(second, cfg)
+    assert len(signs) == 2
+    assert resumed.equals(run(second, PipelineConfig()))
+    signs.clear()
+    assert run(second, cfg).equals(resumed) and signs == []
+
+
 def test_force_recomputes_pinned_stage(tmp_path):
     """--force (reference pipeline.py:26,74): a completed checkpoint is
     ignored and overwritten instead of reused."""
@@ -105,17 +135,16 @@ def test_force_recomputes_pinned_stage(tmp_path):
     assert sorted(again["x"]) == [9, 9]
 
 
-def test_plan_stages_dry_run(tmp_path):
+def test_plan_stages_dry_run(tmp_path, monkeypatch):
     """Dry-run plan: stage list + per-stage checkpoint status, nothing
     executed (reference run_pipeline dry_run, pipeline.py:9-83)."""
     from lasvdedup_ray.pipelines.dedup import plan_stages
 
     corpus, _ = generate_corpus(CorpusSpec(n_files=60, seed=3))
-    # exact_driver_cap=0: the sha collapse goes through the exchange and
-    # pins ``reps`` (below the cap it runs on the driver, unpinned)
-    cfg = PipelineConfig(
-        checkpoint_dir=str(tmp_path / "ck"), execution=ExecutionConfig(exact_driver_cap=0)
-    )
+    # exact._DRIVER_ROWS=0: the sha collapse goes through the exchange and
+    # pins ``reps`` (below the gate it runs on the driver, unpinned)
+    monkeypatch.setattr(exact, "_DRIVER_ROWS", 0)
+    cfg = PipelineConfig(checkpoint_dir=str(tmp_path / "ck"))
     plan = plan_stages(ray.data.from_arrow(corpus), cfg)
     stages = [p["stage"] for p in plan]
     assert stages == ["signed", "reps", "candidates", "verify", "cluster", "classify"]
@@ -194,7 +223,7 @@ def test_empty_input_writes_and_resumes(tmp_path):
 
 
 @pytest.mark.parametrize("stage", ["signed", "reps"])
-def test_resume_recomputes_deleted_stage(tmp_path, stage):
+def test_resume_recomputes_deleted_stage(tmp_path, stage, monkeypatch):
     """A stage whose directory is gone between a write and a resume is
     recomputed, not read back as an empty stage: the dry-run plan reports
     it ``missing`` and the resume returns the write's result."""
@@ -203,10 +232,9 @@ def test_resume_recomputes_deleted_stage(tmp_path, stage):
     from lasvdedup_ray.pipelines.dedup import plan_stages
 
     corpus, _ = generate_corpus(CorpusSpec(n_files=120, seed=5))
-    # exact_driver_cap=0 pins ``reps`` (the sha exchange collapse)
-    cfg = PipelineConfig(
-        checkpoint_dir=str(tmp_path / "ck"), execution=ExecutionConfig(exact_driver_cap=0)
-    )
+    # exact._DRIVER_ROWS=0 pins ``reps`` (the sha exchange collapse)
+    monkeypatch.setattr(exact, "_DRIVER_ROWS", 0)
+    cfg = PipelineConfig(checkpoint_dir=str(tmp_path / "ck"))
 
     def run():
         out = dedup_pipeline(ray.data.from_arrow(corpus), cfg, num_partitions=4)

@@ -56,10 +56,13 @@ def test_yaml_fallback_parser(tmp_path):
     [
         ({"exact_first": True}, "exact_first"),
         ({"signature": {"scheme": "classic"}}, "scheme"),
-        ({"execution": {"batch_size": 512}}, "batch_size"),
+        ({"execution": {"batch_size": 512}}, "execution"),
         ({"lang_thresholds": {"py": {"tua": 0.3}}}, "tua"),
         ({"lsh": {"pair_batch_rows": 1}}, "pair_batch_rows"),
         ({"lsh": {"hot_driver_cap": 1}}, "hot_driver_cap"),
+        ({"execution": {"exact_driver_cap": 0}}, "execution"),
+        ({"lsh": {"sig_broadcast_cap": 0}}, "sig_broadcast_cap"),
+        ({"lsh": {"hot_exact_cap": 0}}, "hot_exact_cap"),
     ],
 )
 def test_build_config_rejects_unknown_keys(tmp_path, layer, key):

@@ -25,7 +25,7 @@ import pyarrow as pa
 import pytest
 import ray
 
-from lasvdedup_ray.config import ExecutionConfig, PipelineConfig
+from lasvdedup_ray.config import PipelineConfig
 from lasvdedup_ray.pipelines import dedup
 from lasvdedup_ray.sources.corpus import CorpusSpec, write_corpus
 from lasvdedup_ray.sources.readers import read_parquet_clean
@@ -50,7 +50,7 @@ def _job(files, config) -> pa.Table:
 
 # Ray tasks one job of each kind submitted on this corpus at 4 CPUs when
 # these bounds were set; a job may not submit more.  The exchange pair is
-# the sha-exchange collapse (``exact_driver_cap=0``), the driver pair the
+# the sha-exchange collapse (``exact._DRIVER_ROWS = 0``), the driver pair the
 # default driver collapse of this 300-row corpus.
 TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 26, 52, 27
 TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 27, 26
@@ -89,6 +89,19 @@ def test_job_without_checkpoint(
     assert len(tasks) <= TASKS_RUN, tasks
 
 
+def test_lazy_input_runs_once(ray_session, corpus_files, executor_starts):
+    """An input whose plan has a map stage runs once, at the top of the
+    job, not once each for its schema, its count and sign; the job returns
+    what a job over the bare read returns."""
+    expect = _job(corpus_files, PipelineConfig())
+    assert executor_starts == [], executor_starts
+    ds = read_parquet_clean(corpus_files).map_batches(lambda t: t, batch_format="pyarrow")
+    res = dedup.dedup_pipeline(ds, PipelineConfig(), num_partitions=4)
+    out = pa.concat_tables([t for t in ray.get(res.to_arrow_refs()) if t.num_rows])
+    assert len(executor_starts) == 1, executor_starts
+    assert out.select(["id", "cluster_id", "classification"]).sort_by("id").equals(expect)
+
+
 def _files_read(parquet_reads) -> Counter:
     """Raw read tasks that read each Parquet file."""
     return Counter(path for paths in parquet_reads for path in paths)
@@ -113,7 +126,7 @@ def test_resume_skips_sha_exchange(
     tmp_path,
 ):
     """With the sha collapse forced through the exchange
-    (``exact_driver_cap=0``), the checkpointed write starts no executor,
+    (``exact._DRIVER_ROWS = 0``), the checkpointed write starts no executor,
     writes its stages with raw tasks and hands them on without reading them
     back.  The resume reads ``reps``
     back without building the sha exchange, reads every file of each stage
@@ -126,8 +139,9 @@ def test_resume_skips_sha_exchange(
         monkeypatch.setattr(
             exact, name, lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k)
         )
+    monkeypatch.setattr(exact, "_DRIVER_ROWS", 0)
     ckpt = str(tmp_path / "ckpt")
-    config = PipelineConfig(checkpoint_dir=ckpt, execution=ExecutionConfig(exact_driver_cap=0))
+    config = PipelineConfig(checkpoint_dir=ckpt)
     written = _job(corpus_files, config)
     assert calls == ["exact_collapse", "_sha_exchange"]
     assert executions == [], executions
@@ -166,7 +180,7 @@ def test_driver_collapse_resume(
     monkeypatch,
     tmp_path,
 ):
-    """Below ``exact_driver_cap`` (the default at this size) a checkpointed
+    """At or below ``exact._DRIVER_ROWS`` rows (as at this size) a checkpointed
     job collapses exact dups on the driver and pins ``signed`` only: the
     write starts no executor, reads no stage back and writes no ``reps``; the resume starts no executor,
     reads every file of ``signed`` in exactly one raw task, redoes the

@@ -4,13 +4,17 @@ default plan.
 
 - LSH hot sets: derived on the driver from the broadcast blob's sig16
   matrix (at most ``lsh._DRIVER_HOT_ROWS`` rows) vs the key-count
-  hash_exchange, with the hot-key set held exactly (under hot_exact_cap)
-  or as a bloom bitmap — the SAME candidate pair set.
-- LSH signature transport: broadcast blob (under sig_broadcast_cap, and
-  while its id hashes do not collide) vs inline sig16 band rows — the
-  SAME candidate pair set.
-- Exact-dup sha collapse: driver lexsort (under exact_driver_cap) vs the
-  sha hash exchange — identical cluster membership and classifications.
+  hash_exchange, with the hot-key set held exactly (at most
+  ``lsh._HOT_EXACT_KEYS`` keys) or as a bloom bitmap — the SAME candidate
+  pair set.
+- LSH signature transport: broadcast blob (at most ``lsh._BROADCAST_ROWS``
+  rows, and while its id hashes do not collide) vs inline sig16 band rows
+  — the SAME candidate pair set.
+- Exact-dup sha collapse: on the driver (at most ``exact._DRIVER_ROWS``
+  rows) vs the sha hash exchange — identical cluster membership and
+  classifications.
+
+Each test forces the other plan by setting the gate's module constant.
 """
 
 import dataclasses
@@ -21,9 +25,10 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from lasvdedup_ray.config import ExecutionConfig, PipelineConfig
+from lasvdedup_ray.config import PipelineConfig
 from lasvdedup_ray.pipelines.dedup import candidate_tau, dedup_pipeline
 from lasvdedup_ray.sources.corpus import CorpusSpec, generate_corpus
+from lasvdedup_ray.stages import exact, lsh
 from lasvdedup_ray.stages.lsh import candidate_pairs
 from lasvdedup_ray.stages.signatures import add_signatures
 
@@ -36,11 +41,9 @@ def signed_corpus():
     return corpus, cfg, signed
 
 
-def _pairset(slim, cfg, lsh_cfg, hint=None):
+def _pairset(slim, cfg, lsh_cfg):
     emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin_high
-    df = candidate_pairs(
-        slim, cfg.signature, lsh_cfg, tau=emit_tau, n_rows_hint=hint
-    ).to_pandas()
+    df = candidate_pairs(slim, cfg.signature, lsh_cfg, tau=emit_tau).to_pandas()
     # an empty result may come back without columns
     return set(zip(df["id_a"], df["id_b"])) if len(df) else set()
 
@@ -49,8 +52,6 @@ def _pairset(slim, cfg, lsh_cfg, hint=None):
 def test_broadcast_and_inline_transport_same_pairs(signed_corpus, monkeypatch, band_cap):
     """At band_cap 4 the corpus has capped buckets, so the plans' cmask
     (capped-band bitmask) is compared too."""
-    from lasvdedup_ray.stages import lsh
-
     _, cfg, signed = signed_corpus
     slim = signed.select_columns(["id", "minhash", "simhash"])
     base = dataclasses.replace(cfg.lsh, band_cap=band_cap)
@@ -59,10 +60,13 @@ def test_broadcast_and_inline_transport_same_pairs(signed_corpus, monkeypatch, b
     # every cap); then the blob with counted hot sets, and the inline
     # transport (always counted) with an exact and a bloom hot-key set
     default = _pairset(slim, cfg, base)
-    inline = _pairset(slim, cfg, dataclasses.replace(base, sig_broadcast_cap=0))
-    bloom = _pairset(slim, cfg, dataclasses.replace(base, sig_broadcast_cap=0, hot_exact_cap=0))
     monkeypatch.setattr(lsh, "_DRIVER_HOT_ROWS", 0)
     counted = _pairset(slim, cfg, base)
+    monkeypatch.undo()
+    monkeypatch.setattr(lsh, "_BROADCAST_ROWS", 0)
+    inline = _pairset(slim, cfg, base)
+    monkeypatch.setattr(lsh, "_HOT_EXACT_KEYS", 0)
+    bloom = _pairset(slim, cfg, base)
     assert default == counted == inline == bloom and len(default) > 0
 
 
@@ -71,8 +75,6 @@ def test_sig_store_id_hash_collision_falls_back_inline(signed_corpus, monkeypatc
     broadcast blob: ``_build_sig_store`` must refuse the blob, and
     ``candidate_pairs`` then gives the default pair set by inline transport.
     The collision is forced by folding every store-row id hash to 4 values."""
-    from lasvdedup_ray.stages import lsh
-
     _, cfg, signed = signed_corpus
     slim = signed.select_columns(["id", "minhash", "simhash"])
     default = _pairset(slim, cfg, cfg.lsh)
@@ -95,21 +97,12 @@ def test_sig_store_id_hash_collision_falls_back_inline(signed_corpus, monkeypatc
     assert _pairset(slim, cfg, cfg.lsh) == default and len(default) > 0
 
 
-def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
-    """``n_rows_hint`` may exceed the true row count (the flagship passes the
-    fused sha-collapse row count, reps + star edges): the pair set does not
-    change.  An all-identical corpus collapses to one rep, whose hint still
-    counts every input row — it must give the empty pair set, not crash."""
-    from lasvdedup_ray.stages.exact import exact_collapse, fused_reps
-
-    _, cfg, signed = signed_corpus
-    slim = signed.select_columns(["id", "minhash", "simhash"])
-
-    # a hint past sig_broadcast_cap switches to inline transport + counted hot sets
-    exact_hint = _pairset(slim, cfg, cfg.lsh, signed.count())
-    loose_hint = _pairset(slim, cfg, cfg.lsh, cfg.lsh.sig_broadcast_cap + 1)
-    assert exact_hint == loose_hint and len(exact_hint) > 0
-
+def test_candidate_pairs_single_rep_gives_no_pairs(signed_corpus):
+    """An all-identical corpus collapses to one rep, while the fused
+    sha-collapse output still holds a row per input row (reps + star
+    edges): ``candidate_pairs`` counts the one rep and gives the empty pair
+    set, not a crash."""
+    _, cfg, _ = signed_corpus
     corpus, _ = generate_corpus(CorpusSpec(n_files=30, seed=3))
     same = corpus.set_column(
         corpus.schema.get_field_index("content"),
@@ -117,12 +110,10 @@ def test_candidate_pairs_row_hint_is_an_upper_bound(signed_corpus):
         pa.array([corpus["content"][0].as_py()] * corpus.num_rows, corpus.schema.field("content").type),
     )
     signed_same = add_signatures(ray.data.from_arrow(same), cfg=cfg.signature)
-    fused = exact_collapse(
-        signed_same.select_columns(["id", "sha_hex", "minhash", "simhash"])
-    ).materialize()
-    reps = fused_reps(fused).select_columns(["id", "minhash", "simhash"])
+    fused = exact.exact_collapse(signed_same).materialize()
+    reps = exact.fused_reps(fused)
     assert reps.count() == 1 and fused.count() == corpus.num_rows
-    assert _pairset(reps, cfg, cfg.lsh, fused.count()) == _pairset(reps, cfg, cfg.lsh, None) == set()
+    assert _pairset(reps, cfg, cfg.lsh) == set()
 
 
 def _canon_results(ds) -> pd.DataFrame:
@@ -132,20 +123,18 @@ def _canon_results(ds) -> pd.DataFrame:
     return df.sort_values("id").reset_index(drop=True)
 
 
-def test_driver_collapse_matches_exchange_collapse(signed_corpus):
-    """The small-input driver-side sha collapse (exact_driver_cap) must
-    yield identical classifications to the exact_collapse exchange plan —
-    same min(id)-per-sha reps, same star edges."""
+def test_driver_collapse_matches_exchange_collapse(signed_corpus, monkeypatch):
+    """The small-input driver-side sha collapse (``exact._DRIVER_ROWS``)
+    must yield identical classifications to the exact_collapse exchange
+    plan — same min(id)-per-sha reps, same star edges."""
     corpus, _, _ = signed_corpus
     base = PipelineConfig()
     driver = _canon_results(
         dedup_pipeline(ray.data.from_arrow(corpus), base, num_partitions=4)
     )
-    exchange_cfg = dataclasses.replace(
-        base, execution=dataclasses.replace(base.execution, exact_driver_cap=0)
-    )
+    monkeypatch.setattr(exact, "_DRIVER_ROWS", 0)
     exchange = _canon_results(
-        dedup_pipeline(ray.data.from_arrow(corpus), exchange_cfg, num_partitions=4)
+        dedup_pipeline(ray.data.from_arrow(corpus), base, num_partitions=4)
     )
     pd.testing.assert_frame_equal(driver, exchange)
 
@@ -155,21 +144,21 @@ def test_exchange_partition_count_invariant(signed_corpus, monkeypatch, collapse
     """The flagship's output and candidate pair set do not depend on how
     many partitions its hash exchanges use (``exchange_partitions``): 1, a
     non-power-of-two (LSH rounds it up to 4) and 64.  ``exchange`` runs the
-    sha collapse through ``hash_exchange`` (``exact_driver_cap=0`` turns
-    the driver collapse off)."""
+    sha collapse through ``hash_exchange`` (``exact._DRIVER_ROWS = 0``
+    turns the driver collapse off)."""
     from lasvdedup_ray.stages import exchange
 
     corpus, cfg, signed = signed_corpus
     slim = signed.select_columns(["id", "minhash", "simhash"])
     emit_tau = candidate_tau(cfg) + cfg.lsh.exact_margin_high
     digests, pairsets, calls = [], [], []
+    if collapse == "exchange":
+        monkeypatch.setattr(exact, "_DRIVER_ROWS", 0)
     for n_parts in (1, 3, 64):
         monkeypatch.setattr(
             exchange, "exchange_partitions", lambda n=n_parts: calls.append(n) or n
         )
-        driver_cap = 0 if collapse == "exchange" else ExecutionConfig().exact_driver_cap
-        run_cfg = PipelineConfig(execution=ExecutionConfig(exact_driver_cap=driver_cap))
-        df = dedup_pipeline(ray.data.from_arrow(corpus), run_cfg, num_partitions=4).to_pandas()
+        df = dedup_pipeline(ray.data.from_arrow(corpus), cfg, num_partitions=4).to_pandas()
         digests.append(
             df[["id", "cluster_id", "classification"]]
             .sort_values("id")

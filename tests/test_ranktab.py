@@ -11,6 +11,7 @@ import ray.data
 
 from lasvdedup_ray.config import PipelineConfig
 from lasvdedup_ray.pipelines.dedup import dedup_pipeline, group_key_edges
+from lasvdedup_ray.stages import ranktab
 from lasvdedup_ray.stages.ranktab import attach_rank_table, candidate_keys
 
 
@@ -47,23 +48,20 @@ EXPECT = {
 
 
 @pytest.mark.parametrize("cap", [10_000, 0])  # broadcast / distributed path
-def test_three_stage_resolution(cap):
-    out = attach_rank_table(
-        _meta_ds(NAMES), _rank_ds(RANK), broadcast_row_cap=cap
-    ).to_pandas()
+def test_three_stage_resolution(cap, monkeypatch):
+    monkeypatch.setattr(ranktab, "_BROADCAST_ROWS", cap)
+    out = attach_rank_table(_meta_ds(NAMES), _rank_ds(RANK)).to_pandas()
     got = dict(zip(out["id"], out["reads"]))
     assert got == EXPECT
 
 
 @pytest.mark.parametrize("cap", [10_000, 0])
-def test_miss_policy_error(cap):
+def test_miss_policy_error(cap, monkeypatch):
+    monkeypatch.setattr(ranktab, "_BROADCAST_ROWS", cap)
     # worker-raised ValueError arrives wrapped in RayTaskError: match text
     with pytest.raises(Exception, match="not found"):
         attach_rank_table(
-            _meta_ds(["notfound"]),
-            _rank_ds(RANK),
-            miss_policy="error",
-            broadcast_row_cap=cap,
+            _meta_ds(["notfound"]), _rank_ds(RANK), miss_policy="error"
         ).materialize()
 
 

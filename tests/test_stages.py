@@ -38,7 +38,6 @@ def test_prepare_batch_fields():
     assert ids[0] == "o/r:a.py@" + "c1" * 20
     # sha256 parity with hashlib
     expect = hashlib.sha256("def foo():\n    return 1\n".encode()).hexdigest()
-    assert t["sha_hex"].to_pylist()[0] == expect
     assert t["sha256"].to_pylist()[0] == bytes.fromhex(expect)
     assert t["n_chars"].to_pylist()[0] == len("def foo():\n    return 1\n")
     assert t["n_lines"].to_pylist()[0] == 3  # two \n => 3 lines

@@ -79,10 +79,13 @@ def test_distributed_matches_driver_on_random_graph():
     assert dist_map == driver
 
 
-def test_assign_clusters_forced_distributed():
+def test_assign_clusters_forced_distributed(monkeypatch):
+    from lasvdedup_ray.state import unionfind
+
+    monkeypatch.setattr(unionfind, "_DSU_EDGES", 0)
     nodes = nodes_ds(["A", "B", "C", "D", "E", "F"])
     e = edges_ds([("A", "B"), ("B", "C"), ("E", "F")])
-    out = assign_clusters(nodes, e, dsu_edge_limit=0, num_partitions=2).to_pandas()
+    out = assign_clusters(nodes, e, num_partitions=2).to_pandas()
     m = dict(zip(out["id"], out["cluster_id"]))
     assert m["A"] == m["B"] == m["C"] == "A"
     assert m["E"] == m["F"] == "E"
