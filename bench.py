@@ -10,6 +10,9 @@ from queries() over $GRAFT_SF_DIR tables.
                                 # os.cpu_count()), reports both + scaling
                                 # efficiency
   python bench.py --ceiling     # the same CPU pair on pure numpy work
+  python bench.py --kernels [--seed N] [--reps R]
+                                # single-process kernel microbenchmarks on
+                                # the seeded mixed_5kb corpus (no Ray)
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS.
 """
@@ -222,6 +225,85 @@ def run_bench() -> dict:
     return result
 
 
+# the perfbench ``mixed_5kb`` corpus: 1000 ~5 KB files in the default dup mix
+KERNEL_SPEC = dict(n_files=1000, tokens_per_doc=600, mutation_rate=0.015, chain_step_rate=0.03)
+
+
+def run_kernels(seed: int = 21, reps: int = 9) -> dict:
+    """Single-process microbenchmarks of the per-row kernels: each sign
+    sub-step, the whole ``sign_table`` and the exchange split, on the
+    seeded ``KERNEL_SPEC`` corpus.  Each kernel runs once to warm up, then
+    ``reps`` times; it reports the median CPU seconds of one run
+    (``time.process_time``, this process only) and its rate per CPU-second:
+    MB of content (normalize, prepare, ``sign_table``), MB of normalized
+    text (shingle) or rows."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from lasvdedup_ray.config import SignatureConfig
+    from lasvdedup_ray.functions.hashing import (
+        id_hash64,
+        oph_signatures,
+        shingle_hashes_batch,
+        simhash_from_sigs,
+    )
+    from lasvdedup_ray.functions.text import normalized_bytes
+    from lasvdedup_ray.sources.corpus import CorpusSpec, generate_corpus
+    from lasvdedup_ray.stages.exchange import _pkey_order
+    from lasvdedup_ray.stages.prepare import prepare_batch
+    from lasvdedup_ray.stages.signatures import sign_table
+
+    cfg = SignatureConfig()
+    table, _ = generate_corpus(CorpusSpec(seed=seed, **KERNEL_SPEC))
+    content_mb = pc.sum(pc.binary_length(table["content"])).as_py() / 1e6
+    buf, starts, ends = normalized_bytes(table["content"])
+    hashes, offsets, counts = shingle_hashes_batch(buf, starts, ends, cfg.k, cfg.sample_mod)
+    sigs = oph_signatures(hashes, offsets, counts, cfg.num_perms)
+    signed = sign_table(table, cfg)
+    # the exchange split of the signed rows over 128 partitions (a 32-CPU
+    # cluster's exchange_partitions()): stable pkey order + one gather
+    pkey = (id_hash64(signed["id"]) % np.uint64(128)).astype(np.int64)
+
+    def split():
+        signed.take(pa.array(_pkey_order(pkey, 128), pa.int64()))
+
+    n = table.num_rows
+    kernels = {
+        "normalize": (lambda: normalized_bytes(table["content"]), "MB", content_mb),
+        "shingle": (
+            lambda: shingle_hashes_batch(buf, starts, ends, cfg.k, cfg.sample_mod),
+            "MB",
+            buf.shape[0] / 1e6,
+        ),
+        "oph": (lambda: oph_signatures(hashes, offsets, counts, cfg.num_perms), "rows", n),
+        "simhash": (lambda: simhash_from_sigs(sigs), "rows", n),
+        "prepare": (lambda: prepare_batch(table), "MB", content_mb),
+        "sign_table": (lambda: sign_table(table, cfg), "MB", content_mb),
+        "split": (split, "rows", n),
+    }
+    out = {}
+    for name, (fn, unit, size) in kernels.items():
+        fn()
+        secs = []
+        for _ in range(reps):
+            t0 = time.process_time()
+            fn()
+            secs.append(time.process_time() - t0)
+        cpu_s = sorted(secs)[reps // 2]
+        out[name] = {"cpu_s": round(cpu_s, 5), f"{unit}_per_cpu_s": round(size / cpu_s, 1)}
+    return {
+        "metric": "per-row kernel rates (one process, median CPU seconds)",
+        "corpus": dict(KERNEL_SPEC, seed=seed, content_mb=round(content_mb, 3)),
+        "reps": reps,
+        "kernels": out,
+    }
+
+
+def _arg(flag: str, default: int) -> int:
+    return int(sys.argv[sys.argv.index(flag) + 1]) if flag in sys.argv else default
+
+
 def cpu_pair() -> tuple:
     """``(N // 4, N)`` for the box's ``os.cpu_count()`` N: the two CPU
     counts ``--scaling`` and ``--ceiling`` compare."""
@@ -345,5 +427,7 @@ if __name__ == "__main__":
         print(json.dumps(run_scaling()))
     elif "--ceiling" in sys.argv:
         print(json.dumps(run_ceiling()))
+    elif "--kernels" in sys.argv:
+        print(json.dumps(run_kernels(_arg("--seed", 21), _arg("--reps", 9))))
     else:
         print(json.dumps(run_bench()))

@@ -28,17 +28,25 @@ U64 = np.uint64
 _POLY_MULT = U64(1099511628211)        # FNV-ish odd multiplier for rolling hash
 _MIX_M1 = U64(0xBF58476D1CE4E5B9)      # splitmix64 constants (public domain)
 _MIX_M2 = U64(0x94D049BB133111EB)
+_GOLDEN = U64(0x9E3779B97F4A7C15)      # splitmix64's additive step
 _BAND_MULT = U64(0x9E3779B97F4A7C15)
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer — decorrelates structured polynomial hashes."""
-    x = (x + U64(0x9E3779B97F4A7C15)).astype(U64, copy=False)
-    x ^= x >> U64(30)
-    x = x * _MIX_M1
-    x ^= x >> U64(27)
-    x = x * _MIX_M2
-    x ^= x >> U64(31)
+    x = (x + _GOLDEN).astype(U64, copy=False)
+    return _mix64(x, np.empty_like(x))
+
+
+def _mix64(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The xor-shift-multiply rounds of :func:`splitmix64` (everything after
+    the ``_GOLDEN`` add), computed in ``x`` itself with one ``scratch``
+    array of its shape: no temporary is allocated."""
+    for shift, mult in ((30, _MIX_M1), (27, _MIX_M2), (31, None)):
+        np.right_shift(x, U64(shift), out=scratch)
+        x ^= scratch
+        if mult is not None:
+            x *= mult
     return x
 
 
@@ -241,18 +249,20 @@ def shingle_hashes(data: bytes, k: int) -> np.ndarray:
     return np.unique(splitmix64(raw))
 
 
-# Text bytes per rolling-hash slice.  The width-doubling kernel allocates
-# ~8 bytes of uint64 temporaries per input byte per pass; on a whole 10-24
-# MB map_batches batch that is a >100 MB numpy temporary, and glibc's
-# dynamic mmap threshold caps at 32 MB — so every such temporary is
-# mmap'd on alloc and munmap'd on free, which at 32 concurrent workers
-# turns the sign stage kernel-bound (page faults + TLB shootdowns; ~93%
-# sys time measured at 600k files).  Slicing the batch into ~2 MB text
-# chunks keeps each temporary ~16 MB — under the threshold, so after the
-# first couple of frees glibc serves them from the reusable heap and the
-# pages stay faulted.  Shingles never span documents, so chunking along
-# doc boundaries is bit-identical to the single-pass result.
-_SHINGLE_SLICE_BYTES = 2 << 20
+# Text bytes per rolling-hash slice.  The shingler holds two uint64 arrays
+# per slice byte (the rolling-hash accumulator and splitmix64's scratch) and
+# runs ~k + 7 in-place passes over them, so a slice whose arrays stay in the
+# core's L2 cache runs those passes at cache speed: on the 4.98 MB
+# ``mixed_5kb`` corpus (k = 5, one process on a 4-vCPU Xeon VM) the
+# shingler took 0.080-0.084 s at 128 KB slices (best of 9 CPU-seconds, two
+# sweeps), 0.082-0.102 s at 32-256 KB and 0.127-0.130 s at 2 MB.  Small
+# slices also keep every allocation far under glibc's 32 MB dynamic mmap
+# threshold, so the arrays are served from the reused heap instead of being
+# mmap'd and faulted in on each call (~93% sys time at 32 workers with
+# 100 MB temporaries, measured at 600k files).  Shingles never span
+# documents, so cutting along document boundaries is bit-identical to a
+# single pass.
+_SHINGLE_SLICE_BYTES = 128 << 10
 
 
 def shingle_hashes_batch(
@@ -264,44 +274,40 @@ def shingle_hashes_batch(
     slice_bytes: int = _SHINGLE_SLICE_BYTES,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-doc unique k-gram hashes for a WHOLE batch, computed over the
-    batch's concatenated utf-8 byte buffer (zero-copy from the Arrow string
-    array's data buffer).  Per-document output is bit-identical to
-    ``shingle_hashes(doc_bytes, k)`` + the ``sample_mod`` low-bits filter,
-    but the rolling polynomial runs over bounded slices as ``k`` shifted
-    multiply-adds — no per-doc Python-string materialization and no
-    (n, k) window matrix (the round-2 signer allocated ~80 B of temporaries
-    per input byte; this path allocates ~24 B, in reusable-heap-sized
-    slices).
+    batch's concatenated utf-8 byte buffer (``functions.text.normalized_bytes``).
+    Per-document output is bit-identical to ``shingle_hashes(doc_bytes, k)``
+    + the ``sample_mod`` low-bits filter, but the rolling polynomial runs
+    in place over bounded slices of the buffer: no per-doc Python strings
+    and no (n, k) window matrix.
 
     ``buf``: uint8 view of the concatenated docs; ``starts``/``ends``:
-    per-doc byte ranges.  Returns ``(hash_concat, offsets, counts)`` in
-    ``oph_signatures`` layout.
+    ascending per-doc byte ranges.  Returns ``(hash_concat, offsets,
+    counts)`` in ``oph_signatures`` layout.
     """
     n_docs = int(starts.shape[0])
-    if n_docs == 0 or int(ends[-1]) - int(starts[0]) <= slice_bytes:
-        return _shingle_hashes_slice(buf, starts, ends, k, sample_mod)
+    if n_docs == 0:
+        return np.empty(0, U64), np.empty(0, np.intp), np.empty(0, np.int64)
     # Group docs into slices of <= slice_bytes text (an oversized doc gets
     # its own slice), run the kernel per slice, stitch the outputs.
-    offsets = np.empty(n_docs, dtype=np.intp)
-    counts = np.empty(n_docs, dtype=np.int64)
-    parts: List[np.ndarray] = []
-    pos = 0
-    d0 = 0
-    while d0 < n_docs:
-        base = int(starts[d0])
-        d1 = d0 + 1
-        while d1 < n_docs and int(ends[d1]) - base <= slice_bytes:
-            d1 += 1
-        limit = int(ends[d1 - 1])
-        h, offs, cnts = _shingle_hashes_slice(
-            buf[base:limit], starts[d0:d1] - base, ends[d0:d1] - base, k, sample_mod
+    cuts = [0]
+    while cuts[-1] < n_docs:
+        d0 = cuts[-1]
+        limit = int(starts[d0]) + slice_bytes
+        cuts.append(max(d0 + 1, int(np.searchsorted(ends, limit, "right"))))
+    parts = [
+        _shingle_hashes_slice(
+            buf[int(starts[d0]) : int(ends[d1 - 1])],
+            starts[d0:d1] - starts[d0],
+            ends[d0:d1] - starts[d0],
+            k,
+            sample_mod,
         )
-        parts.append(h)
-        offsets[d0:d1] = offs + pos
-        counts[d0:d1] = cnts
-        pos += int(h.shape[0])
-        d0 = d1
-    return np.concatenate(parts), offsets, counts
+        for d0, d1 in zip(cuts[:-1], cuts[1:])
+    ]
+    counts = np.concatenate([c for _, c in parts])
+    offsets = np.zeros(n_docs, dtype=np.intp)
+    np.cumsum(counts[:-1], out=offsets[1:])
+    return np.concatenate([h for h, _ in parts]), offsets, counts
 
 
 def _shingle_hashes_slice(
@@ -310,82 +316,55 @@ def _shingle_hashes_slice(
     ends: np.ndarray,
     k: int,
     sample_mod: int = 1,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-pass kernel over one contiguous slice (see driver above)."""
-    n_docs = starts.shape[0]
-    offsets = np.empty(n_docs, dtype=np.intp)
-    counts = np.empty(n_docs, dtype=np.int64)
-    if n_docs == 0:
-        return np.empty(0, U64), offsets, counts
-    n = buf.shape[0]
-    if n >= k:
-        # rolling polynomial by width doubling: H_{2w}(i) = H_w(i) * m^w
-        # + H_w(i+w) — log2(k)+popcount(k) passes over the buffer instead
-        # of k (and instead of the (n, k) window matrix of the per-doc
-        # kernel): ~2.6x less memory traffic at k=8
-        u = buf.astype(U64)
-        by_width = {1: u}
-        widths = [1 << b for b in range(k.bit_length()) if k & (1 << b)]
-        need = set(widths)
-        w = 1
-        while w < widths[-1]:
-            need.add(w)
-            w <<= 1
-        for w in sorted(need):
-            if w == 1 or w in by_width:
-                continue
-            half = by_width[w >> 1]
-            mw = _POLY_MULT ** U64(w >> 1)
-            ln = n - w + 1
-            by_width[w] = half[:ln] * mw + half[w >> 1 : ln + (w >> 1)]
-        acc = by_width[widths[-1]]
-        width = widths[-1]
-        for w in reversed(widths[:-1]):
-            mw = _POLY_MULT ** U64(w)
-            ln = n - (width + w) + 1
-            acc = acc[:ln] * mw + by_width[w][width : width + ln]
-            width += w
-        raw = splitmix64(acc if width == k else acc)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(hashes, counts)`` of the docs (at least one) of one contiguous
+    slice; see the driver above."""
+    n_win = buf.shape[0] - k + 1
+    if n_win > 0:
+        # rolling polynomial by Horner's rule, in place: after step j,
+        # raw[i] = sum_{t<=j} buf[i+t] * MULT^(j-t) (mod 2^64)
+        raw = buf[:n_win].astype(U64)
+        for j in range(1, k):
+            raw *= _POLY_MULT
+            raw += buf[j : j + n_win]
+        raw += _GOLDEN
+        _mix64(raw, np.empty_like(raw))
     else:
         raw = np.empty(0, U64)
-    mod_mask = U64(sample_mod - 1)
-    if sample_mod > 1 and raw.shape[0]:
+    mod_mask = sample_mod - 1
+    if sample_mod > 1 and n_win > 0:
         # the low-bits sample filter commutes with np.unique (both are
         # value-based), so filtering FIRST cuts the per-doc sort volume by
-        # ~sample_mod; keep_idx lets each doc slice its kept window
-        keep_idx = np.flatnonzero((raw & mod_mask) == 0)
+        # ~sample_mod; a mask under 256 reads only each hash's low byte
+        low = raw.view(np.uint8)[::8] if mod_mask < 256 else raw
+        keep_idx = np.flatnonzero((low & low.dtype.type(mod_mask)) == 0)
         kept = raw[keep_idx]
+        lo = np.searchsorted(keep_idx, starts).tolist()
+        hi = np.searchsorted(keep_idx, ends - (k - 1)).tolist()
     else:
-        keep_idx = kept = None
+        kept = raw
+        lo = starts.tolist()
+        hi = (ends - (k - 1)).tolist()
+    # each doc's hashes, sorted: a doc shorter than k hashes its whole
+    # content as one shingle; a doc none of whose shingles passed the
+    # filter keeps its full set (the per-doc kernel's empty-sample fallback)
     parts: List[np.ndarray] = []
-    pos = 0
     mv = memoryview(buf)
-    for d in range(n_docs):
-        s, e = int(starts[d]), int(ends[d])
+    for s, e, a, b in zip(starts.tolist(), ends.tolist(), lo, hi):
         if e - s < k:
-            h = np.frombuffer(
-                hashlib.blake2b(mv[s:e], digest_size=8).digest(), dtype=U64
-            )
-            h = splitmix64(h.copy())
-            if sample_mod > 1 and h.shape[0] > 1:
-                sub = h[(h & mod_mask) == 0]
-                if sub.shape[0]:
-                    h = sub
-        elif keep_idx is not None:
-            lo, hi = np.searchsorted(keep_idx, (s, e - k + 1))
-            if hi > lo:
-                h = np.unique(kept[lo:hi])
-            else:
-                # no shingle passed the filter: keep the full unique set
-                # (matches the per-doc kernel's empty-sample fallback)
-                h = np.unique(raw[s : e - k + 1])
+            blake = hashlib.blake2b(mv[s:e], digest_size=8).digest()
+            parts.append(splitmix64(np.frombuffer(blake, dtype=U64)))
         else:
-            h = np.unique(raw[s : e - k + 1])
-        parts.append(h)
-        offsets[d] = pos
-        counts[d] = h.shape[0]
-        pos += h.shape[0]
-    return np.concatenate(parts), offsets, counts
+            parts.append(np.sort(kept[a:b] if b > a else raw[s : e - k + 1]))
+    # one vectorized unique over every doc's sorted run
+    vals = np.concatenate(parts)
+    bounds = np.zeros(len(parts), dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, parts), np.intp, len(parts))[:-1], out=bounds[1:])
+    first = np.empty(vals.shape[0], dtype=bool)
+    first[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    first[bounds] = True
+    return vals[first], np.add.reduceat(first, bounds, dtype=np.int64)
 
 
 OPH_EMPTY = np.uint32(0xFFFFFFFF)

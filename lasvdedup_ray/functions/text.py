@@ -9,7 +9,7 @@ byte-identical so the sha256 invariant holds).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -44,16 +44,75 @@ STOPWORDS: Dict[str, frozenset] = {
 }
 
 
-def normalize_for_shingling(
+def _string_bytes(arr: pa.Array) -> Tuple[np.ndarray, np.ndarray]:
+    """(uint8 view of the bytes ``arr``'s rows span, int64 row offsets into
+    it) of a string/large_string array, zero-copy from its Arrow buffers."""
+    bufs = arr.buffers()
+    wide = pa.types.is_large_string(arr.type)
+    offs = np.frombuffer(bufs[1], dtype=np.int64 if wide else np.int32)[
+        arr.offset : arr.offset + len(arr) + 1
+    ].astype(np.int64)
+    if bufs[2] is None:  # every row empty: no values buffer allocated
+        return np.empty(0, np.uint8), offs - offs[0]
+    return np.frombuffer(bufs[2], dtype=np.uint8)[offs[0] : offs[-1]], offs - offs[0]
+
+
+def normalized_bytes(
     col: pa.Array | pa.ChunkedArray, lowercase: bool = True, collapse_ws: bool = True
-) -> pa.Array | pa.ChunkedArray:
-    """Vectorized (pyarrow) normalization applied before shingling only."""
-    out = col
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(buf, starts, ends)``: the rows of a string/large_string column,
+    normalized for shingling only, as one uint8 buffer and each row's byte
+    range in it.  Stored content is never changed (sha256 invariant).
+
+    Same bytes as Arrow's ``utf8_lower`` followed by replacing each
+    ``[ \\t\\r\\n\\f\\v]+`` run with one space, in a few numpy passes over the
+    values buffer:
+
+    - lowercase: an ASCII-only column adds 32 to ``A``-``Z``; a column with
+      any byte >= 0x80 runs ``utf8_lower`` first, because Unicode case
+      mapping can change a character's byte length (``İ``);
+    - collapse: a byte of {9-13, 32} that follows another one in the same
+      row is dropped, and the first byte of each run becomes a space.
+      Those bytes never occur inside a multi-byte UTF-8 sequence, so the
+      byte mask matches the regex exactly.
+
+    Nulls become empty rows (Arrow lets a null slot span bytes).  Sliced
+    and chunked input is read from its own offsets.
+    """
+    if isinstance(col, pa.ChunkedArray):
+        col = col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+    if len(col) == 0:
+        empty = np.zeros(0, np.int64)
+        return np.empty(0, np.uint8), empty, empty
+    if col.null_count:
+        col = col.fill_null("")
+    buf, offs = _string_bytes(col)
+    if lowercase and buf.shape[0] and buf.max() >= 0x80:
+        buf, offs = _string_bytes(pc.utf8_lower(col))
+        lowercase = False
+    if not (lowercase or collapse_ws):
+        return buf, offs[:-1], offs[1:]
+    dropped = np.zeros(0, np.intp)
+    if collapse_ws and buf.shape[0] > 1:
+        ws = ((buf - np.uint8(9)) < 5) | (buf == 32)
+        run = ws[1:] & ws[:-1]  # run[i]: byte i + 1 continues a whitespace run
+        # a row's first byte starts a run of its own, never continues one
+        inner = offs[1:-1]
+        run[inner[(inner > 0) & (inner < buf.shape[0])] - 1] = False
+        dropped = np.flatnonzero(run) + 1
+    if dropped.shape[0]:
+        keep = np.empty(buf.shape[0], dtype=bool)
+        keep[0] = True
+        np.logical_not(run, out=keep[1:])
+        buf = buf[keep]
+        offs = offs - np.searchsorted(dropped, offs)
+    else:
+        buf = buf.copy()
+    if collapse_ws:  # each run's first byte becomes its one space
+        np.copyto(buf, np.uint8(32), where=(buf - np.uint8(9)) < 5)
     if lowercase:
-        out = pc.utf8_lower(out)
-    if collapse_ws:
-        out = pc.replace_substring_regex(out, r"[ \t\r\n\f\v]+", " ")
-    return out
+        buf |= ((buf - np.uint8(65)) < 26).view(np.uint8) << 5  # 'A'..'Z'
+    return buf, offs[:-1], offs[1:]
 
 
 def token_counts(col: pa.Array | pa.ChunkedArray) -> pa.Array | pa.ChunkedArray:

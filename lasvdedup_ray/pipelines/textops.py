@@ -1231,13 +1231,9 @@ def simhash_near_pairs(
         # the raw shingle hashes (simhash_values), same normalization and
         # hash-mod shingle sampling as the flagship signer.
         from ..functions.hashing import shingle_hashes_batch, simhash_values
-        from ..functions.text import normalize_for_shingling
-        from ..stages.signatures import _string_array_bytes
+        from ..functions.text import normalized_bytes
 
-        norm = normalize_for_shingling(t["text"], cfg.lowercase, cfg.collapse_ws)
-        if isinstance(norm, pa.ChunkedArray):
-            norm = norm.combine_chunks()
-        buf, starts, ends = _string_array_bytes(norm)
+        buf, starts, ends = normalized_bytes(t["text"], cfg.lowercase, cfg.collapse_ws)
         concat, offsets, cnts = shingle_hashes_batch(
             buf, starts, ends, cfg.k, sample_mod=cfg.sample_mod
         )

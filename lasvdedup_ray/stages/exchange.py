@@ -344,6 +344,22 @@ def byte_runs(items: Sequence, sizes: Sequence[Optional[int]], target: int) -> l
     return [list(items[a:z]) for a, z in zip(starts, np.r_[starts[1:], len(items)])]
 
 
+def _pkey_order(pk: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Stable argsort of a block's int64 pkeys, which must lie in
+    ``[0, num_partitions)``: a key outside would fall outside every reduce
+    run, so it fails loudly instead of losing its row (groupby(pkey), which
+    the exchange replaced, grouped any key value).  Up to 2^16 partitions
+    the keys are sorted as uint16, where numpy's stable sort is a radix
+    sort: the same order, 5-10x faster than the int64 merge sort."""
+    lo, hi = int(pk.min()), int(pk.max())
+    if lo < 0 or hi >= num_partitions:
+        raise ValueError(
+            f"hash_exchange pkey out of range [0, {num_partitions}): min={lo}, max={hi}"
+        )
+    keys = pk.astype(np.uint16) if num_partitions <= 1 << 16 else pk
+    return np.argsort(keys, kind="stable")
+
+
 @ray.remote
 def _split_by_pkey(block, pkey_col: str, num_partitions: int, bounds: list):
     """One upstream block -> one sub-table per reduce run, each sorted by
@@ -370,16 +386,8 @@ def _split_by_pkey(block, pkey_col: str, num_partitions: int, bounds: list):
         # measured ~6 s of split-wave wall at 600k files with P=128); the
         # stable sort keeps upstream row order within each pkey, the
         # documented "row order = upstream block order" reducer contract
-        order = np.argsort(pk, kind="stable")
+        order = _pkey_order(pk, num_partitions)
         pk_sorted = pk[order]
-        # loud failure instead of silent row loss: groupby(pkey) (which
-        # this replaces) grouped ANY key value; here a key outside
-        # [0, num_partitions) would fall outside every run
-        if pk_sorted[0] < 0 or pk_sorted[-1] >= num_partitions:
-            raise ValueError(
-                f"hash_exchange pkey out of range [0, {num_partitions}): "
-                f"min={pk_sorted[0]}, max={pk_sorted[-1]}"
-            )
         sorted_block = block.take(pa.array(order, pa.int64()))
         cuts = np.searchsorted(pk_sorted, bounds)
         out = [sorted_block.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]

@@ -11,6 +11,15 @@ id, sha256, length stats) and ``MinHashSigner``'s (``minhash``,
 O(shingles) per document and holds no per-worker state, so it runs in
 plain tasks.
 
+Per row the signer runs three numpy kernels over the content's Arrow
+values buffer, never over Python strings: ``normalized_bytes`` (lowercase
+and whitespace collapse in a few byte passes, ``utf8_lower`` only for a
+slice with non-ASCII bytes), ``shingle_hashes_batch`` (Horner's-rule
+rolling hash and splitmix64 in place, over cache-sized slices) and
+``oph_signatures`` + ``simhash_from_sigs``.  Sign is the one stage whose
+cost grows with corpus bytes; ``python bench.py --kernels`` times each
+kernel in one process.
+
 One raw task per run of sources, and no Ray Data executor: each task reads
 or takes its sources, prepares and signs their rows and returns one block
 plus its ``BlockMetadataWithSchema``; the result is built with
@@ -60,7 +69,7 @@ from ..functions.hashing import (
     shingle_hashes_batch,
     simhash_from_sigs,
 )
-from ..functions.text import normalize_for_shingling
+from ..functions.text import normalized_bytes
 from ..sources.readers import _strip_schema_meta
 from .exchange import (
     _arrow,
@@ -73,32 +82,16 @@ from .exchange import (
 from .prepare import prepare_batch
 
 
-def _string_array_bytes(
-    arr: pa.Array,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(uint8 data buffer, per-row byte starts, per-row byte ends) of an
-    Arrow string/large_string array — zero-copy views into Arrow memory.
-    Nulls become empty ranges."""
-    if arr.null_count:
-        arr = arr.fill_null("")
-    off_dtype = np.int64 if pa.types.is_large_string(arr.type) else np.int32
-    bufs = arr.buffers()
-    offs = np.frombuffer(bufs[1], dtype=off_dtype)[
-        arr.offset : arr.offset + len(arr) + 1
-    ]
-    data = (
-        np.frombuffer(bufs[2], dtype=np.uint8)
-        if bufs[2] is not None
-        else np.empty(0, np.uint8)
-    )
-    return data, offs[:-1], offs[1:]
-
-
 class MinHashSigner:
-    """Batch function of the sign stage (``sign_table``): pyarrow
-    normalization + vectorized densified OPH signatures.  Appends ``minhash``
-    (large_binary, num_perms*4 bytes), ``simhash`` (uint64) and
-    ``n_shingles`` (int64).
+    """Batch function of the sign stage (``sign_table``): the content
+    column normalized for shingling (``normalized_bytes``, numpy over the
+    Arrow values buffer), its k-shingle hashes (``shingle_hashes_batch``)
+    and their densified OPH signature.  Appends ``minhash`` (large_binary,
+    num_perms*4 bytes), ``simhash`` (uint64) and ``n_shingles`` (int64).
+    Every column is bit-identical to the Arrow ``utf8_lower`` +
+    ``replace_substring_regex`` normalization it replaced
+    (``tests/test_normalize.py``; ``tests/test_sign_stage.py`` pins a
+    digest).
     """
 
     def __init__(self, cfg: Optional[SignatureConfig] = None):
@@ -106,12 +99,7 @@ class MinHashSigner:
 
     def __call__(self, t: pa.Table) -> pa.Table:
         cfg = self.cfg
-        norm = normalize_for_shingling(t["content"], cfg.lowercase, cfg.collapse_ws)
-        if isinstance(norm, pa.ChunkedArray):
-            norm = norm.combine_chunks()
-        # zero-copy: shingle straight off the Arrow utf-8 data buffer
-        # (no per-row Python strings, no encode round-trip)
-        buf, starts, ends = _string_array_bytes(norm)
+        buf, starts, ends = normalized_bytes(t["content"], cfg.lowercase, cfg.collapse_ws)
         hashes, offsets, counts = shingle_hashes_batch(
             buf, starts, ends, cfg.k, sample_mod=cfg.sample_mod
         )

@@ -157,6 +157,28 @@ def test_out_of_range_pkey_raises(ray_session):
         hash_exchange(ds, "pkey", 4, fn).materialize()
 
 
+@pytest.mark.parametrize("num_partitions", [1, 128, 1 << 16, (1 << 16) + 1])
+def test_pkey_order_equals_int64_stable_argsort(num_partitions):
+    """The split's radix sort of uint16 pkeys gives the int64 stable
+    argsort's permutation on random, all-equal and descending keys."""
+    from lasvdedup_ray.stages.exchange import _pkey_order
+
+    rng = np.random.default_rng(5)
+    n = 30_000
+    for pk in (
+        rng.integers(0, num_partitions, n),
+        np.full(n, num_partitions - 1),
+        np.arange(n)[::-1] % num_partitions,
+    ):
+        pk = pk.astype(np.int64)
+        np.testing.assert_array_equal(
+            _pkey_order(pk, num_partitions), np.argsort(pk, kind="stable")
+        )
+    for bad in (-1, num_partitions):
+        with pytest.raises(ValueError, match="pkey out of range"):
+            _pkey_order(np.array([0, bad], np.int64), num_partitions)
+
+
 def test_grouped_sum_exchange_matches_groupby(ray_session):
     from lasvdedup_ray.stages.exchange import grouped_sum_exchange
 

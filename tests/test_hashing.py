@@ -151,7 +151,7 @@ def test_shingle_hashes_batch_matches_per_doc():
     import pyarrow as pa
 
     from lasvdedup_ray.functions.hashing import shingle_hashes_batch
-    from lasvdedup_ray.stages.signatures import _string_array_bytes
+    from lasvdedup_ray.functions.text import normalized_bytes
 
     docs = [
         "the quick brown fox jumps over the lazy dog",
@@ -165,7 +165,7 @@ def test_shingle_hashes_batch_matches_per_doc():
     for k in (3, 5, 7, 8, 12):   # powers of two AND odd widths
         for mod in (1, 4):
             arr = pa.array(docs, pa.string())
-            buf, starts, ends = _string_array_bytes(arr)
+            buf, starts, ends = normalized_bytes(arr, lowercase=False, collapse_ws=False)
             hc, offs, cnts = shingle_hashes_batch(buf, starts, ends, k, sample_mod=mod)
             assert offs.shape[0] == len(docs)
             for i, d in enumerate(docs):
@@ -183,16 +183,36 @@ def test_shingle_hashes_batch_large_string_and_sliced():
     import pyarrow as pa
 
     from lasvdedup_ray.functions.hashing import shingle_hashes_batch
-    from lasvdedup_ray.stages.signatures import _string_array_bytes
+    from lasvdedup_ray.functions.text import normalized_bytes
 
     docs = ["alpha beta gamma delta", "epsilon zeta eta theta", "iota kappa"]
     arr = pa.array(docs, pa.large_string()).slice(1)  # drop first row
-    buf, starts, ends = _string_array_bytes(arr)
+    buf, starts, ends = normalized_bytes(arr, lowercase=False, collapse_ws=False)
     hc, offs, cnts = shingle_hashes_batch(buf, starts, ends, 8)
     for i, d in enumerate(docs[1:]):
         np.testing.assert_array_equal(
             hc[offs[i] : offs[i] + cnts[i]], shingle_hashes(d.encode(), 8)
         )
+
+
+def test_shingle_hashes_batch_slices_bit_identical():
+    # cutting the batch into slices along doc boundaries (an oversized doc
+    # alone in its slice) changes no doc's hashes, offsets or counts
+    import pyarrow as pa
+
+    from lasvdedup_ray.functions.hashing import shingle_hashes_batch
+    from lasvdedup_ray.functions.text import normalized_bytes
+
+    rng = np.random.default_rng(11)
+    words = ["alpha", "beta", "x", "", "gamma delta", "zz" * 40]
+    docs = [" ".join(rng.choice(words, size=int(rng.integers(0, 30))).tolist()) for _ in range(200)]
+    buf, starts, ends = normalized_bytes(pa.array(docs))
+    for k, mod in ((5, 4), (8, 1)):
+        whole = shingle_hashes_batch(buf, starts, ends, k, mod, slice_bytes=1 << 30)
+        for slice_bytes in (1, 64, 1000):
+            cut = shingle_hashes_batch(buf, starts, ends, k, mod, slice_bytes=slice_bytes)
+            for a, b in zip(whole, cut):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_sha256_column_zero_copy_equals_pylist_path():

@@ -126,3 +126,48 @@ def test_signer_sees_byte_bounded_slices(monkeypatch):
     assert len(seen) > 4 and max(seen) <= bound, seen
     assert sum(seen) == pc.sum(pc.binary_length(corpus["content"])).as_py()
     assert out.equals(whole)
+
+
+# non-ASCII and whitespace-heavy rows appended to the pinned corpus, so the
+# pin covers the utf8_lower path and the whitespace collapse at row edges
+PIN_EXTRA = [
+    "İstanbul  STRASSE ß ΣΑΣ 😀\t\tTabs\r\n\r\nAnd\x0b\x0cFeeds",
+    "  leading run\n",
+    "\n\ntrailing run  ",
+    "nbsp\u00a0\u00a0kept line\u2028\u2028sep \x1c\x1c",
+    "",
+    "tiny",
+]
+SIGNED_PIN = "e29f84cbc65121bb5203fb383f55bcbc0ecf2d229775db706fd91c741dabd8f9"
+
+
+def signed_digest(t: pa.Table) -> str:
+    """sha256 over every column the sign stage adds, row by row."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for c in ("sha256", "n_chars", "n_lines", "minhash", "simhash", "n_shingles"):
+        h.update(c.encode() + repr(t[c].to_pylist()).encode())
+    return h.hexdigest()
+
+
+def pin_table() -> pa.Table:
+    corpus, _ = generate_corpus(CorpusSpec(n_files=160, seed=21, tokens_per_doc=150))
+    n = len(PIN_EXTRA)
+    extra = pa.table(
+        {
+            "repo": ["pin/extra"] * n,
+            "path": [f"f{i}.txt" for i in range(n)],
+            "commit": ["c0"] * n,
+            "lang": ["text"] * n,
+            "content": PIN_EXTRA,
+        }
+    ).cast(corpus.schema)
+    return pa.concat_tables([corpus, extra])
+
+
+def test_signed_columns_pinned():
+    """The signed columns of a seeded corpus keep the digest the Arrow
+    normalization and width-doubling shingler produced: a kernel change
+    that moves any signature, count or prepare stat fails here."""
+    assert signed_digest(sign_table(pin_table())) == SIGNED_PIN
