@@ -10,7 +10,7 @@ from queries() over $GRAFT_SF_DIR tables.
                                 # os.cpu_count()), reports both + scaling
                                 # efficiency
   python bench.py --ceiling     # the same CPU pair on pure numpy work
-  python bench.py --kernels [--seed N] [--reps R]
+  python bench.py --kernels
                                 # single-process kernel microbenchmarks on
                                 # the seeded mixed_5kb corpus (no Ray)
 
@@ -41,6 +41,11 @@ def sf_from_dir(d: str) -> float:
         return 0.1
 
 
+# ~5 KB files with the default dup mix: the bench corpus and, at 1,000
+# files, perfbench's ``mixed_5kb`` (the ``--kernels`` corpus)
+MIXED_5KB_SPEC = dict(tokens_per_doc=600, mutation_rate=0.015, chain_step_rate=0.03)
+
+
 def ensure_corpus(n_files: int) -> str:
     from lasvdedup_ray.sources.corpus import CorpusSpec, write_corpus
 
@@ -48,13 +53,7 @@ def ensure_corpus(n_files: int) -> str:
     # default test files under-weight per-file compute vs fixed overhead)
     # with near-dup mutation rates that mirror real dup clusters (mostly
     # close to exact)
-    spec = CorpusSpec(
-        n_files=n_files,
-        seed=42,
-        tokens_per_doc=600,
-        mutation_rate=0.015,
-        chain_step_rate=0.03,
-    )
+    spec = CorpusSpec(n_files=n_files, seed=42, **MIXED_5KB_SPEC)
     out = f"{CORPUS_CACHE}_{n_files}_v2"
     marker = os.path.join(out, "_DONE")
     if not os.path.exists(marker):
@@ -225,18 +224,25 @@ def run_bench() -> dict:
     return result
 
 
-# the perfbench ``mixed_5kb`` corpus: 1000 ~5 KB files in the default dup mix
-KERNEL_SPEC = dict(n_files=1000, tokens_per_doc=600, mutation_rate=0.015, chain_step_rate=0.03)
+# ``--kernels`` runs on perfbench's ``mixed_5kb`` corpus at its seed 21;
+# its non-ASCII rows append one line to every 10th file, so a tenth of the
+# rows take the normalizer's ``utf8_lower`` side
+KERNEL_FILES = 1000
+KERNEL_SEED = 21
+KERNEL_REPS = 9
+NONASCII_LINE = "\n// Straße İstanbul ΣΑΣ café 😀\n"
+NONASCII_EVERY = 10
 
 
-def run_kernels(seed: int = 21, reps: int = 9) -> dict:
+def run_kernels() -> dict:
     """Single-process microbenchmarks of the per-row kernels: each sign
     sub-step, the whole ``sign_table`` and the exchange split, on the
-    seeded ``KERNEL_SPEC`` corpus.  Each kernel runs once to warm up, then
-    ``reps`` times; it reports the median CPU seconds of one run
-    (``time.process_time``, this process only) and its rate per CPU-second:
-    MB of content (normalize, prepare, ``sign_table``), MB of normalized
-    text (shingle) or rows."""
+    seeded ``mixed_5kb`` corpus; normalize and ``sign_table`` also on the
+    same corpus with non-ASCII rows mixed in.  Each kernel runs once to
+    warm up, then ``KERNEL_REPS`` times; it reports the median CPU seconds
+    of one run (``time.process_time``, this process only) and its rate per
+    CPU-second: MB of content (normalize, prepare, ``sign_table``), MB of
+    normalized text (shingle) or rows."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -255,8 +261,19 @@ def run_kernels(seed: int = 21, reps: int = 9) -> dict:
     from lasvdedup_ray.stages.signatures import sign_table
 
     cfg = SignatureConfig()
-    table, _ = generate_corpus(CorpusSpec(seed=seed, **KERNEL_SPEC))
-    content_mb = pc.sum(pc.binary_length(table["content"])).as_py() / 1e6
+    spec = CorpusSpec(n_files=KERNEL_FILES, seed=KERNEL_SEED, **MIXED_5KB_SPEC)
+    table, _ = generate_corpus(spec)
+    content = table["content"].to_pylist()
+    for i in range(0, len(content), NONASCII_EVERY):
+        content[i] += NONASCII_LINE
+    mixed = table.set_column(
+        table.schema.get_field_index("content"), "content", pa.array(content, table["content"].type)
+    )
+
+    def mb(t):
+        return pc.sum(pc.binary_length(t["content"])).as_py() / 1e6
+
+    content_mb = mb(table)
     buf, starts, ends = normalized_bytes(table["content"])
     hashes, offsets, counts = shingle_hashes_batch(buf, starts, ends, cfg.k, cfg.sample_mod)
     sigs = oph_signatures(hashes, offsets, counts, cfg.num_perms)
@@ -271,6 +288,7 @@ def run_kernels(seed: int = 21, reps: int = 9) -> dict:
     n = table.num_rows
     kernels = {
         "normalize": (lambda: normalized_bytes(table["content"]), "MB", content_mb),
+        "normalize_nonascii": (lambda: normalized_bytes(mixed["content"]), "MB", mb(mixed)),
         "shingle": (
             lambda: shingle_hashes_batch(buf, starts, ends, cfg.k, cfg.sample_mod),
             "MB",
@@ -280,28 +298,27 @@ def run_kernels(seed: int = 21, reps: int = 9) -> dict:
         "simhash": (lambda: simhash_from_sigs(sigs), "rows", n),
         "prepare": (lambda: prepare_batch(table), "MB", content_mb),
         "sign_table": (lambda: sign_table(table, cfg), "MB", content_mb),
+        "sign_table_nonascii": (lambda: sign_table(mixed, cfg), "MB", mb(mixed)),
         "split": (split, "rows", n),
     }
     out = {}
     for name, (fn, unit, size) in kernels.items():
         fn()
         secs = []
-        for _ in range(reps):
+        for _ in range(KERNEL_REPS):
             t0 = time.process_time()
             fn()
             secs.append(time.process_time() - t0)
-        cpu_s = sorted(secs)[reps // 2]
+        cpu_s = sorted(secs)[KERNEL_REPS // 2]
         out[name] = {"cpu_s": round(cpu_s, 5), f"{unit}_per_cpu_s": round(size / cpu_s, 1)}
     return {
         "metric": "per-row kernel rates (one process, median CPU seconds)",
-        "corpus": dict(KERNEL_SPEC, seed=seed, content_mb=round(content_mb, 3)),
-        "reps": reps,
+        "corpus": dict(
+            MIXED_5KB_SPEC, n_files=KERNEL_FILES, seed=KERNEL_SEED, content_mb=round(content_mb, 3)
+        ),
+        "reps": KERNEL_REPS,
         "kernels": out,
     }
-
-
-def _arg(flag: str, default: int) -> int:
-    return int(sys.argv[sys.argv.index(flag) + 1]) if flag in sys.argv else default
 
 
 def cpu_pair() -> tuple:
@@ -428,6 +445,6 @@ if __name__ == "__main__":
     elif "--ceiling" in sys.argv:
         print(json.dumps(run_ceiling()))
     elif "--kernels" in sys.argv:
-        print(json.dumps(run_kernels(_arg("--seed", 21), _arg("--reps", 9))))
+        print(json.dumps(run_kernels()))
     else:
         print(json.dumps(run_bench()))

@@ -15,13 +15,16 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 # The simhash kernels view uint64 arrays as bytes and unpack with
-# bitorder='little'; on a big-endian host they would silently produce wrong
-# fingerprints rather than fail (ADVICE r3) — refuse to import instead.
+# bitorder='little', and the shingler's sample filter reads each hash's low
+# byte as byte 0 of its uint64; on a big-endian host they would silently
+# produce wrong fingerprints and keep a different shingle sample rather than
+# fail (ADVICE r3) — refuse to import instead.
 if sys.byteorder != "little":  # pragma: no cover - no big-endian CI host
     raise ImportError(
         "lasvdedup_ray.functions.hashing assumes a little-endian host: the "
         "uint64 byte-view + unpackbits(bitorder='little') simhash kernels "
-        "would silently mis-hash on big-endian platforms"
+        "and the low-byte shingle sample filter would silently mis-hash on "
+        "big-endian platforms"
     )
 
 U64 = np.uint64
@@ -336,6 +339,7 @@ def _shingle_hashes_slice(
         # the low-bits sample filter commutes with np.unique (both are
         # value-based), so filtering FIRST cuts the per-doc sort volume by
         # ~sample_mod; a mask under 256 reads only each hash's low byte
+        # (byte 0 on the little-endian hosts this module imports on)
         low = raw.view(np.uint8)[::8] if mod_mask < 256 else raw
         keep_idx = np.flatnonzero((low & low.dtype.type(mod_mask)) == 0)
         kept = raw[keep_idx]

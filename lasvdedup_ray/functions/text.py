@@ -68,9 +68,11 @@ def normalized_bytes(
     ``[ \\t\\r\\n\\f\\v]+`` run with one space, in a few numpy passes over the
     values buffer:
 
-    - lowercase: an ASCII-only column adds 32 to ``A``-``Z``; a column with
-      any byte >= 0x80 runs ``utf8_lower`` first, because Unicode case
-      mapping can change a character's byte length (``İ``);
+    - lowercase: the rows that hold a byte >= 0x80 run ``utf8_lower``
+      first, because Unicode case mapping can change a character's byte
+      length (``İ``); then 32 is added to every ``A``-``Z`` byte, which
+      ``utf8_lower`` left none of in its rows (no pass when every row took
+      ``utf8_lower``);
     - collapse: a byte of {9-13, 32} that follows another one in the same
       row is dropped, and the first byte of each run becomes a space.
       Those bytes never occur inside a multi-byte UTF-8 sequence, so the
@@ -87,9 +89,15 @@ def normalized_bytes(
     if col.null_count:
         col = col.fill_null("")
     buf, offs = _string_bytes(col)
-    if lowercase and buf.shape[0] and buf.max() >= 0x80:
-        buf, offs = _string_bytes(pc.utf8_lower(col))
-        lowercase = False
+    if lowercase and buf.shape[0]:
+        n = int(np.searchsorted(offs[:-1], buf.shape[0]))  # rows past n are empty
+        high = np.zeros(len(col), dtype=bool)
+        high[:n] = np.maximum.reduceat(buf, offs[:n]) >= 0x80
+        if high.any():
+            mask = pa.array(high)
+            col = pc.replace_with_mask(col, mask, pc.utf8_lower(col.filter(mask)))
+            buf, offs = _string_bytes(col)
+            lowercase = not high.all()  # else no A-Z byte is left
     if not (lowercase or collapse_ws):
         return buf, offs[:-1], offs[1:]
     dropped = np.zeros(0, np.intp)

@@ -13,8 +13,8 @@ plain tasks.
 
 Per row the signer runs three numpy kernels over the content's Arrow
 values buffer, never over Python strings: ``normalized_bytes`` (lowercase
-and whitespace collapse in a few byte passes, ``utf8_lower`` only for a
-slice with non-ASCII bytes), ``shingle_hashes_batch`` (Horner's-rule
+and whitespace collapse in a few byte passes, ``utf8_lower`` only for the
+rows with non-ASCII bytes), ``shingle_hashes_batch`` (Horner's-rule
 rolling hash and splitmix64 in place, over cache-sized slices) and
 ``oph_signatures`` + ``simhash_from_sigs``.  Sign is the one stage whose
 cost grows with corpus bytes; ``python bench.py --kernels`` times each

@@ -117,6 +117,24 @@ def test_random_rows():
         assert rows(arr) == oracle_rows(arr)
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        ["AB", "CDİ", "", ""],  # the last non-empty row is non-ASCII at its end
+        ["", "ΣX", "", "Y", "ÜZ"],
+        ["İ", "", "Σ", "QQ", ""],
+        ["ASCII ONLY", "", "ALSO ASCII"],
+    ],
+)
+def test_non_ascii_rows_among_ascii_rows(data):
+    """Only the rows holding a byte >= 0x80 go through ``utf8_lower``;
+    empty rows next to them and at the end of the column included."""
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(data, typ)
+        assert rows(arr) == oracle_rows(arr)
+        assert rows(arr.slice(1)) == oracle_rows(arr.slice(1))
+
+
 def test_nulls_and_empty():
     assert rows(pa.array([], pa.string())) == []
     arr = pa.array(["A  b", None, "", None, "C\t\td"])
