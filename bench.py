@@ -12,7 +12,8 @@ from queries() over $GRAFT_SF_DIR tables.
   python bench.py --ceiling     # the same CPU pair on pure numpy work
   python bench.py --kernels
                                 # single-process kernel microbenchmarks on
-                                # the seeded mixed_5kb corpus (no Ray)
+                                # the seeded mixed_5kb corpus and a 200k-
+                                # edge dedup-shaped graph (no Ray)
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS.
 """
@@ -232,17 +233,86 @@ KERNEL_SEED = 21
 KERNEL_REPS = 9
 NONASCII_LINE = "\n// Straße İstanbul ΣΑΣ café 😀\n"
 NONASCII_EVERY = 10
+KERNEL_EDGES = 200_000
+
+
+def dedup_graph(n_edges: int, seed: int):
+    """``(id_a, id_b)`` string arrays of a dedup-shaped edge list: clusters
+    of 2 + geometric(0.45) members, each a star from its first member
+    (the sha collapse's star edges, ~80% of the edges) plus chords between
+    two random members of a cluster (near-duplicate pairs), over row-id-
+    shaped ids in random order."""
+    import numpy as np
+    import pyarrow as pa
+
+    rng = np.random.default_rng(seed)
+    sizes = 1 + rng.geometric(0.45, n_edges)
+    sizes = sizes[: int(np.searchsorted(np.cumsum(sizes - 1), int(n_edges * 0.8)))]
+    first = np.cumsum(sizes) - sizes
+    cid = np.repeat(np.arange(sizes.size), sizes)
+    n = cid.size
+    member = np.arange(n)
+    star = member != first[cid]
+    c = cid[rng.integers(0, n, n_edges - int(star.sum()))]
+    a = np.concatenate([first[cid[star]], first[c] + rng.integers(0, sizes[c])])
+    b = np.concatenate([member[star], first[c] + rng.integers(0, sizes[c])])
+    hexes = rng.integers(0, 1 << 62, n)
+    ids = np.array(
+        [f"org{i % 97}/repo{i % 1009}:src/m{i}.py@{h:016x}" for i, h in enumerate(hexes)]
+    )[rng.permutation(n)]
+    return pa.array(ids[a]), pa.array(ids[b])
+
+
+def border_pairs(signed, truth, num_perms: int, tau: float):
+    """The planted near-duplicate pairs of ``signed`` (rows of one truth
+    group, distinct sha256) whose MinHash distance lies in verify's border
+    band ``(tau - exact_margin_low, tau + exact_margin_high]``, as the
+    ``(id_a, id_b, content_a, content_b)`` table the border check reads."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from lasvdedup_ray.config import LSHConfig
+    from lasvdedup_ray.stages.signatures import sig_matrix_from_column
+
+    lsh = LSHConfig()
+    group = pc.take(truth["truth_group"], pc.index_in(signed["id"], value_set=truth["id"]))
+    group = group.to_numpy(zero_copy_only=False)
+    sigs = sig_matrix_from_column(signed["minhash"], num_perms)
+    sha = signed["sha256"].to_numpy(zero_copy_only=False)
+    rows_a, rows_b = [], []
+    for g in np.unique(group[group >= 0]):
+        rows = np.flatnonzero(group == g)
+        iu, ju = np.triu_indices(rows.size, k=1)
+        ra, rb = rows[iu], rows[ju]
+        d = 1.0 - (sigs[ra] == sigs[rb]).mean(axis=1)
+        keep = (d > tau - lsh.exact_margin_low) & (d <= tau + lsh.exact_margin_high)
+        keep &= sha[ra] != sha[rb]
+        rows_a.append(ra[keep])
+        rows_b.append(rb[keep])
+    ra, rb = np.concatenate(rows_a), np.concatenate(rows_b)
+    return pa.table(
+        {
+            "id_a": signed["id"].take(ra),
+            "id_b": signed["id"].take(rb),
+            "content_a": signed["content"].take(ra),
+            "content_b": signed["content"].take(rb),
+        }
+    )
 
 
 def run_kernels() -> dict:
     """Single-process microbenchmarks of the per-row kernels: each sign
     sub-step, the whole ``sign_table`` and the exchange split, on the
     seeded ``mixed_5kb`` corpus; normalize and ``sign_table`` also on the
-    same corpus with non-ASCII rows mixed in.  Each kernel runs once to
-    warm up, then ``KERNEL_REPS`` times; it reports the median CPU seconds
-    of one run (``time.process_time``, this process only) and its rate per
-    CPU-second: MB of content (normalize, prepare, ``sign_table``), MB of
-    normalized text (shingle) or rows."""
+    same corpus with non-ASCII rows mixed in; the border check on that
+    corpus's border pairs (``border_pairs``) and the driver's connected
+    components on a ``KERNEL_EDGES``-edge ``dedup_graph``.  Each kernel
+    runs once to warm up, then ``KERNEL_REPS`` times; it reports the median
+    CPU seconds of one run (``time.process_time``, this process only) and
+    its rate per CPU-second: MB of content (normalize, prepare,
+    ``sign_table``), MB of normalized text (shingle), rows, pairs or
+    edges."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -259,10 +329,12 @@ def run_kernels() -> dict:
     from lasvdedup_ray.stages.exchange import _pkey_order
     from lasvdedup_ray.stages.prepare import prepare_batch
     from lasvdedup_ray.stages.signatures import sign_table
+    from lasvdedup_ray.stages.verify import exact_jaccard
+    from lasvdedup_ray.state.unionfind import label_components
 
     cfg = SignatureConfig()
     spec = CorpusSpec(n_files=KERNEL_FILES, seed=KERNEL_SEED, **MIXED_5KB_SPEC)
-    table, _ = generate_corpus(spec)
+    table, truth = generate_corpus(spec)
     content = table["content"].to_pylist()
     for i in range(0, len(content), NONASCII_EVERY):
         content[i] += NONASCII_LINE
@@ -285,6 +357,9 @@ def run_kernels() -> dict:
     def split():
         signed.take(pa.array(_pkey_order(pkey, 128), pa.int64()))
 
+    border = border_pairs(signed, truth, cfg.num_perms, 0.2)
+    edge_a, edge_b = dedup_graph(KERNEL_EDGES, KERNEL_SEED)
+
     n = table.num_rows
     kernels = {
         "normalize": (lambda: normalized_bytes(table["content"]), "MB", content_mb),
@@ -300,6 +375,8 @@ def run_kernels() -> dict:
         "sign_table": (lambda: sign_table(table, cfg), "MB", content_mb),
         "sign_table_nonascii": (lambda: sign_table(mixed, cfg), "MB", mb(mixed)),
         "split": (split, "rows", n),
+        "border_check": (lambda: exact_jaccard(border, cfg), "pairs", border.num_rows),
+        "components": (lambda: label_components(edge_a, edge_b), "edges", KERNEL_EDGES),
     }
     out = {}
     for name, (fn, unit, size) in kernels.items():

@@ -35,8 +35,10 @@ class SignatureConfig:
     bands: int = 32
     rows: int = 4
     seed: int = 42
-    # hash-based mod-sampling of shingles before sketching (keep shingles
-    # with hash % sample_mod == 0).  The rule is GLOBAL and content-hash
+    # hash-based mod-sampling of shingles before sketching: keep shingles
+    # whose hash has its low bits clear (``h & (sample_mod - 1) == 0``,
+    # which is ``h % sample_mod == 0`` only because sample_mod must be a
+    # power of two).  The rule is GLOBAL and content-hash
     # based, so it samples any two documents' shingle sets consistently —
     # the Jaccard of the sampled sets is an unbiased estimate of the full
     # Jaccard (bottom-sketch composition).  Cuts the sort-dominated
@@ -61,6 +63,8 @@ class SignatureConfig:
             )
         if self.k < 1:
             raise ValueError("shingle width k must be >= 1")
+        if self.sample_mod < 1 or self.sample_mod & (self.sample_mod - 1):
+            raise ValueError(f"sample_mod ({self.sample_mod}) must be a power of two")
 
 
 @dataclass(frozen=True)

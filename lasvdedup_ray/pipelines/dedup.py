@@ -15,8 +15,8 @@ Stages:
                                         [pinned on the exchange plan: reps]
       -> LSH candidates      (sig store + band hash_exchange: pairs)
       -> verify              (sure filter + exact border re-check)
-      -> union-find          (driver DSU / distributed label prop;
-                              state/unionfind.py)
+      -> union-find          (integer-code components on the driver /
+                              distributed label prop; state/unionfind.py)
       -> classification      (hash_exchange on cluster_id: 5-case tree)
       -> write_parquet       (partitioned by classification) + metrics
 

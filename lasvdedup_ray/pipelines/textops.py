@@ -1587,10 +1587,12 @@ def jaccard_cluster_docs(sf_dir: str, threshold: float = 0.5) -> ray.data.Datase
     here isolates to the clustering operator itself.
 
     Scale shape: the edge list (near-dup pairs only) is orders of magnitude
-    smaller than the corpus; ``assign_clusters`` streams it into a driver
-    DSU up to ``unionfind._DSU_EDGES`` edges and switches to distributed
-    min-label propagation + pointer jumping above it.  Node ids ride as zero-padded
-    strings so the DSU's lexicographic min equals the numeric min."""
+    smaller than the corpus; ``assign_clusters`` labels it on the driver
+    (ids as sorted integer codes, numpy min-label hooking + pointer
+    jumping) up to ``unionfind._DSU_EDGES`` edges and switches to
+    distributed min-label propagation + pointer jumping above it.  Node ids
+    ride as zero-padded strings so the lexicographic min equals the
+    numeric min."""
     pairs = ngram_jaccard_pairs(sf_dir, threshold)
 
     PAD = 12

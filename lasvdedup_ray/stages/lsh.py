@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Count
@@ -91,17 +92,6 @@ def sig16_matrix(col: pa.ChunkedArray | pa.Array, num_perms: int) -> np.ndarray:
     return np.frombuffer(
         buf, dtype=np.uint16, count=n * num_perms, offset=off
     ).reshape(n, num_perms)
-
-
-def _pairs_table(ids_a, ids_b, dists) -> pa.Table:
-    return pa.table(
-        {
-            "id_a": pa.array(ids_a, pa.string()),
-            "id_b": pa.array(ids_b, pa.string()),
-            "est_distance": pa.array(dists, pa.float64()),
-        },
-        schema=PAIR_SCHEMA,
-    )
 
 
 def _hash_combine(band_arr: np.ndarray, bh_arr: np.ndarray) -> np.ndarray:
@@ -317,14 +307,14 @@ def make_partition_pair_emitter(
     def emit_partition(g: pa.Table) -> pa.Table:
         m = g.num_rows
         if m < 2:
-            return _pairs_table([], [], [])
+            return PAIR_SCHEMA.empty_table()
         band = g.column("band").to_numpy(zero_copy_only=False).astype(np.int64)
         bh = g.column("bh").to_numpy(zero_copy_only=False).astype(np.uint64)
         sim = g.column("simhash").to_numpy(zero_copy_only=False).astype(np.uint64)
         cmask = g.column("cmask").to_numpy(zero_copy_only=False).astype(np.uint64)
         # ``ids`` is an Arrow string array and ``pos`` each row's index in
         # it: rows carry ``pos`` through the sort and emission below, and
-        # strings are materialized only for the emitted pairs (``fetch``)
+        # the emitted pairs take their ids from ``ids`` once, at the end
         if sig_store_ref is not None:
             # broadcast store (one plasma object per node): sigs and idh are
             # zero-copy numpy views, ids an Arrow array.  The rows' idh IS
@@ -340,11 +330,6 @@ def make_partition_pair_emitter(
             pos = np.arange(m)
             sigs = sig16_matrix(g.column("sig16"), num_perms)
             idh = id_hash64(ids)
-
-        def fetch(ridx: np.ndarray) -> np.ndarray:
-            # row indices -> id strings (object ndarray); reads the CURRENT
-            # ``pos`` binding (it is reindexed alongside sigs)
-            return np.asarray(ids.take(pa.array(pos[ridx], pa.int64())).to_pylist(), dtype=object)
 
         # 64-bit hash of each row's full signature: identical signatures
         # (exact dups and sketch-identical near-dups) collapse to ONE
@@ -375,6 +360,8 @@ def make_partition_pair_emitter(
         rep_pos = np.flatnonzero(grp_first)  # first row of each run
         rep_of_row = rep_pos[run_id]
 
+        # emitted pairs as positions in ``ids`` (``pos`` is reindexed
+        # alongside sigs below, so each emit reads its current binding)
         out_a, out_b, out_d = [], [], []
 
         # star edges: follower -> its run representative, emitted ONLY in
@@ -390,10 +377,8 @@ def make_partition_pair_emitter(
             emit_mask = band[followers] == first_unc
             f = followers[emit_mask]
             if f.size:
-                a_ids, b_ids = fetch(rep_of_row[f]), fetch(f)
-                swap = a_ids > b_ids
-                out_a.append(np.where(swap, b_ids, a_ids))
-                out_b.append(np.where(swap, a_ids, b_ids))
+                out_a.append(pos[rep_of_row[f]])
+                out_b.append(pos[f])
                 out_d.append(np.zeros(f.size, dtype=np.float64))
 
         # representative-only view: rebuild bucket boundaries over reps
@@ -450,10 +435,8 @@ def make_partition_pair_emitter(
             iu, ju, d = iu[keep], ju[keep], d[keep]
             if iu.size == 0:
                 return
-            a_ids, b_ids = fetch(iu), fetch(ju)
-            swap = a_ids > b_ids  # canonical id_a < id_b
-            out_a.append(np.where(swap, b_ids, a_ids))
-            out_b.append(np.where(swap, a_ids, b_ids))
+            out_a.append(pos[iu])
+            out_b.append(pos[ju])
             out_d.append(d)
 
         # fast path: buckets of the same (small) size are expanded together
@@ -520,11 +503,14 @@ def make_partition_pair_emitter(
             flush(so[iu_l], so[ju_l], in_capped_bucket=True)
 
         if not out_a:
-            return _pairs_table([], [], [])
-        return _pairs_table(
-            list(np.concatenate(out_a)),
-            list(np.concatenate(out_b)),
-            np.concatenate(out_d),
+            return PAIR_SCHEMA.empty_table()
+        a, b = ids.take(np.concatenate(out_a)), ids.take(np.concatenate(out_b))
+        # canonical id_a < id_b: Arrow compares strings by UTF-8 bytes,
+        # which is ``str`` order
+        swap = pc.greater(a, b)
+        return pa.table(
+            [pc.if_else(swap, b, a), pc.if_else(swap, a, b), np.concatenate(out_d)],
+            schema=PAIR_SCHEMA,
         )
 
     return emit_partition

@@ -5,7 +5,9 @@ J = 1-tau boundary with 128 perms — enough to flip pairs across the
 reference's inclusive ``<=`` threshold (``sequence_grouping.py:53``).  To
 hold dup-pair recall >= 0.99 *at* the boundary, pairs whose estimated
 distance lies within ``exact_margin_low`` / ``exact_margin_high`` of tau
-are re-checked with the exact shingle-set Jaccard.
+are re-checked with the exact Jaccard of the shingle sets the MinHash
+sketches (``exact_jaccard``: the sign stage's own normalization and
+shingle kernels, each distinct endpoint shingled once per task).
 
 Execution shape (no Ray Data execution at any size):
 - the sure set (est <= tau - margin_low) passes through a filter of one
@@ -18,9 +20,9 @@ Execution shape (no Ray Data execution at any size):
   ``_attach_driver`` gathers the endpoints' content with one raw filter
   task per content block and attaches it with an Arrow take; the chunk is
   sliced into at most 64 blocks on the driver and checked by one raw task
-  per slice.  The result is the sure set's block refs followed by the
-  checked ones (``concat_blocks``).  ``attach_pair_contents`` uses the
-  same chunked gather.
+  per slice, which keeps its pairs with an Arrow mask.  The result is the
+  sure set's block refs followed by the checked ones (``concat_blocks``).
+  ``attach_pair_contents`` uses the same chunked gather.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ import ray
 import ray.data
 
 from ..config import LSHConfig, SignatureConfig
-from ..functions.hashing import shingle_hashes
+from ..functions.hashing import shingle_hashes_batch
+from ..functions.text import normalized_bytes
 from .exchange import block_tables, concat_blocks, dataset_from_tables, map_blocks
 from .lsh import PAIR_SCHEMA
 
@@ -46,54 +49,34 @@ logger = logging.getLogger(__name__)
 _BORDER_CHUNK = 100_000
 
 
-def _normalize(s: str, cfg: SignatureConfig) -> bytes:
-    if cfg.lowercase:
-        s = s.lower()
-    if cfg.collapse_ws:
-        s = " ".join(s.split())
-    return s.encode("utf-8")
-
-
-def exact_jaccard_for_pairs(contents_a, contents_b, cfg: SignatureConfig) -> np.ndarray:
-    """Exact Jaccard over normalized k-shingle hash sets, one value per pair.
-    Each distinct content is shingled once per call, so a document in many
-    pairs (a cluster hub) costs one shingling, not one per pair."""
-    memo: dict = {}
-
-    def hashes(content: str) -> np.ndarray:
-        h = memo.get(content)
-        if h is None:
-            h = memo[content] = shingle_hashes(_normalize(content, cfg), cfg.k)
-        return h
-
-    out = np.empty(len(contents_a), dtype=np.float64)
-    for i, (ca, cb) in enumerate(zip(contents_a, contents_b)):
-        ha, hb = hashes(ca), hashes(cb)
-        inter = np.intersect1d(ha, hb, assume_unique=True).shape[0]
-        union = ha.shape[0] + hb.shape[0] - inter
-        out[i] = inter / union if union else 1.0
-    return out
-
-
-def _make_check_batch(sig_cfg: SignatureConfig, tau: float):
-    def check_batch(t: pa.Table) -> pa.Table:
-        ia = t["id_a"].to_pylist()
-        ib = t["id_b"].to_pylist()
-        ja = exact_jaccard_for_pairs(
-            t["content_a"].to_pylist(), t["content_b"].to_pylist(), sig_cfg
-        )
-        d_exact = 1.0 - ja
-        keep = d_exact <= tau  # inclusive boundary (sequence_grouping.py:53)
-        return pa.table(
-            {
-                "id_a": pa.array([x for x, k in zip(ia, keep) if k], pa.string()),
-                "id_b": pa.array([x for x, k in zip(ib, keep) if k], pa.string()),
-                "est_distance": pa.array(d_exact[keep], pa.float64()),
-            },
-            schema=PAIR_SCHEMA,
-        )
-
-    return check_batch
+def exact_jaccard(t: pa.Table, cfg: SignatureConfig) -> np.ndarray:
+    """Exact Jaccard of each pair of ``t`` (``id_a``, ``id_b``,
+    ``content_a``, ``content_b``) over the shingle sets the MinHash
+    estimates: the sign stage's normalization (``normalized_bytes``) and
+    its k-shingle hashes, unsampled (``shingle_hashes_batch``).  Each
+    distinct endpoint id is shingled once, so a document in many pairs (a
+    cluster hub) costs one shingling, not one per pair."""
+    n = t.num_rows
+    ids = pa.concat_arrays([t[c].combine_chunks() for c in ("id_a", "id_b")])
+    docs = pc.unique(ids)
+    code = pc.index_in(ids, value_set=docs).to_numpy()
+    content = pa.concat_arrays([t[c].combine_chunks() for c in ("content_a", "content_b")])
+    buf, starts, ends = normalized_bytes(
+        content.take(pc.index_in(docs, value_set=ids)), cfg.lowercase, cfg.collapse_ws
+    )
+    hashes, offsets, counts = shingle_hashes_batch(buf, starts, ends, cfg.k)
+    # each hash as its dense rank, so (pair, rank) packs into one int64
+    uniq, rank = np.unique(hashes, return_inverse=True)
+    keys = []
+    for side in (code[:n], code[n:]):
+        lens = counts[side]
+        at = np.repeat(offsets[side] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        keys.append(np.repeat(np.arange(n) * len(uniq), lens) + rank[at])
+    # a doc's hashes are sorted, so each side's keys are one sorted run and
+    # the stable sort (timsort) is one merge; a repeated key is a shared hash
+    key = np.sort(np.concatenate(keys), kind="stable")
+    inter = np.bincount(key[1:][key[1:] == key[:-1]] // len(uniq), minlength=n)
+    return inter / (counts[code[:n]] + counts[code[n:]] - inter)
 
 
 def _rows_with_ids(content: ray.data.Dataset, id_col: str, needed: pa.Array, cols) -> list:
@@ -208,7 +191,11 @@ def verify_pairs(
     def border_of(t: pa.Table) -> pa.Table:
         return t.filter(pc.greater(t["est_distance"], low))
 
-    check_batch = _make_check_batch(sig_cfg, tau)
+    def check(t: pa.Table) -> pa.Table:
+        d = 1.0 - exact_jaccard(t, sig_cfg)
+        keep = pa.array(d <= tau)  # inclusive boundary (sequence_grouping.py:53)
+        return pa.table([t["id_a"], t["id_b"], d], schema=PAIR_SCHEMA).filter(keep)
+
     checked = []
     for border in _chunks(pairs, border_of):
         border = _attach_driver(
@@ -224,5 +211,5 @@ def verify_pairs(
         n_blocks = max(1, min(64, border.num_rows // 512))
         step = -(-border.num_rows // n_blocks)
         slices = [border.slice(i * step, step) for i in range(n_blocks)]
-        checked.append(map_blocks(dataset_from_tables(slices), check_batch))
+        checked.append(map_blocks(dataset_from_tables(slices), check))
     return concat_blocks(sure, *checked) if checked else sure

@@ -7,10 +7,11 @@ pinned by ``tests/utils/test_sequence_grouping.py:247-327``).
 
 Two execution paths:
 
-- **Driver DSU** (up to ``_DSU_EDGES`` edges): edges are already
-  the *verified near-dup* pairs — a tiny fraction of corpus rows — so their
-  materialized blocks stream to the driver by ref into a union-find with
-  path compression.  O(E α(E)) and exact.
+- **Integer-code components on the driver** (up to ``_DSU_EDGES``
+  edges): edges are already the *verified near-dup* pairs — a tiny
+  fraction of corpus rows — so their materialized blocks stream to the
+  driver by ref; ``label_components`` encodes the ids as sorted integer
+  codes and runs min-label hooking plus pointer jumping in numpy.  Exact.
 - **Distributed min-label propagation** (the scale path): alternate
   (1) neighbor-min rounds — join edge endpoints to current labels,
   ``groupby(node).min(label)`` — with (2) pointer-jumping rounds
@@ -26,8 +27,9 @@ instead, per SURVEY §7 "determinism without row order").
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -39,8 +41,8 @@ from ray.data.aggregate import Min
 # converges in O(log diameter) rounds)
 MAX_LABEL_ROUNDS = 50
 
-# edge lists of up to this many edges cluster on the driver DSU; longer
-# ones by distributed label propagation
+# edge lists of up to this many edges cluster on the driver
+# (``label_components``); longer ones by distributed label propagation
 _DSU_EDGES = 2_000_000
 
 
@@ -59,59 +61,51 @@ def strict_project(ds: ray.data.Dataset, cols: List[str]) -> ray.data.Dataset:
     return ds.map_batches(proj, batch_format="pyarrow")
 
 
-class DSU:
-    """Union-find with path compression + union by rank; roots resolve to
-    the lexicographically smallest member id at finalize time."""
+def label_components(id_a: pa.Array, id_b: pa.Array) -> pa.Table:
+    """``(id, cluster_id)`` for every node of the edges ``id_a[i] - id_b[i]``,
+    the label being the smallest id of its component.
 
-    def __init__(self) -> None:
-        self.parent: Dict[str, str] = {}
-        self.rank: Dict[str, int] = {}
-
-    def find(self, x: str) -> str:
-        p = self.parent
-        if x not in p:
-            p[x] = x
-            self.rank[x] = 0
-            return x
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-
-    def labels(self) -> Dict[str, str]:
-        """node -> min-member-id of its component."""
-        min_of_root: Dict[str, str] = {}
-        for x in self.parent:
-            r = self.find(x)
-            if r not in min_of_root or x < min_of_root[r]:
-                min_of_root[r] = x
-        return {x: min_of_root[self.find(x)] for x in self.parent}
+    The ids are encoded as integer codes in sorted order (Arrow sorts
+    strings by UTF-8 bytes, which is ``str`` order), so the smallest code
+    of a component is its smallest id.  Each round hooks every root onto
+    the smallest root adjacent to its tree (``np.minimum.at``), then jumps
+    pointers until every node points at a root; it stops once both ends of
+    every edge share a root.  A label only ever points at a smaller or
+    equal code, so the trees stay acyclic, and the component minimum is
+    the one node no hook moves."""
+    ends = pa.concat_arrays([id_a, id_b])
+    ids = pc.unique(ends)
+    ids = ids.take(pc.array_sort_indices(ids))
+    codes = pc.index_in(ends, value_set=ids).to_numpy()
+    u, v = codes[: len(id_a)], codes[len(id_a) :]
+    label = np.arange(len(ids))
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return pa.table({"id": ids, "cluster_id": ids.take(label)})
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
-def components_driver(edges: ray.data.Dataset) -> Dict[str, str]:
-    """Stream (id_a, id_b) blocks to a driver DSU; returns node -> label.
-    The blocks are read by ref (``block_tables``): on the materialized,
+def components_driver(edges: ray.data.Dataset) -> pa.Table:
+    """``label_components`` of an edge dataset's ``(id_a, id_b)``.  The
+    blocks are read by ref (``block_tables``): on the materialized,
     compacted edges ``assign_clusters`` passes, no Ray Data execution
     starts."""
     from ..stages.exchange import block_tables
 
-    dsu = DSU()
-    for batch in block_tables(edges):
-        for a, b in zip(batch["id_a"].to_pylist(), batch["id_b"].to_pylist()):
-            dsu.union(a, b)
-    return dsu.labels()
+    t = pa.concat_tables(
+        [b.select(["id_a", "id_b"]) for b in block_tables(edges)]
+        or [pa.table({c: pa.array([], pa.string()) for c in ("id_a", "id_b")})],
+        promote_options="permissive",
+    )
+    return label_components(t["id_a"].combine_chunks(), t["id_b"].combine_chunks())
 
 
 def components_distributed(
@@ -225,35 +219,23 @@ def assign_clusters(
 ) -> ray.data.Dataset:
     """Attach ``cluster_id`` (string, = min member id) to every node row.
     Nodes untouched by any edge become singleton clusters (cluster_id = id).
-    On the driver-DSU path the labels attach in one raw task per node
-    block (``map_blocks``): no Ray Data execution starts on materialized
-    inputs.
+    On the driver path the labels attach in one raw task per node block
+    (``map_blocks``, an Arrow ``index_in`` + ``take``): no Ray Data
+    execution starts on materialized inputs.
     """
-    from ..stages.exchange import concat_blocks, map_blocks, worker_get
+    from ..stages.exchange import concat_blocks, map_blocks
 
     edges = concat_blocks(edges.materialize())
     n_edges = edges.count()
     if n_edges <= _DSU_EDGES:
-        label_map = components_driver(edges) if n_edges else {}
-        # ship as two Arrow string arrays, not a pickled dict: Arrow
-        # buffers travel out-of-band through plasma (zero-copy), while a
-        # dict unpickle materializes every key/value string per worker
-        # (~1 s x workers at 400k entries); the worker rebuilds the dict
-        # ONCE per process from the zero-copy arrays
-        ref = ray.put(
-            (
-                pa.array(list(label_map.keys()), pa.string()),
-                pa.array(list(label_map.values()), pa.string()),
-            )
-        )
+        # an Arrow table travels out-of-band through plasma (zero-copy)
+        ref = ray.put(components_driver(edges))
 
         def attach(t: pa.Table) -> pa.Table:
-            lm = worker_get(
-                ref, "unionfind.labels", lambda kv: dict(zip(kv[0].to_pylist(), kv[1].to_pylist()))
-            )
-            ids = t["id"].to_pylist()
+            labels = ray.get(ref)
+            ix = pc.index_in(t["id"], value_set=labels["id"])
             return t.append_column(
-                "cluster_id", pa.array([lm.get(i, i) for i in ids], pa.string())
+                "cluster_id", pc.coalesce(labels["cluster_id"].take(ix), t["id"])
             )
 
         return map_blocks(nodes, attach)

@@ -17,6 +17,7 @@ import tracemalloc
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from lasvdedup_ray.config import ClassThresholds, PipelineConfig
 from lasvdedup_ray.stages.classify import (
@@ -232,6 +233,26 @@ def test_megacluster_over_budget_falls_through_conservatively(monkeypatch):
     ids = [f"m{i:05d}" for i in range(m)]
     out = classify(group_table(ids, _drift_sigs(m)))
     assert set(out["decision_category"].to_pylist()) == {COINF}
+
+
+@pytest.mark.parametrize("budget, category", [(66, BELOW), (65, OUTLIERS)])
+def test_case2_budget_cliff(monkeypatch, budget, category):
+    """One inconclusive family (eleven rows on the representative's
+    signature, one at d ~0.148, in (tau/2, tau]) on each side of the exact
+    pair budget (12 rows: 66 pairs): within it the exact pass proves Case 2;
+    past it Case 2 is decided False and the MAD fallback takes the far row
+    as its outlier.  The labels stay 1 keep, 11 duplicate; only the
+    category moves, as it does above ~11.5k rows at the shipped budget."""
+    import lasvdedup_ray.stages.classify as mod
+
+    monkeypatch.setattr(mod, "PAIRWISE_CAP", 4)
+    monkeypatch.setattr(mod, "CASE2_EXACT_PAIR_BUDGET", budget)
+    ids = [f"m{i:02d}" for i in range(12)]
+    sigs = [make_sig()] * 11 + [make_sig(list(range(19)), tag=1)]
+    out = classify(group_table(ids, sigs))
+    cls = out["classification"].to_pylist()
+    assert cls.count(KEEP) == 1 and cls.count(DUPLICATE) == 11
+    assert set(out["decision_category"].to_pylist()) == {category}
 
 
 def test_rank_tiebreak_on_id():

@@ -27,7 +27,7 @@ from lasvdedup_ray.pipelines.dedup import (
     survivors,
 )
 from lasvdedup_ray.stages.prepare import prepare
-from lasvdedup_ray.state.unionfind import DSU
+from dsu import DSU
 
 
 @pytest.fixture(scope="module")

@@ -132,6 +132,19 @@ def test_signature_config_validation():
         SignatureConfig(num_perms=102, bands=6, rows=17)
 
 
+@pytest.mark.parametrize("mod", [3, 5, 6])
+def test_sample_mod_rejects_non_power_of_two(mod):
+    # the shingler keeps h & (mod - 1) == 0, which is h % mod == 0 only for
+    # a power of two: sample_mod=3 kept 49% of the shingles, not 33%
+    with pytest.raises(ValueError, match="power of two"):
+        SignatureConfig(sample_mod=mod)
+
+
+@pytest.mark.parametrize("mod", [1, 2, 4, 8])
+def test_sample_mod_accepts_power_of_two(mod):
+    assert SignatureConfig(sample_mod=mod).sample_mod == mod
+
+
 def test_extract_group_key_regex():
     # FIXTURES F4: reference sample-regex grouping semantics
     import pyarrow as pa

@@ -11,7 +11,6 @@ from lasvdedup_ray.config import LSHConfig, PipelineConfig, SignatureConfig
 from lasvdedup_ray.functions.hashing import shingle_hashes
 from lasvdedup_ray.pipelines.dedup import dedup_pipeline
 from lasvdedup_ray.sources.corpus import BOILERPLATE_HEADER, SOURCE_SCHEMA
-from lasvdedup_ray.state.unionfind import DSU
 
 
 def boiler_corpus(n_unique=60, n_dup_groups=8, seed=3):

@@ -111,7 +111,7 @@ def test_band_cap_keeps_connectivity():
     pairs = candidate_pairs(
         signed.select_columns(["id", "minhash", "simhash"]), cfg, lsh, tau=0.2
     ).to_pandas()
-    from lasvdedup_ray.state.unionfind import DSU
+    from dsu import DSU
 
     dsu = DSU()
     for _, r in pairs.iterrows():

@@ -1,17 +1,19 @@
-"""Connected components: DSU semantics (single-linkage conformance target,
-``sequence_grouping.py:89-118`` / ``test_sequence_grouping.py:247-327``)
-and driver-vs-distributed parity."""
+"""Connected components: the DSU oracle's semantics (single-linkage
+conformance target, ``sequence_grouping.py:89-118`` /
+``test_sequence_grouping.py:247-327``), the integer-code components against
+it, and driver-vs-distributed parity."""
 
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data
 
+from dsu import DSU
 from lasvdedup_ray.state.unionfind import (
-    DSU,
     assign_clusters,
     components_distributed,
     components_driver,
+    label_components,
 )
 
 
@@ -25,6 +27,17 @@ def edges_ds(pairs):
             }
         )
     )
+
+
+def as_dict(labels: pa.Table) -> dict:
+    return dict(zip(labels["id"].to_pylist(), labels["cluster_id"].to_pylist()))
+
+
+def dsu_labels(pairs) -> dict:
+    dsu = DSU()
+    for a, b in pairs:
+        dsu.union(a, b)
+    return dsu.labels()
 
 
 def nodes_ds(ids):
@@ -50,8 +63,36 @@ def test_dsu_transitive_chain():
 
 
 def test_components_driver_matches_dsu():
-    labels = components_driver(edges_ds([("A", "B"), ("B", "C"), ("D", "E")]))
+    pairs = [("A", "B"), ("B", "C"), ("D", "E")]
+    labels = as_dict(components_driver(edges_ds(pairs)))
     assert labels["C"] == "A" and labels["E"] == "D"
+    assert labels == dsu_labels(pairs)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_label_components_matches_dsu_on_random_graphs(seed):
+    """Random multigraphs (self-loops, repeated edges, non-ASCII ids) of
+    every density from a forest of pairs to one giant component."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    ids = [f"n{int(rng.integers(10**6))}\u00e9{i}" for i in range(n)]
+    m = int(rng.integers(1, 2 * n))
+    pairs = [(ids[int(i)], ids[int(j)]) for i, j in rng.integers(0, n, (m, 2))]
+    a, b = (pa.array([p[k] for p in pairs], pa.string()) for k in (0, 1))
+    assert as_dict(label_components(a, b)) == dsu_labels(pairs)
+
+
+def test_label_components_random_order_path():
+    """A 200,000-node path whose ids and edges are both in random order:
+    hooking merges a few trees per round, so this needs many rounds."""
+    rng = np.random.default_rng(5)
+    n = 200_000
+    ids = np.array([f"p{i:06d}" for i in rng.permutation(n)], dtype=str)
+    order = rng.permutation(n - 1)
+    a, b = ids[:-1][order], ids[1:][order]
+    labels = as_dict(label_components(pa.array(a), pa.array(b)))
+    assert labels == dsu_labels(zip(a.tolist(), b.tolist()))
+    assert set(labels.values()) == {"p000000"}
 
 
 def test_assign_clusters_singletons():
@@ -73,7 +114,7 @@ def test_distributed_matches_driver_on_random_graph():
     # long chain to exercise pointer jumping
     pairs += [(f"c{i:03d}", f"c{i + 1:03d}") for i in range(40)]
     e = edges_ds(pairs)
-    driver = components_driver(e)
+    driver = as_dict(components_driver(e))
     dist = components_distributed(e, num_partitions=4).to_pandas()
     dist_map = dict(zip(dist["id"], dist["cluster_id"]))
     assert dist_map == driver

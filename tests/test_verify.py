@@ -13,7 +13,7 @@ from lasvdedup_ray.config import LSHConfig, SignatureConfig
 from lasvdedup_ray.stages.exchange import block_tables, dataset_from_tables
 from lasvdedup_ray.stages.lsh import PAIR_SCHEMA
 from lasvdedup_ray.stages import verify
-from lasvdedup_ray.stages.verify import exact_jaccard_for_pairs, verify_pairs
+from lasvdedup_ray.stages.verify import exact_jaccard, verify_pairs
 
 SIG = SignatureConfig(k=3)
 TAU = 0.2
@@ -24,14 +24,20 @@ def _mk(words, drop=0):
     return " ".join(f"tok{i:04d}" for i in range(drop, words + drop))
 
 
+def _jaccard(pairs) -> np.ndarray:
+    """``exact_jaccard`` of ``(content_a, content_b)`` pairs, each content
+    its own id."""
+    a, b = (pa.array([p[k] for p in pairs], pa.string()) for k in (0, 1))
+    return exact_jaccard(pa.table({"id_a": a, "id_b": b, "content_a": a, "content_b": b}), SIG)
+
+
 @pytest.fixture(scope="module")
 def fixture_data():
     # near pair (a,b): high overlap => exact d well under tau
     a, b = _mk(200), _mk(200, drop=4)
     # far pair (c,d): ~1/3 overlap => exact d well over tau
     c, d = _mk(90), _mk(90, drop=60)
-    da = 1.0 - exact_jaccard_for_pairs([a], [b], SIG)[0]
-    dc = 1.0 - exact_jaccard_for_pairs([c], [d], SIG)[0]
+    da, dc = 1.0 - _jaccard([(a, b), (c, d)])
     assert da <= TAU < dc, (da, dc)
     content = ray.data.from_arrow(
         pa.table(
@@ -153,16 +159,28 @@ def test_border_set_over_many_chunks(monkeypatch, executions):
 
 def test_each_distinct_endpoint_shingled_once(monkeypatch):
     """A hub document paired with 50 others is shingled once, not once per
-    pair: 51 shingle calls for 50 pairs, and the same distances as checking
-    each pair on its own."""
+    pair: 51 documents reach the shingler for 50 pairs, and the distances
+    are those of checking each pair on its own."""
     hub = _mk(120)
     others = [_mk(120, drop=i) for i in range(1, 51)]
-    want = np.array([exact_jaccard_for_pairs([hub], [o], SIG)[0] for o in others])
-    calls = []
-    real = verify.shingle_hashes
+    want = np.array([_jaccard([(hub, o)])[0] for o in others])
+    docs = []
+    real = verify.shingle_hashes_batch
     monkeypatch.setattr(
-        verify, "shingle_hashes", lambda *a, **k: calls.append(1) or real(*a, **k)
+        verify,
+        "shingle_hashes_batch",
+        lambda buf, starts, *a, **k: docs.append(len(starts)) or real(buf, starts, *a, **k),
     )
-    got = exact_jaccard_for_pairs([hub] * 50, others, SIG)
-    assert len(calls) == 51
+    got = _jaccard([(hub, o) for o in others])
+    assert docs == [51]
     assert np.array_equal(got, want)
+
+
+def test_border_check_uses_sign_normalization():
+    """The exact check measures the shingle set the MinHash sketched:
+    surrounding whitespace becomes one space (it is not stripped), and a
+    no-break space stays itself, so neither variant is an exact copy."""
+    body = _mk(3)
+    assert _jaccard([(body, body.upper())])[0] == 1.0
+    for variant in ("\n" + body + "\n", body.replace(" ", "\u00a0")):
+        assert _jaccard([(body, variant)])[0] < 1.0
