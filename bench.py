@@ -234,6 +234,9 @@ KERNEL_REPS = 9
 NONASCII_LINE = "\n// Straße İstanbul ΣΑΣ café 😀\n"
 NONASCII_EVERY = 10
 KERNEL_EDGES = 200_000
+# hash partitions of the pair emitter's band rows: the band exchange's P on
+# a 3-CPU cluster (12 partitions, rounded up to a power of two)
+PAIR_EMIT_PARTITIONS = 16
 
 
 def dedup_graph(n_edges: int, seed: int):
@@ -301,12 +304,33 @@ def border_pairs(signed, truth, num_perms: int, tau: float):
     )
 
 
+def band_rows(signed, cfg, num_partitions: int):
+    """The inline band rows (``id`` + ``sig16`` payload) the LSH band
+    exchange carries for ``signed``, built in this process: exact
+    duplicates collapse to their min-id row first, as the flagship's sha
+    collapse does, the hot/capped bucket sets come from the driver
+    derivation and reach the band-row emitter through its per-process
+    broadcast slot, so no Ray call runs."""
+    from lasvdedup_ray.config import LSHConfig
+    from lasvdedup_ray.stages import exchange, lsh
+    from lasvdedup_ray.stages.exact import min_id_stars
+
+    signed = signed.take(min_id_stars(signed["sha256"], signed["id"])[0])
+    hot = lsh._derive_hot_sets(
+        lsh._sig16(signed["minhash"], cfg.num_perms), cfg, LSHConfig().band_cap
+    )
+    exchange._WORKER_BROADCAST["lsh.hot_sets"] = ("kernel", hot)
+    return lsh._make_band_row_emitter(cfg, num_partitions, "kernel", inline=True)(signed)
+
+
 def run_kernels() -> dict:
     """Single-process microbenchmarks of the per-row kernels: each sign
     sub-step, the whole ``sign_table`` and the exchange split, on the
     seeded ``mixed_5kb`` corpus; normalize and ``sign_table`` also on the
-    same corpus with non-ASCII rows mixed in; the border check on that
-    corpus's border pairs (``border_pairs``) and the driver's connected
+    same corpus with non-ASCII rows mixed in; the LSH pair emitter on that
+    corpus's ``PAIR_EMIT_PARTITIONS``-partition band rows (``band_rows``),
+    called once per pkey and once over every row; the border check on its
+    border pairs (``border_pairs``) and the driver's connected
     components on a ``KERNEL_EDGES``-edge ``dedup_graph``.  Each kernel
     runs once to warm up, then ``KERNEL_REPS`` times; it reports the median
     CPU seconds of one run (``time.process_time``, this process only) and
@@ -317,7 +341,7 @@ def run_kernels() -> dict:
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from lasvdedup_ray.config import SignatureConfig
+    from lasvdedup_ray.config import LSHConfig, SignatureConfig
     from lasvdedup_ray.functions.hashing import (
         id_hash64,
         oph_signatures,
@@ -327,6 +351,7 @@ def run_kernels() -> dict:
     from lasvdedup_ray.functions.text import normalized_bytes
     from lasvdedup_ray.sources.corpus import CorpusSpec, generate_corpus
     from lasvdedup_ray.stages.exchange import _pkey_order
+    from lasvdedup_ray.stages.lsh import make_partition_pair_emitter
     from lasvdedup_ray.stages.prepare import prepare_batch
     from lasvdedup_ray.stages.signatures import sign_table
     from lasvdedup_ray.stages.verify import exact_jaccard
@@ -357,6 +382,19 @@ def run_kernels() -> dict:
     def split():
         signed.take(pa.array(_pkey_order(pkey, 128), pa.int64()))
 
+    # the pair emitter as the band exchange's reducer, at the flagship's
+    # emission threshold: once per pkey (one call per hash partition) and
+    # once over every row (one call per reduce task); same pair multiset
+    bands = band_rows(signed, cfg, PAIR_EMIT_PARTITIONS)
+    by_pkey = [bands.filter(pc.equal(bands["pkey"], p)) for p in range(PAIR_EMIT_PARTITIONS)]
+    emit = make_partition_pair_emitter(cfg, LSHConfig(), 0.2 + LSHConfig().exact_margin_high)
+
+    def pair_multiset(tables):
+        t = pa.concat_tables(tables)
+        return sorted(zip(t["id_a"].to_pylist(), t["id_b"].to_pylist()))
+
+    assert pair_multiset([emit(g) for g in by_pkey]) == pair_multiset([emit(bands)])
+
     border = border_pairs(signed, truth, cfg.num_perms, 0.2)
     edge_a, edge_b = dedup_graph(KERNEL_EDGES, KERNEL_SEED)
 
@@ -375,6 +413,8 @@ def run_kernels() -> dict:
         "sign_table": (lambda: sign_table(table, cfg), "MB", content_mb),
         "sign_table_nonascii": (lambda: sign_table(mixed, cfg), "MB", mb(mixed)),
         "split": (split, "rows", n),
+        "pair_emit_per_pkey": (lambda: [emit(g) for g in by_pkey], "rows", bands.num_rows),
+        "pair_emit": (lambda: emit(bands), "rows", bands.num_rows),
         "border_check": (lambda: exact_jaccard(border, cfg), "pairs", border.num_rows),
         "components": (lambda: label_components(edge_a, edge_b), "edges", KERNEL_EDGES),
     }

@@ -1,5 +1,5 @@
 """Per-cluster classification: the reference decision tree, decided for
-every cluster of a hash partition in one vectorized pass.
+every cluster of a reduce call's hash partitions in one vectorized pass.
 
 Semantics rebuilt from ``lasvdedup/utils/sequence_grouping.py:185-353``
 (classify_sample) and ``lasvdedup/utils/distance_matrix.py:45-72``
@@ -29,7 +29,8 @@ the explicit id tie-break replaces the reference's insertion-order ``min()``
 Thresholds follow the cluster's majority lang; a tie goes to the smallest
 lang (null last), so the verdict does not depend on the worker process.
 
-One pass per partition (``make_partition_classifier``): the rows are
+One pass per reduce call (``make_partition_classifier``, one call per
+``hash_exchange`` reduce task, however many partitions it holds): the rows are
 grouped by a stable sort on ``cluster_id``, and every cluster is decided
 from per-cluster arrays.  Ranks are one ``np.lexsort`` with the cluster as
 primary key; each cluster's best row and its distances to it are one
@@ -40,7 +41,7 @@ candidates are decided one cluster at a time.  The output columns are
 built once: labels and reasons are ``take``s from small per-category or
 per-cluster dictionaries, ``group_members`` is one list per cluster taken
 per row, and ``stats`` is an Arrow string join.  A tree per cluster
-(``groupby().map_groups``, or a loop inside the partition) costs a Python
+(``groupby().map_groups``, or a loop inside the call) costs a Python
 call and an Arrow table per cluster: on a 1,500-file job of mostly
 2-5-row clusters, 105 ms of reducer time against 23 ms for this pass (one
 process, 4-vCPU VM; BASELINE.md).
@@ -287,11 +288,11 @@ def _member_lists(ids: pa.Array, order, starts, sizes) -> pa.ListArray:
 
 
 def make_partition_classifier(config: PipelineConfig):
-    """The decision tree of every cluster in one hash partition, decided
-    in one vectorized pass (module docstring).  The partition may hold
-    any other columns (``pkey``); output rows: singletons first, then every
-    multi-member cluster, each in ``cluster_id`` order, rows of a cluster
-    in upstream order."""
+    """The decision tree of every cluster in one reduce call (every cluster
+    of a run of hash partitions), decided in one vectorized pass (module
+    docstring).  The rows may hold any other columns (``pkey``); output
+    rows: singletons first, then every multi-member cluster, each in
+    ``cluster_id`` order, rows of a cluster in upstream order."""
     num_perms = float(config.signature.num_perms)
     sel_cols = list(config.selection_columns)
     # threshold set 0 is the default; set k > 0 is the k-th lang override
@@ -453,12 +454,15 @@ def make_partition_classifier(config: PipelineConfig):
 def classify_clusters(
     clustered: ray.data.Dataset, config: Optional[PipelineConfig] = None
 ) -> ray.data.Dataset:
-    """Hash-partition shuffle on cluster_id + per-partition decision tree."""
+    """Hash exchange on cluster_id + the decision tree, one
+    ``make_partition_classifier`` call per reduce task over every cluster
+    of its run of hash partitions (a cluster is never split across
+    calls)."""
     from .exchange import exchange_partitions, hash_exchange, map_blocks, string_pkey
 
     config = config or PipelineConfig()
     # exchange_partitions() fixes only the hash space; hash_exchange cuts
-    # it into runs of consecutive partitions, one reduce task each
+    # it into runs of consecutive partitions by bytes, one reduce task each
     n_parts = exchange_partitions()
 
     def add_pkey(t: pa.Table) -> pa.Table:

@@ -12,16 +12,16 @@ consecutive values before it reads a row, splits each upstream block into
 ``k`` sub-tables sorted by pkey (one task per block, ``num_returns=k``) and
 submits one reduce task per run straight on the split refs -- two
 scheduling waves, no sampling pass, no sort, no driver sync between them.
-A pkey with zero rows is skipped, matching ``groupby`` semantics (a reduce
-fn is never invoked on an empty group), so reducers need no empty-input
-guard.
+An exchange that fits one reduce task has no split wave: its one reduce
+task reads the upstream blocks itself.
 
-Partitioning assumption (document per SURVEY): every row with the same
-``pkey`` value lands in exactly ONE reduce call — identical to the
-``groupby(pkey).map_groups`` contract — because each pkey belongs to one
-run and its reduce task calls the fn once per pkey.  Reducers that only
-need co-location (the LSH pair emitter sorts its partition internally;
-per-user session folds see every row of their users) are drop-in.
+Reducer contract (document per SURVEY): the reducer is called once per
+reduce task, on every row of that task's run of whole pkeys: each pkey's
+rows arrive in upstream block order, a pkey is never split across calls,
+and no call sees zero rows.  A call holds many pkeys, so a reducer groups
+by its own key ((band, bh), cluster_id, sha256, a user id) and owes its
+output no pkey order.  A reduce work unit need not be one key (FP-Hadoop,
+VLDB 2015): per-pkey calls were most of both flagship reducers' cost.
 
 On a multi-node cluster this is exactly a hash shuffle (what Ray's
 ``ShuffleStrategy.HASH_SHUFFLE`` runs internally); the Dataset-API
@@ -36,21 +36,21 @@ the reduce tasks (below).  A fixed count does not follow the cluster: 64
 partitions on a 4-CPU box cost more in per-sliver tasks and objects than
 the work they spread.
 
-Reduce tasks: ``k = min(P, rows, max(cluster CPUs, bytes /
-_REDUCE_BYTES))``, with rows and bytes summed from the upstream blocks'
-metadata (an unknown count reads as P rows, an unknown size as
-``_REDUCE_BYTES``); run g holds the pkeys ``[g*P//k, (g+1)*P//k)``.  An
-exchange under ``_REDUCE_BYTES`` per CPU thus runs one wave of one task
-per CPU, a larger one about one task per ``_REDUCE_BYTES``.  Output rows
-and their order are those of one reduce call per pkey in pkey order; only
-block boundaries move.  Deciding the cut up front keeps a split task at k
-stored objects, not P + 1 (P sub-tables plus counts for a cut made after
-the split): at P = 128 those cost a 20,000-file job 8.7-9.2 s of
-storing, more than all its reduce work.
+Reduce tasks: ``k = min(P, rows, ceil(bytes / _REDUCE_BYTES))``, with
+rows and bytes summed from the upstream blocks' metadata (an unknown count
+reads as P rows, an unknown size as ``_REDUCE_BYTES``); run g holds the
+pkeys ``[g*P//k, (g+1)*P//k)``.  The cut follows bytes alone, not the
+cluster's CPUs: an exchange under ``_REDUCE_BYTES`` (both flagship
+exchanges of a 1,000-file job, 0.6-0.7 MB) runs one reduce task and no
+split task, a larger one about one task per ``_REDUCE_BYTES``.  Deciding
+the cut up front keeps a split task at k stored objects, not P + 1 (P
+sub-tables plus counts for a cut made after the split): at P = 128 those
+cost a 20,000-file job 8.7-9.2 s of storing, more than all its reduce
+work.
 
 The price of few tasks is straggling: a fixed pkey-range cut does not
-isolate a heavy partition, and with one task per CPU a skewed task is the
-straggler of the only wave.  If one ever sets the pace, the answer is
+isolate a heavy partition, and a skewed task is the straggler of its
+wave.  If one ever sets the pace, the answer is
 FP-Hadoop's intermediate reduce (VLDB 2015), not more partitions.
 
 Scale note: object count is ``num_blocks x k`` slivers plus one result
@@ -344,18 +344,35 @@ def byte_runs(items: Sequence, sizes: Sequence[Optional[int]], target: int) -> l
     return [list(items[a:z]) for a, z in zip(starts, np.r_[starts[1:], len(items)])]
 
 
-def _pkey_order(pk: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Stable argsort of a block's int64 pkeys, which must lie in
-    ``[0, num_partitions)``: a key outside would fall outside every reduce
-    run, so it fails loudly instead of losing its row (groupby(pkey), which
-    the exchange replaced, grouped any key value).  Up to 2^16 partitions
-    the keys are sorted as uint16, where numpy's stable sort is a radix
-    sort: the same order, 5-10x faster than the int64 merge sort."""
+def _pkey_values(block: pa.Table, pkey_col: str) -> np.ndarray:
+    """The int64 pkeys of a non-empty block.  A block without the pkey
+    column fails loudly: its rows would otherwise reach no reducer and
+    silently vanish from the result."""
+    if pkey_col not in block.column_names:
+        raise ValueError(
+            f"hash_exchange: non-empty block is missing pkey column "
+            f"{pkey_col!r} (columns: {block.column_names})"
+        )
+    return block[pkey_col].to_numpy(zero_copy_only=False).astype(np.int64)
+
+
+def _check_range(pk: np.ndarray, num_partitions: int) -> None:
+    """Pkeys must lie in ``[0, num_partitions)``: a key outside would fall
+    outside every reduce run, so it fails loudly instead of losing its row
+    (groupby(pkey), which the exchange replaced, grouped any key value)."""
     lo, hi = int(pk.min()), int(pk.max())
     if lo < 0 or hi >= num_partitions:
         raise ValueError(
             f"hash_exchange pkey out of range [0, {num_partitions}): min={lo}, max={hi}"
         )
+
+
+def _pkey_order(pk: np.ndarray, num_partitions: int) -> np.ndarray:
+    """Stable argsort of a block's int64 pkeys, range-checked first.  Up
+    to 2^16 partitions the keys are sorted as uint16, where numpy's stable
+    sort is a radix sort: the same order, 5-10x faster than the int64
+    merge sort."""
+    _check_range(pk, num_partitions)
     keys = pk.astype(np.uint16) if num_partitions <= 1 << 16 else pk
     return np.argsort(keys, kind="stable")
 
@@ -364,71 +381,43 @@ def _pkey_order(pk: np.ndarray, num_partitions: int) -> np.ndarray:
 def _split_by_pkey(block, pkey_col: str, num_partitions: int, bounds: list):
     """One upstream block -> one sub-table per reduce run, each sorted by
     pkey: run g holds the pkeys ``[bounds[g], bounds[g + 1])``
-    (num_returns = ``len(bounds) - 1``)."""
+    (num_returns = ``len(bounds) - 1``, at least 2)."""
     block = _arrow(block)
-    k = len(bounds) - 1
     if block.num_rows == 0:
         # Ray Data normalizes empty map outputs to SCHEMALESS 0-row blocks
         # (no columns at all); they carry no rows for any run
-        out = [block] * k
-    elif pkey_col not in block.column_names:
-        # loud failure, matching the out-of-range check below: a NON-empty
-        # block without the pkey column would otherwise reach no reducer
-        # and its rows would silently vanish from the result
-        raise ValueError(
-            f"hash_exchange: non-empty block is missing pkey column "
-            f"{pkey_col!r} (columns: {block.column_names})"
-        )
-    else:
-        pk = block[pkey_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        # one stable gather + k zero-copy slices instead of k full-table
-        # filter scans (the filter loop cost O(P * rows) per block —
-        # measured ~6 s of split-wave wall at 600k files with P=128); the
-        # stable sort keeps upstream row order within each pkey, the
-        # documented "row order = upstream block order" reducer contract
-        order = _pkey_order(pk, num_partitions)
-        pk_sorted = pk[order]
-        sorted_block = block.take(pa.array(order, pa.int64()))
-        cuts = np.searchsorted(pk_sorted, bounds)
-        out = [sorted_block.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])]
-    # one return is stored as the value itself, not as a 1-tuple
-    return out[0] if k == 1 else tuple(out)
+        return (block,) * (len(bounds) - 1)
+    pk = _pkey_values(block, pkey_col)
+    # one stable gather + k zero-copy slices instead of k full-table filter
+    # scans (the filter loop cost O(P * rows) per block — measured ~6 s of
+    # split-wave wall at 600k files with P=128); the stable sort keeps
+    # upstream row order within each pkey
+    order = _pkey_order(pk, num_partitions)
+    sorted_block = block.take(pa.array(order, pa.int64()))
+    cuts = np.searchsorted(pk[order], bounds)
+    return tuple(sorted_block.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 @ray.remote(num_returns=2)
-def _reduce_partition(fn, pkey_col: str, lo: int, hi: int, *slivers):
-    """``fn`` of each non-empty pkey in ``[lo, hi)``, on that pkey's runs of
-    the pkey-sorted ``slivers`` concatenated in block order, the outputs
-    concatenated in pkey order, plus the block's
-    ``BlockMetadataWithSchema``.  No rows: a zero-column empty block, and
+def _reduce_partition(fn, check: Optional[tuple], *blocks):
+    """``fn`` of every row of one reduce task, its ``blocks`` concatenated
+    in order, plus the result's ``BlockMetadataWithSchema``: the slivers of
+    one run of pkeys, or, with ``check`` = ``(pkey_col, num_partitions)``,
+    the upstream blocks of an exchange with no split wave, which get the
+    split's loud checks here.  No rows: a zero-column empty block, and
     ``fn`` is never called."""
     from ray.data.block import BlockExecStats, BlockMetadataWithSchema
 
     stats = BlockExecStats.builder()
-    slivers = [s for s in slivers if s.num_rows]
-    keys = np.arange(lo, hi + 1)
-    cuts = [np.searchsorted(s[pkey_col].to_numpy(), keys) for s in slivers]
-    outs = []
-    for i in range(hi - lo):
-        runs = [
-            s.slice(c[i], c[i + 1] - c[i]) for s, c in zip(slivers, cuts) if c[i + 1] > c[i]
-        ]
-        if runs:
-            outs.append(_arrow(fn(pa.concat_tables(runs))))
-    # an empty output may be typed differently (or schemaless); it adds no
-    # rows, so it is left out unless every output is empty
-    out = _one_chunk(
-        pa.concat_tables(
-            [o for o in outs if o.num_rows] or outs[:1], promote_options="permissive"
-        )
-        if outs
-        else pa.table({})
-    )
+    tables = [t for t in map(_arrow, blocks) if t.num_rows]
+    if check is not None:
+        for t in tables:
+            _check_range(_pkey_values(t, check[0]), check[1])
+    out = _one_chunk(_arrow(fn(pa.concat_tables(tables)))) if tables else pa.table({})
     return out, BlockMetadataWithSchema.from_block(out, stats=stats.build())
 
 
-# bytes per hash_exchange reduce task once an exchange holds more than this
-# per cluster CPU; below, it runs one task per CPU (module docstring)
+# bytes per hash_exchange reduce task (module docstring: reduce tasks)
 _REDUCE_BYTES = 1 << 20
 
 
@@ -439,36 +428,30 @@ def hash_exchange(
     reduce_fn: Callable[[pa.Table], pa.Table],
     empty_schema: Optional[pa.Schema] = None,
 ) -> ray.data.Dataset:
-    """``groupby(pkey).map_groups(reduce_fn)`` for an integer pkey in
-    ``[0, num_partitions)``, as a two-wave raw-Ray exchange (no sort
-    barrier).  ``reduce_fn`` receives ONE non-empty Arrow table holding
-    every row of its pkey (row order = upstream block order, not sorted —
-    reducers that need an order must sort internally, as the LSH emitter
-    already does); it is never called on an empty pkey.  The result holds
-    the non-empty outputs in pkey order, those of a run of consecutive
-    pkeys per block (module docstring: reduce tasks).
-    ``empty_schema``: schema of the typed empty RESULT returned when the
-    upstream has no rows at all (None -> a zero-block dataset, matching
-    groupby's schemaless-empty behavior)."""
+    """Co-locate the rows of ``ds`` by an integer pkey in ``[0,
+    num_partitions)`` and reduce them, as a raw-Ray exchange (no sort
+    barrier).  ``reduce_fn`` is called once per reduce task, on ONE
+    non-empty Arrow table holding every row of that task's run of whole
+    pkeys (module docstring: reducer contract); the result holds one block
+    per reduce task with rows.  ``empty_schema``: schema of the typed empty
+    RESULT returned when the upstream has no rows at all (None -> a
+    zero-block dataset, matching groupby's schemaless-empty behavior)."""
     blocks = _live_blocks(ds)
     rows = sum(num_partitions if m.num_rows is None else m.num_rows for _, m in blocks)
     nbytes = sum(_REDUCE_BYTES if m.size_bytes is None else m.size_bytes for _, m in blocks)
-    k = min(num_partitions, rows, max(cluster_cpus(), -(-nbytes // _REDUCE_BYTES)))
-    reduced = []
-    if k > 0:
+    k = min(num_partitions, rows, max(1, -(-nbytes // _REDUCE_BYTES)))
+    runs = []
+    if k == 1:
+        # no split wave: the one reduce task reads the upstream blocks
+        runs = [((pkey_col, num_partitions), [ref for ref, _ in blocks])]
+    elif k > 1:
         bounds = [g * num_partitions // k for g in range(k + 1)]
         split = _split_by_pkey.options(num_returns=k)
         slivers = [split.remote(ref, pkey_col, num_partitions, bounds) for ref, _ in blocks]
-        if k == 1:
-            slivers = [[s] for s in slivers]
-        # one pickle of the reducer per call, not one per reduce task
-        fn_ref = ray.put(reduce_fn)
-        reduced = [
-            _reduce_partition.remote(
-                fn_ref, pkey_col, bounds[g], bounds[g + 1], *[s[g] for s in slivers]
-            )
-            for g in range(k)
-        ]
+        runs = [(None, [s[g] for s in slivers]) for g in range(k)]
+    # one pickle of the reducer per call, not one per reduce task
+    fn_ref = ray.put(reduce_fn) if runs else None
+    reduced = [_reduce_partition.remote(fn_ref, check, *refs) for check, refs in runs]
     metas = ray.get([meta for _, meta in reduced])
     outs = [(block, meta) for (block, _), meta in zip(reduced, metas)]
     # no output rows: one typed empty output of a task that called the fn

@@ -261,11 +261,15 @@ def make_partition_pair_emitter(
     tau: float,
     sig_store_ref=None,
 ):
-    """map_groups fn over one HASH PARTITION of band rows (many buckets per
-    call): sorts the partition by (band, bh), finds bucket boundaries
-    vectorized, and only loops Python over buckets with >= 2 members —
-    Ray-groupby-per-bucket would make one Python call per (band, bh) bucket
-    (~32x corpus size, mostly singletons), which dominates wall time.
+    """``hash_exchange`` reducer over one reduce task's band rows (every
+    bucket of a run of hash partitions, many buckets per call): sorts the
+    rows by (band, bh), finds bucket boundaries vectorized, and only loops
+    Python over buckets with >= 2 members — Ray-groupby-per-bucket would
+    make one Python call per (band, bh) bucket (~32x corpus size, mostly
+    singletons), which dominates wall time.  Its fixed cost per call is
+    paid once per task: on the 15,325 band rows of a 1,000-file job, 16
+    calls (one per pkey) took 54 ms of CPU and one call 34 ms
+    (``bench.py --kernels``, ``pair_emit_per_pkey`` / ``pair_emit``).
 
     Emits verified pairs (est Jaccard distance <= tau, inclusive — the
     reference pins ``<=`` at ``sequence_grouping.py:53``).  Callers pass
@@ -533,10 +537,11 @@ def _count_hot_sets(
         return pa.table({"pkey": pa.array(pk, pa.int32()), "ckey": pa.array(ckey, pa.uint64())})
 
     def dup_keys(g: pa.Table) -> pa.Table:
-        # vectorized within one hash partition: keys appearing >= 2 times,
+        # vectorized within one reduce call: keys appearing >= 2 times,
         # flagged capped when the bucket exceeds band_cap (a per-key
         # groupby would be millions of tiny Ray groups).  pkey is derived
-        # from ckey, so partition-local counts are global counts.
+        # from ckey and a call holds whole partitions, so its counts are
+        # global counts.
         ck = g.column("ckey").to_numpy(zero_copy_only=False).astype(np.uint64)
         uniq, cnt = np.unique(ck, return_counts=True)
         hot = cnt >= 2
@@ -599,9 +604,9 @@ def candidate_pairs(
     lsh_cfg = lsh_cfg or LSHConfig()
     # exchange_partitions() (4 per CPU) fixes only the hash space, rounded up
     # to a power of two for the ``bh & (P-1)`` mask; hash_exchange sizes the
-    # reduce tasks from the upstream's block metadata (one per CPU on a
-    # small exchange, so a skewed bucket-partition -- measured
-    # emit-partition max/mean ~3x -- can be the straggler of that one wave)
+    # reduce tasks from the upstream's bytes (one task under _REDUCE_BYTES,
+    # so a skewed bucket-partition -- measured emit-partition max/mean ~3x
+    # -- can be the straggler of its wave only on a larger exchange)
     num_partitions = 1 << (exchange_partitions() - 1).bit_length()
 
     n_rows_slim = signed_slim.count()

@@ -57,6 +57,8 @@ def exact_jaccard(t: pa.Table, cfg: SignatureConfig) -> np.ndarray:
     distinct endpoint id is shingled once, so a document in many pairs (a
     cluster hub) costs one shingling, not one per pair."""
     n = t.num_rows
+    if n == 0:
+        return np.zeros(0)
     ids = pa.concat_arrays([t[c].combine_chunks() for c in ("id_a", "id_b")])
     docs = pc.unique(ids)
     code = pc.index_in(ids, value_set=docs).to_numpy()
@@ -65,18 +67,25 @@ def exact_jaccard(t: pa.Table, cfg: SignatureConfig) -> np.ndarray:
         content.take(pc.index_in(docs, value_set=ids)), cfg.lowercase, cfg.collapse_ws
     )
     hashes, offsets, counts = shingle_hashes_batch(buf, starts, ends, cfg.k)
-    # each hash as its dense rank, so (pair, rank) packs into one int64
-    uniq, rank = np.unique(hashes, return_inverse=True)
-    keys = []
-    for side in (code[:n], code[n:]):
-        lens = counts[side]
-        at = np.repeat(offsets[side] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-        keys.append(np.repeat(np.arange(n) * len(uniq), lens) + rank[at])
-    # a doc's hashes are sorted, so each side's keys are one sorted run and
-    # the stable sort (timsort) is one merge; a repeated key is a shared hash
-    key = np.sort(np.concatenate(keys), kind="stable")
-    inter = np.bincount(key[1:][key[1:] == key[:-1]] // len(uniq), minlength=n)
-    return inter / (counts[code[:n]] + counts[code[n:]] - inter)
+    a, b = code[:n], code[n:]
+    # each doc's hashes are one sorted run of unique values, so a pair's
+    # intersection is the hashes of its shorter run found in the longer
+    # one: one searchsorted per distinct longer-run doc, over the shorter
+    # runs of all its pairs
+    short = counts[a] <= counts[b]
+    q, r = np.where(short, a, b), np.where(short, b, a)
+    by_r = np.argsort(r, kind="stable")
+    firsts = np.flatnonzero(np.r_[True, r[by_r][1:] != r[by_r][:-1]])
+    inter = np.zeros(n, np.int64)
+    for pairs in np.split(by_r, firsts[1:]):
+        d = r[pairs[0]]
+        run = hashes[offsets[d] : offsets[d] + counts[d]]
+        lens = counts[q[pairs]]
+        at = np.repeat(offsets[q[pairs]] - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+        needle = hashes[at]
+        hit = run[np.minimum(np.searchsorted(run, needle), run.size - 1)] == needle
+        inter[pairs] = np.bincount(np.repeat(np.arange(pairs.size), lens)[hit], minlength=pairs.size)
+    return inter / (counts[a] + counts[b] - inter)
 
 
 def _rows_with_ids(content: ray.data.Dataset, id_col: str, needed: pa.Array, cols) -> list:

@@ -1,9 +1,14 @@
 """hash_exchange (stages/exchange.py): the raw-Ray pkey co-location used
 in place of sort-based groupby(pkey).map_groups across the flagship.
 
-Contract under test: every row with the same pkey reaches exactly ONE
-reduce call, reducers see whole groups (possibly several pkeys' rows
-never mix — one reduce per pkey), and results match the groupby path."""
+Contract under test: the reducer runs once per reduce task, on every row
+of that task's run of whole pkeys; each pkey's rows reach exactly ONE call,
+in upstream block order; no call sees zero rows; the number of reduce
+tasks comes from the upstream's bytes, and an exchange that fits one task
+submits no split task.  Reducers that group by their own key match the
+groupby path."""
+
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -138,10 +143,12 @@ def test_all_empty_with_schema(ray_session):
     assert out.schema().names == ["n"]
 
 
-def test_out_of_range_pkey_raises(ray_session):
+def test_out_of_range_pkey_raises(ray_session, submitted):
     # groupby(pkey) grouped any key value; hash_exchange's contract is
     # pkey in [0, P) — a key outside that range must FAIL LOUDLY rather
-    # than silently dropping the row from every partition slice
+    # than silently dropping the row from every partition slice.  Three
+    # rows fit one reduce task: no split task runs, so the reduce task's
+    # own check must catch it
     t = pa.table(
         {
             "pkey": pa.array([0, 1, 7], pa.int32()),  # 7 >= P=4
@@ -155,6 +162,18 @@ def test_out_of_range_pkey_raises(ray_session):
 
     with pytest.raises(Exception, match="pkey out of range"):
         hash_exchange(ds, "pkey", 4, fn).materialize()
+    assert submitted["_split_by_pkey"] == 0
+
+
+def test_split_raises_on_out_of_range_pkey(ray_session, submitted, monkeypatch):
+    """The same loud failure when the exchange has a split wave."""
+    from lasvdedup_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "_REDUCE_BYTES", 1)
+    t = pa.table({"pkey": pa.array([0, 1, -1], pa.int32()), "v": [1, 2, 3]})
+    with pytest.raises(Exception, match="pkey out of range"):
+        hash_exchange(dataset_from_tables([t]), "pkey", 4, lambda g: g)
+    assert submitted["_split_by_pkey"] == 1
 
 
 @pytest.mark.parametrize("num_partitions", [1, 128, 1 << 16, (1 << 16) + 1])
@@ -238,9 +257,10 @@ def test_grouped_sum_exchange_empty_input(ray_session):
     assert out.schema().names == ["k", "v"]
 
 
-def test_missing_pkey_column_raises(ray_session):
+def test_missing_pkey_column_raises(ray_session, submitted):
     # a NON-empty block without the pkey column must fail loudly: its rows
-    # would otherwise reach no reducer and silently vanish
+    # would otherwise reach no reducer and silently vanish (here on the
+    # unsplit path: the one reduce task checks its blocks itself)
     t = pa.table({"v": pa.array([1, 2, 3], pa.int64())})
     ds = rd.from_arrow(t)
 
@@ -249,6 +269,24 @@ def test_missing_pkey_column_raises(ray_session):
 
     with pytest.raises(Exception, match="missing pkey column"):
         hash_exchange(ds, "pkey", 4, fn).materialize()
+    assert submitted["_split_by_pkey"] == 0
+
+
+@pytest.mark.parametrize("reduce_bytes", [1, 1 << 20])
+def test_block_without_pkey_column_among_keyed_blocks_raises(
+    ray_session, submitted, monkeypatch, reduce_bytes
+):
+    """A keyed block first and a non-empty block without the pkey column
+    second: the split (reduce_bytes = 1) and the unsplit path both fail
+    loudly, not just on the first block they read."""
+    from lasvdedup_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "_REDUCE_BYTES", reduce_bytes)
+    keyed = pa.table({"pkey": pa.array([0, 1], pa.int32()), "v": [1, 2]})
+    ds = dataset_from_tables([keyed, pa.table({"v": [3, 4]})])
+    with pytest.raises(Exception, match="missing pkey column"):
+        hash_exchange(ds, "pkey", 4, lambda g: g)
+    assert (submitted["_split_by_pkey"] > 0) == (reduce_bytes == 1)
 
 
 def test_grouped_sum_exchange_null_keys(ray_session):
@@ -312,17 +350,29 @@ def test_upstream_executes_once(ray_session, tmp_path):
     assert len(list(tmp_path.iterdir())) == 4  # one call per upstream block
 
 
-def test_no_metadata_tasks_and_empty_blocks_skipped(ray_session, submitted):
-    """Known-empty upstream blocks get no split task, and the result's block
+def test_no_metadata_tasks_and_empty_blocks_skipped(ray_session, submitted, monkeypatch):
+    """Known-empty upstream blocks reach no task, and the result's block
     metadata comes back with the reduce tasks: no per-block
-    ``get_table_block_metadata_schema`` task (``from_arrow_refs`` ran one)."""
+    ``get_table_block_metadata_schema`` task (``from_arrow_refs`` ran one).
+    These 6 rows fit one reduce task, so no split task runs and the
+    reducer is called once, on every live pkey; with a split wave forced
+    (``_REDUCE_BYTES`` = 1) only the 2 live blocks are split."""
+    from lasvdedup_ray.stages import exchange
+
     full = pa.table({"pkey": pa.array([0, 1, 2], pa.int32()), "v": pa.array([1, 2, 3], pa.int64())})
     ds = rd.from_arrow([full, full.slice(0, 0), full, full.slice(0, 0)])
     submitted.clear()
     out = hash_exchange(ds, "pkey", 4, _make_summarize())
-    assert submitted["_split_by_pkey"] == 2
-    assert submitted["_reduce_partition"] == 4  # one per pkey run
+    assert submitted["_split_by_pkey"] == 0
+    assert submitted["_reduce_partition"] == 1
     assert out.count() == 3  # one summary row per live pkey
+    assert sorted(out.to_pandas()["n"]) == [2, 2, 2]
+    assert submitted["get_table_block_metadata_schema"] == 0
+    monkeypatch.setattr(exchange, "_REDUCE_BYTES", 1)
+    submitted.clear()
+    out = hash_exchange(ds, "pkey", 4, _make_summarize())
+    assert submitted["_split_by_pkey"] == 2
+    assert submitted["_reduce_partition"] == 4  # min(P, rows, bytes)
     assert sorted(out.to_pandas()["n"]) == [2, 2, 2]
     assert submitted["get_table_block_metadata_schema"] == 0
 
@@ -538,36 +588,53 @@ def test_stored_blocks_are_one_chunk(ray_session):
         assert _chunks_per_column(out) == {1}
 
 
-def _make_marking_identity(marks: str):
-    """An identity reduce fn that leaves one marker file per call, named
-    after the call's pkey."""
+def _make_recording_identity(marks: str):
+    """An identity reduce fn that leaves one marker file per call, naming
+    the call's distinct pkeys and its row count."""
 
-    def mark(g):
+    def record(g):
         import os
         import uuid
 
-        (pkey,) = set(g["pkey"].to_pylist())
-        open(os.path.join(marks, f"{pkey}-{uuid.uuid4().hex}"), "w").close()
+        keys = "_".join(str(p) for p in sorted(set(g["pkey"].to_pylist())))
+        open(os.path.join(marks, f"{keys}-{g.num_rows}-{uuid.uuid4().hex}"), "w").close()
         return g
 
-    return mark
+    return record
+
+
+def _calls(marks) -> list:
+    """``(pkeys, rows)`` of every recorded reduce call, sorted."""
+    calls = []
+    for f in Path(marks).iterdir():
+        keys, rows, _ = f.name.split("-")
+        calls.append(([int(p) for p in keys.split("_") if p], int(rows)))
+    return sorted(calls)
+
+
+def _assert_pkeys_in_block_order(src_ds, out_ds, num_partitions: int) -> None:
+    """Each pkey's rows of ``out_ds`` (an identity exchange of ``src_ds``)
+    are that pkey's rows of ``src_ds``, in upstream block order."""
+    src = pa.concat_tables(block_tables(src_ds))
+    out = pa.concat_tables(block_tables(out_ds))
+    assert out.num_rows == src.num_rows
+    for p in range(num_partitions):
+        assert out.filter(pc.equal(out["pkey"], p)).equals(
+            src.filter(pc.equal(src["pkey"], p))
+        ), p
 
 
 def test_small_partitions_share_reduce_tasks(ray_session, submitted, tmp_path):
-    """16 small live partitions on 4 CPUs run in at most 4 reduce tasks; the
-    reduce fn still runs once per live partition, and the result's rows come
-    in the order of reducing each partition on its own, in pkey order."""
+    """16 small live partitions (5 KB) fit one reduce task: no split task,
+    one reduce call holding every row of all 16 pkeys, each pkey's rows in
+    upstream block order."""
     ds = _mk(320, 16, n_blocks=4).materialize()
     submitted.clear()
-    out = hash_exchange(ds, "pkey", 16, _make_marking_identity(str(tmp_path)))
-    assert 1 <= submitted["_reduce_partition"] <= 4
-    called = sorted(int(f.name.split("-")[0]) for f in tmp_path.iterdir())
-    assert called == list(range(16))
-    src = pa.concat_tables(block_tables(ds))
-    want = pa.concat_tables(
-        [src.filter(pc.equal(src["pkey"], p)) for p in range(16)]
-    )
-    assert pa.concat_tables(block_tables(out)).equals(want)
+    out = hash_exchange(ds, "pkey", 16, _make_recording_identity(str(tmp_path)))
+    assert submitted["_split_by_pkey"] == 0
+    assert submitted["_reduce_partition"] == 1
+    assert _calls(tmp_path) == [(list(range(16)), 320)]
+    _assert_pkeys_in_block_order(ds, out, 16)
 
 
 def test_large_partitions_get_one_reduce_task_each(ray_session, submitted, tmp_path):
@@ -585,10 +652,10 @@ def test_large_partitions_get_one_reduce_task_each(ray_session, submitted, tmp_p
     assert t.nbytes // 4 > _REDUCE_BYTES
     ds = dataset_from_tables([t.slice(0, n // 2), t.slice(n // 2)])
     submitted.clear()
-    out = hash_exchange(ds, "pkey", 4, _make_marking_identity(str(tmp_path)))
+    out = hash_exchange(ds, "pkey", 4, _make_recording_identity(str(tmp_path)))
     assert out.count() == n
     assert submitted["_reduce_partition"] == 4
-    assert len(list(tmp_path.iterdir())) == 4
+    assert _calls(tmp_path) == [([p], n // 4) for p in range(4)]
 
 
 def _split_returns(task_returns) -> list:
@@ -600,32 +667,48 @@ def _pkeys_per_block(ds) -> list:
     return [sorted(set(t["pkey"].to_pylist())) for t in block_tables(ds)]
 
 
-@pytest.mark.parametrize("cpus, k", [(3, 3), (1, 1), (32, 16)])
-def test_reduce_runs_are_consecutive_pkeys(ray_session, task_returns, monkeypatch, cpus, k):
-    """A small exchange runs ``k = min(P, rows, cluster CPUs)`` reduce
-    tasks; run g holds the pkeys ``[g*P//k, (g+1)*P//k)``, every split task
-    stores exactly k objects, and the rows come in the order of reducing
-    each pkey on its own, in pkey order (k = 1 included: Ray hands back one
-    ref, not a tuple)."""
+def _set_byte_shares(monkeypatch, ds, shares: int) -> None:
+    """Patch ``_REDUCE_BYTES`` so the upstream ``ds`` holds ``shares`` of
+    it: ``ceil(bytes / _REDUCE_BYTES) == shares``."""
     from lasvdedup_ray.stages import exchange
 
-    monkeypatch.setattr(exchange, "cluster_cpus", lambda: cpus)
+    nbytes = sum(m.size_bytes for _, m in exchange._live_blocks(ds))
+    per = -(-nbytes // shares)
+    assert -(-nbytes // per) == shares
+    monkeypatch.setattr(exchange, "_REDUCE_BYTES", per)
+
+
+@pytest.mark.parametrize("shares, k", [(3, 3), (1, 1), (32, 16)])
+def test_reduce_runs_are_consecutive_pkeys(ray_session, task_returns, monkeypatch, shares, k):
+    """An upstream of ``shares`` x ``_REDUCE_BYTES`` runs ``k = min(P,
+    rows, shares)`` reduce tasks, whatever the cluster's CPUs; run g holds
+    the pkeys ``[g*P//k, (g+1)*P//k)`` and every split task stores exactly
+    k objects.  At k = 1 no split task runs.  Each pkey's rows come in
+    upstream block order."""
+    from lasvdedup_ray.stages import exchange
+
+    # 8 CPUs: a CPU floor would run 8 tasks at shares 1 and 3
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 8)
+
     def identity(g):
         return g
 
     ds = _mk(320, 16, n_blocks=4).materialize()
+    _set_byte_shares(monkeypatch, ds, shares)
     task_returns.clear()
     out = hash_exchange(ds, "pkey", 16, identity)
-    assert _split_returns(task_returns) == [k] * 4
+    assert _split_returns(task_returns) == ([k] * 4 if k > 1 else [])
     runs = [list(range(g * 16 // k, (g + 1) * 16 // k)) for g in range(k)]
     assert _pkeys_per_block(out) == runs
-    src = pa.concat_tables(block_tables(ds))
-    want = pa.concat_tables([src.filter(pc.equal(src["pkey"], p)) for p in range(16)])
-    assert pa.concat_tables(block_tables(out)).equals(want)
+    _assert_pkeys_in_block_order(ds, out, 16)
 
 
-def test_fewer_rows_than_cpus(ray_session, task_returns):
-    """A 3-row exchange runs no more tasks than rows: k = 3 on 4 CPUs."""
+def test_fewer_rows_than_byte_shares(ray_session, task_returns, monkeypatch):
+    """A 3-row exchange runs no more tasks than rows: k = 3 though its
+    bytes would cut more (``_REDUCE_BYTES`` = 1)."""
+    from lasvdedup_ray.stages import exchange
+
+    monkeypatch.setattr(exchange, "_REDUCE_BYTES", 1)
     ds = dataset_from_tables([pa.table({"pkey": pa.array([0, 7, 15], pa.int32()), "v": [1, 2, 3]})])
     task_returns.clear()
     out = hash_exchange(ds, "pkey", 16, _make_summarize())
@@ -635,9 +718,10 @@ def test_fewer_rows_than_cpus(ray_session, task_returns):
 
 
 def test_one_driver_get_per_exchange(ray_session, monkeypatch):
-    """The reduce tasks are submitted on the split refs: one ``hash_exchange``
-    call waits on the driver once, for the reduce tasks' metadata (Ray
-    Data's own stats-actor calls aside)."""
+    """The reduce tasks are submitted on the split refs (or the upstream
+    refs): one ``hash_exchange`` call waits on the driver once, for the
+    reduce tasks' metadata (Ray Data's own stats-actor calls aside), with
+    or without a split wave."""
     import sys
 
     import ray
@@ -655,21 +739,32 @@ def test_one_driver_get_per_exchange(ray_session, monkeypatch):
     monkeypatch.setattr(ray, "get", get)
     out = hash_exchange(ds, "pkey", 8, _make_summarize())
     assert gets.count(exchange.__file__) == 1, gets
+    monkeypatch.setattr(exchange, "_REDUCE_BYTES", 1)
+    gets.clear()
+    split = hash_exchange(ds, "pkey", 8, _make_summarize())
+    assert gets.count(exchange.__file__) == 1, gets
     monkeypatch.undo()
     assert int(out.to_pandas()["n"].sum()) == 1000
+    assert int(split.to_pandas()["n"].sum()) == 1000
 
 
-def test_fn_never_called_on_empty_pkey(ray_session, tmp_path):
-    """Of 16 pkeys only 3 hold rows: the reduce fn runs once for each of
-    them and never on an empty pkey, though every run of pkeys gets a
-    task."""
+def test_fn_never_called_on_empty_pkey(ray_session, tmp_path, monkeypatch):
+    """Of 16 pkeys only 3 hold rows.  Unsplit (the default cut) the fn
+    runs once, on all three; split into ``min(P, rows)`` = 10 runs
+    (``_REDUCE_BYTES`` = 1) it runs once per run that holds rows, on
+    whole pkeys, and never on zero rows, though every run gets a task."""
+    from lasvdedup_ray.stages import exchange
+
     t = pa.table({"pkey": pa.array([9, 0, 5, 9, 0], pa.int32()), "v": range(5)})
-    out = hash_exchange(
-        dataset_from_tables([t, t]), "pkey", 16, _make_marking_identity(str(tmp_path))
-    )
-    assert sorted(int(f.name.split("-")[0]) for f in tmp_path.iterdir()) == [0, 5, 9]
-    assert out.count() == 10
-    assert _pkeys_per_block(out) == [[0], [5], [9]]
+    ds = dataset_from_tables([t, t])
+    for reduce_bytes, want in ((1 << 20, [([0, 5, 9], 10)]), (1, [([0], 4), ([5], 2), ([9], 4)])):
+        monkeypatch.setattr(exchange, "_REDUCE_BYTES", reduce_bytes)
+        marks = tmp_path / str(reduce_bytes)
+        marks.mkdir()
+        out = hash_exchange(ds, "pkey", 16, _make_recording_identity(str(marks)))
+        assert _calls(marks) == want
+        assert _pkeys_per_block(out) == [pkeys for pkeys, _ in want]
+        _assert_pkeys_in_block_order(ds, out, 16)
 
 
 def test_unknown_upstream_metadata_keeps_every_row(ray_session, monkeypatch):

@@ -30,7 +30,6 @@ from lasvdedup_ray.pipelines import dedup
 from lasvdedup_ray.sources.corpus import CorpusSpec, write_corpus
 from lasvdedup_ray.sources.readers import read_parquet_clean
 from lasvdedup_ray.stages import exact
-from lasvdedup_ray.stages.exchange import cluster_cpus
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +51,13 @@ def _job(files, config) -> pa.Table:
 # these bounds were set; a job may not submit more.  The exchange pair is
 # the sha-exchange collapse (``exact._DRIVER_ROWS = 0``), the driver pair the
 # default driver collapse of this 300-row corpus.
-TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 26, 52, 27
-TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 27, 26
+TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 15, 19, 16
+TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 16, 15
 # Objects the exchanges' split tasks stored per job, likewise: each split
-# task stores one per reduce task of its exchange.
-OBJECTS_WRITE, OBJECTS_RESUME = 24, 8
-OBJECTS_DRIVER_WRITE, OBJECTS_DRIVER_RESUME = 8, 8
+# task stores one per reduce task of its exchange, and every exchange of
+# this corpus fits one reduce task, so none runs a split wave.
+OBJECTS_WRITE, OBJECTS_RESUME = 0, 0
+OBJECTS_DRIVER_WRITE, OBJECTS_DRIVER_RESUME = 0, 0
 
 
 def _map_block_tasks(tasks) -> int:
@@ -186,7 +186,7 @@ def test_driver_collapse_resume(
     reads every file of ``signed`` in exactly one raw task, redoes the
     driver collapse from it, submits no more ``map_blocks`` tasks than the
     write, and returns the write's output.  Each job's two exchanges (LSH bands,
-    classify) are small, so each runs at most one reduce task per CPU."""
+    classify) are under ``_REDUCE_BYTES``, so each runs one reduce task."""
     calls = []
     for name in ("exact_collapse", "exact_collapse_driver"):
         real = getattr(exact, name)
@@ -203,7 +203,7 @@ def test_driver_collapse_resume(
     assert parquet_reads == []
     assert len(tasks) <= TASKS_DRIVER_WRITE, tasks
     assert _split_objects(task_returns) <= OBJECTS_DRIVER_WRITE, task_returns
-    assert _reduce_tasks(tasks) <= 2 * cluster_cpus(), tasks
+    assert _reduce_tasks(tasks) == 2, tasks
     written_maps = _map_block_tasks(tasks)
     calls.clear()
     executions.clear()
@@ -217,7 +217,7 @@ def test_driver_collapse_resume(
     assert executor_starts == []
     assert len(tasks) <= TASKS_DRIVER_RESUME, tasks
     assert _split_objects(task_returns) <= OBJECTS_DRIVER_RESUME, task_returns
-    assert _reduce_tasks(tasks) <= 2 * cluster_cpus(), tasks
+    assert _reduce_tasks(tasks) == 2, tasks
     assert _map_block_tasks(tasks) <= written_maps, tasks
     assert _stage_files(ckpt, "signed")
     assert _files_read(parquet_reads) == _stage_files(ckpt, "signed"), parquet_reads

@@ -184,3 +184,45 @@ def test_border_check_uses_sign_normalization():
     assert _jaccard([(body, body.upper())])[0] == 1.0
     for variant in ("\n" + body + "\n", body.replace(" ", "\u00a0")):
         assert _jaccard([(body, variant)])[0] < 1.0
+
+
+def _set_jaccard(x: str, y: str) -> float:
+    """Jaccard of two documents' shingle-hash sets as Python ``set``s: each
+    document normalized on its own, hashed by the one-document shingler."""
+    from lasvdedup_ray.functions.hashing import shingle_hashes
+    from lasvdedup_ray.functions.text import normalized_bytes
+
+    sets = []
+    for doc in (x, y):
+        buf, starts, ends = normalized_bytes(pa.array([doc]), SIG.lowercase, SIG.collapse_ws)
+        sets.append(set(shingle_hashes(buf[starts[0] : ends[0]].tobytes(), SIG.k).tolist()))
+    return len(sets[0] & sets[1]) / len(sets[0] | sets[1])
+
+
+def test_exact_jaccard_matches_python_sets():
+    """``exact_jaccard`` equals the Python-set Jaccard bit for bit: empty
+    documents, documents shorter than k (one whole-content shingle each),
+    identical documents, random overlaps of uneven lengths, and a hub
+    document in 40 pairs, on either side of them."""
+    rng = np.random.default_rng(11)
+    vocab = [f"w{i}" for i in range(30)]
+    docs = [" ".join(rng.choice(vocab, int(rng.integers(0, 60)))) for _ in range(60)]
+    docs += ["", "", "ab", "AB", "x", "", _mk(40), _mk(40), _mk(300)]
+    hub = len(docs) - 1
+    pairs = [(int(i), int(j)) for i, j in rng.integers(0, len(docs), (200, 2))]
+    end = len(docs)
+    pairs += [(end - 9, end - 8), (end - 9, end - 5)]  # "" / "", "" / short
+    pairs += [(end - 7, end - 6), (end - 7, end - 5)]  # short / short, equal once lowered
+    pairs += [(end - 3, end - 2), (5, 5)]  # identical
+    pairs += [(hub, i) if i % 2 else (i, hub) for i in range(40)]
+    ids = pa.array([f"d{i}" for i, _ in pairs] + [f"d{j}" for _, j in pairs])
+    content = pa.array([docs[i] for i, _ in pairs] + [docs[j] for _, j in pairs])
+    n = len(pairs)
+    t = pa.table(
+        {"id_a": ids[:n], "id_b": ids[n:], "content_a": content[:n], "content_b": content[n:]}
+    )
+    want = np.array([_set_jaccard(docs[i], docs[j]) for i, j in pairs])
+    got = exact_jaccard(t, SIG)
+    assert np.array_equal(got, want)
+    assert (got == 1.0).sum() >= 4 and ((got > 0) & (got < 1)).any() and (got == 0).any()
+    assert exact_jaccard(t.slice(0, 0), SIG).size == 0
