@@ -304,23 +304,18 @@ def border_pairs(signed, truth, num_perms: int, tau: float):
     )
 
 
-def band_rows(signed, cfg, num_partitions: int):
-    """The inline band rows (``id`` + ``sig16`` payload) the LSH band
-    exchange carries for ``signed``, built in this process: exact
-    duplicates collapse to their min-id row first, as the flagship's sha
-    collapse does, the hot/capped bucket sets come from the driver
-    derivation and reach the band-row emitter through its per-process
-    broadcast slot, so no Ray call runs."""
+def kernel_reps(signed, cfg):
+    """``(reps, hot)``: the min-id row of each distinct sha256 of
+    ``signed``, as the flagship's sha collapse keeps them, and their
+    hot/capped bucket sets from the driver derivation, built in this
+    process, so no Ray call runs."""
     from lasvdedup_ray.config import LSHConfig
-    from lasvdedup_ray.stages import exchange, lsh
+    from lasvdedup_ray.stages import lsh
     from lasvdedup_ray.stages.exact import min_id_stars
 
-    signed = signed.take(min_id_stars(signed["sha256"], signed["id"])[0])
-    hot = lsh._derive_hot_sets(
-        lsh._sig16(signed["minhash"], cfg.num_perms), cfg, LSHConfig().band_cap
-    )
-    exchange._WORKER_BROADCAST["lsh.hot_sets"] = ("kernel", hot)
-    return lsh._make_band_row_emitter(cfg, num_partitions, "kernel", inline=True)(signed)
+    reps = signed.take(min_id_stars(signed["sha256"], signed["id"])[0])
+    hot = lsh._derive_hot_sets(lsh._sig16(reps["minhash"], cfg.num_perms), cfg, LSHConfig().band_cap)
+    return reps, hot
 
 
 def run_kernels() -> dict:
@@ -328,8 +323,10 @@ def run_kernels() -> dict:
     sub-step, the whole ``sign_table`` and the exchange split, on the
     seeded ``mixed_5kb`` corpus; normalize and ``sign_table`` also on the
     same corpus with non-ASCII rows mixed in; the LSH pair emitter on that
-    corpus's ``PAIR_EMIT_PARTITIONS``-partition band rows (``band_rows``),
-    called once per pkey and once over every row; the border check on its
+    corpus's ``PAIR_EMIT_PARTITIONS``-partition band rows, called once per
+    pkey and once over every row; the driver plan's band-row emitter plus
+    its signature-store rows over the corpus's sha reps (``kernel_reps``,
+    ``band_emit``); the border check on its
     border pairs (``border_pairs``) and the driver's connected
     components on a ``KERNEL_EDGES``-edge ``dedup_graph``.  Each kernel
     runs once to warm up, then ``KERNEL_REPS`` times; it reports the median
@@ -351,6 +348,7 @@ def run_kernels() -> dict:
     from lasvdedup_ray.functions.text import normalized_bytes
     from lasvdedup_ray.sources.corpus import CorpusSpec, generate_corpus
     from lasvdedup_ray.stages.exchange import _pkey_order
+    from lasvdedup_ray.stages import lsh
     from lasvdedup_ray.stages.lsh import make_partition_pair_emitter
     from lasvdedup_ray.stages.prepare import prepare_batch
     from lasvdedup_ray.stages.signatures import sign_table
@@ -385,7 +383,13 @@ def run_kernels() -> dict:
     # the pair emitter as the band exchange's reducer, at the flagship's
     # emission threshold: once per pkey (one call per hash partition) and
     # once over every row (one call per reduce task); same pair multiset
-    bands = band_rows(signed, cfg, PAIR_EMIT_PARTITIONS)
+    # the band rows: inline (``id`` + ``sig16``) for the pair emitter; the
+    # driver plan's band emit (``idh`` payload) plus its store rows, the
+    # per-row work a job under lsh._DRIVER_HOT_ROWS rows does on the driver
+    reps, hot = kernel_reps(signed, cfg)
+    bands = lsh._make_band_row_emitter(cfg, PAIR_EMIT_PARTITIONS, lambda: hot, inline=True)(reps)
+    emit_rows = lsh._make_band_row_emitter(cfg, PAIR_EMIT_PARTITIONS, lambda: hot, inline=False)
+    store_rows = lsh._make_store_row_fn(cfg)
     by_pkey = [bands.filter(pc.equal(bands["pkey"], p)) for p in range(PAIR_EMIT_PARTITIONS)]
     emit = make_partition_pair_emitter(cfg, LSHConfig(), 0.2 + LSHConfig().exact_margin_high)
 
@@ -413,6 +417,7 @@ def run_kernels() -> dict:
         "sign_table": (lambda: sign_table(table, cfg), "MB", content_mb),
         "sign_table_nonascii": (lambda: sign_table(mixed, cfg), "MB", mb(mixed)),
         "split": (split, "rows", n),
+        "band_emit": (lambda: (store_rows(reps), emit_rows(reps)), "rows", reps.num_rows),
         "pair_emit_per_pkey": (lambda: [emit(g) for g in by_pkey], "rows", bands.num_rows),
         "pair_emit": (lambda: emit(bands), "rows", bands.num_rows),
         "border_check": (lambda: exact_jaccard(border, cfg), "pairs", border.num_rows),

@@ -9,14 +9,15 @@ Stages:
     read + prepare + sign    (raw tasks that run the read's own read
                               tasks: id, sha256, stats, OPH
                               signatures)                      [pinned: signed]
-      -> sha collapse        (min-id reps + 0-dist star edges: on the
-                              driver for small inputs, else a sha
-                              hash_exchange; stages/exact.py)
+      -> sha collapse        (min-id reps + 0-dist star edges of the slim
+                              meta: on the driver for small inputs, else
+                              a sha hash_exchange; stages/exact.py)
                                         [pinned on the exchange plan: reps]
-      -> LSH candidates      (sig store + band hash_exchange: pairs)
-      -> verify              (sure filter + exact border re-check)
+      -> LSH candidates      (driver sig store + band rows; band exchange)
+      -> verify              (sure/border split on the driver; re-check)
       -> union-find          (integer-code components on the driver /
-                              distributed label prop; state/unionfind.py)
+                              distributed label prop; its label attach
+                              adds classify's pkey)
       -> classification      (hash_exchange on cluster_id: 5-case tree)
       -> write_parquet       (partitioned by classification) + metrics
 
@@ -25,10 +26,10 @@ other lazy input runs once, at the top.  Sign reads a bare read through
 the datasource's read tasks, inside one raw task per run of about
 ``_SIGN_BYTES`` (``stages/signatures.py``), and ``StageCheckpointer.pin``
 writes and reads its Parquet with raw tasks, as ``edges_out`` writes the
-edge list.  Every step after sign is a raw task over block refs: a
-per-block map is ``map_blocks``, a union is ``concat_blocks`` and a
-shuffle is ``hash_exchange`` (``stages/exchange.py``), so no consumer
-re-runs a stage.
+edge list.  Every step after sign runs on block refs, in raw tasks or on
+the driver: a per-block map is ``map_blocks``, a union is
+``concat_blocks`` and a shuffle is ``hash_exchange``
+(``stages/exchange.py``), so no consumer re-runs a stage.
 Everything between the signer and the final classification shuffles ONLY
 ids + signatures (content is projected out inside the map tasks — SURVEY
 §7 "very wide rows").
@@ -46,7 +47,7 @@ import ray.data
 
 from ..config import PipelineConfig
 from ..functions.hashing import id_hash64
-from ..stages.classify import classify_clusters
+from ..stages.classify import classify_clusters, cluster_pkey
 from ..stages.exact import collapses_on_driver, min_id_stars, sha_collapse
 from ..stages.exchange import (
     _arrow,
@@ -204,9 +205,8 @@ def dedup_pipeline(
 
         edges = dataset_from_tables([PAIR_SCHEMA.empty_table()])
     else:
-        reps_slim, e_edges = sha_collapse(signed, ck)
-        # candidates read (id, minhash, simhash) by name; verify
-        # projects signed to (id, content) inside its gather tasks
+        reps_slim, e_edges = sha_collapse(meta, ck)
+        # verify projects signed to (id, content) inside its gather tasks
         near_edges = verify_pairs(
             candidate_pairs(reps_slim, config.signature, config.lsh, tau=emit_tau),
             signed,
@@ -240,7 +240,7 @@ def dedup_pipeline(
     if edges_out is not None:
         write_blocks(edges, edges_out)
 
-    clustered = assign_clusters(meta, edges, num_partitions=num_partitions)
+    clustered = assign_clusters(meta, edges, num_partitions=num_partitions, then=cluster_pkey())
     return classify_clusters(clustered, config)
 
 

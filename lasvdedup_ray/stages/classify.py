@@ -451,31 +451,40 @@ def make_partition_classifier(config: PipelineConfig):
     return classify_partition
 
 
-def classify_clusters(
-    clustered: ray.data.Dataset, config: Optional[PipelineConfig] = None
-) -> ray.data.Dataset:
-    """Hash exchange on cluster_id + the decision tree, one
-    ``make_partition_classifier`` call per reduce task over every cluster
-    of its run of hash partitions (a cluster is never split across
-    calls)."""
-    from .exchange import exchange_partitions, hash_exchange, map_blocks, string_pkey
+def cluster_pkey():
+    """Block fn appending classify's ``pkey``, a hash of ``cluster_id`` in
+    ``[0, exchange_partitions())``: any pure function of it co-locates
+    whole clusters.  The flagship runs it in the label-attach task."""
+    from .exchange import exchange_partitions, string_pkey
 
-    config = config or PipelineConfig()
-    # exchange_partitions() fixes only the hash space; hash_exchange cuts
-    # it into runs of consecutive partitions by bytes, one reduce task each
     n_parts = exchange_partitions()
 
     def add_pkey(t: pa.Table) -> pa.Table:
-        # any pure function of cluster_id co-locates whole clusters
         return t.append_column("pkey", string_pkey(t["cluster_id"], n_parts))
 
+    return add_pkey
+
+
+def classify_clusters(
+    clustered: ray.data.Dataset, config: Optional[PipelineConfig] = None
+) -> ray.data.Dataset:
+    """Hash exchange on the ``pkey`` that ``cluster_pkey()`` appended to
+    ``clustered`` + the decision tree, one
+    ``make_partition_classifier`` call per reduce task over every cluster
+    of its run of hash partitions (a cluster is never split across
+    calls).  A block without ``pkey`` fails the exchange loudly."""
+    from .exchange import exchange_partitions, hash_exchange
+
+    config = config or PipelineConfig()
+    # exchange_partitions() fixes only the hash space; hash_exchange cuts
+    # it into runs of consecutive partitions by bytes, one reduce task each.
     # pkey is a hash residue in [0, n_parts): the raw-Ray hash exchange
     # (stages/exchange.py) co-locates clusters without the sort barrier's
     # sampling pass + SortMap/SortReduce waves
     return hash_exchange(
-        map_blocks(clustered, add_pkey),
+        clustered,
         "pkey",
-        n_parts,
+        exchange_partitions(),
         make_partition_classifier(config),
         empty_schema=RESULT_SCHEMA,
     )

@@ -11,12 +11,14 @@ whole cluster.  Rows are keyed by the 32-byte ``sha256`` digest, and every
 plan builds its reps and edges with one kernel, ``min_id_stars``.
 
 ``sha_collapse`` picks one of two plans by input size; both give the same
-reps and edges (``tests/test_path_equivalence.py``):
+reps and edges (``tests/test_path_equivalence.py``).  Both read the job's
+one slim projection ``meta`` (id, lang, n_chars, n_lines, sha256,
+minhash, simhash; no content):
 
-- at most ``_DRIVER_ROWS`` input rows: ``exact_collapse_driver`` reads
-  (id, sha256) to the driver and runs the kernel once, and the reps are
-  kept from ``signed`` by an exact ``is_in`` filter in raw tasks.  Sending
-  every job through the exchange cost +32% ``run_cpu_s`` on the 1000-file
+- at most ``_DRIVER_ROWS`` input rows: ``exact_collapse_driver`` reads the
+  blocks of ``meta`` by ref, runs the kernel once and takes the reps'
+  (id, minhash, simhash) rows on the driver; no task runs.  Sending every
+  job through the exchange cost +32% ``run_cpu_s`` on the 1000-file
   ``mixed_5kb`` benchmark (median of 6 alternating pairs).  Nothing is
   checkpointed: a resume redoes the collapse from ``signed``.
 - above it: ``exact_collapse``, a ``hash_exchange`` on ``pkey`` = the
@@ -37,7 +39,11 @@ import ray.data
 
 from .lsh import PAIR_SCHEMA
 
-# inputs of at most this many rows collapse on the driver (module docstring)
+# inputs of at most this many rows collapse on the driver (module
+# docstring).  It bounds DRIVER RAM: the driver reads the slim rows by ref
+# (~600 B a row with ``minhash``, ~90 MB at the bound, object-store views,
+# not copies) and copies out only the sorted (id, sha256) keys and the
+# reps' (id, minhash, simhash) rows; there is no second full copy.
 _DRIVER_ROWS = 150_000
 
 
@@ -74,28 +80,22 @@ def collapses_on_driver(n_rows: int) -> bool:
     return n_rows <= _DRIVER_ROWS
 
 
-def sha_collapse(signed: ray.data.Dataset, ck) -> Tuple[ray.data.Dataset, ray.data.Dataset]:
-    """``(reps_slim, edges)`` of the pinned ``signed`` stage: the (id,
-    minhash, simhash) rows of each distinct sha256's min id, and the
+def sha_collapse(meta: ray.data.Dataset, ck) -> Tuple[ray.data.Dataset, ray.data.Dataset]:
+    """``(reps_slim, edges)`` of the job's slim projection ``meta``: the
+    (id, minhash, simhash) rows of each distinct sha256's min id, and the
     zero-distance star edges (PAIR_SCHEMA) that link every other row to
     it.  The plan follows the row count (module docstring); ``ck``, the
     job's ``StageCheckpointer``, pins the exchange plan's output."""
-    from .exchange import dataset_from_tables, map_blocks, worker_get
+    from .exchange import dataset_from_tables
 
-    if collapses_on_driver(signed.count()):
-        rep_ids, edges = exact_collapse_driver(signed)
-        # ship the rep-id set through plasma once (ray.put + per-worker
-        # cache), not pickled into every task closure
-        rep_ref = ray.put(rep_ids)
-
-        def keep_reps(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["id"], value_set=worker_get(rep_ref, "exact.reps")))
-
-        reps = map_blocks(signed, keep_reps, cols=["id", "minhash", "simhash"])
-        return reps, dataset_from_tables([edges])
+    if collapses_on_driver(meta.count()):
+        reps, edges = exact_collapse_driver(meta)
+        step = -(-reps.num_rows // meta.num_blocks())  # as many blocks as meta
+        slices = [reps.slice(i, step) for i in range(0, reps.num_rows, step)]
+        return dataset_from_tables(slices), dataset_from_tables([edges])
     # a builder, not a dataset: the exchange starts when it is built, so a
     # resume that reads "reps" back skips it
-    fused = ck.pin(lambda: exact_collapse(signed), "reps")
+    fused = ck.pin(lambda: exact_collapse(meta), "reps")
     return fused_reps(fused), fused_edges(fused)
 
 
@@ -167,18 +167,15 @@ def fused_edges(fused: ray.data.Dataset) -> ray.data.Dataset:
     return map_blocks(fused, to_pairs)
 
 
-def exact_collapse_driver(signed_slim: ray.data.Dataset):
-    """Driver plan of the sha collapse (module docstring): ``(rep_ids,
-    edges_table)``, the string array of each distinct sha256's min id and
-    the star edges in PAIR_SCHEMA, as ``exact_collapse`` gives them.  Only
-    (id, sha256) reach the driver, read by ref (``block_tables``): no Ray
-    Data execution starts on the pinned signed dataset, and content stays
-    in the object store."""
+def exact_collapse_driver(meta: ray.data.Dataset):
+    """Driver plan of the sha collapse (module docstring): ``(reps,
+    edges)``, the Arrow table of each distinct sha256's min-id (id,
+    minhash, simhash) row in digest order and the star edges in
+    PAIR_SCHEMA, as ``exact_collapse`` gives them.  The blocks of ``meta``
+    (at least one row) are read by ref (``block_tables``): no task and no
+    Ray Data execution runs."""
     from .exchange import block_tables
 
-    tables = list(block_tables(signed_slim, ["id", "sha256"]))
-    if not tables:
-        return pa.array([], pa.string()), PAIR_SCHEMA.empty_table()
-    t = pa.concat_tables(tables)
+    t = pa.concat_tables(list(block_tables(meta)))
     rep_rows, edges = min_id_stars(t["sha256"], t["id"])
-    return pc.take(t["id"], rep_rows).combine_chunks(), edges
+    return t.select(["id", "minhash", "simhash"]).take(rep_rows).combine_chunks(), edges

@@ -150,8 +150,8 @@ def _sig16_column(sig16: np.ndarray) -> pa.Array:
 
 
 def _make_store_row_fn(sig_cfg: SignatureConfig):
-    """Block fn: (id, minhash) -> (idh, sig16-binary, id) store rows;
-    the sig16 + id-hash are computed on workers."""
+    """Block fn: (id, minhash) -> (idh, sig16-binary, id) store rows, built
+    on the driver by ``_build_sig_store``."""
 
     def to_store_rows(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -168,22 +168,19 @@ def _make_store_row_fn(sig_cfg: SignatureConfig):
 def _build_sig_store(signed_slim: ray.data.Dataset, sig_cfg: SignatureConfig):
     """Assemble the broadcast signature store: one idh-sorted (idh, sig16,
     ids) blob in plasma (``ray.put`` once; zero-copy reads, one physical
-    copy per node).  Returns ``(store_ref, sig16_matrix)`` — the matrix is
-    handed back so the caller can derive the hot/capped bucket sets
-    driver-side without a second distributed pass.  Returns ``(None,
-    None)`` on a 64-bit id-hash collision between two distinct ids (ADVICE
-    r2: searchsorted would silently resolve both to one signature and emit
-    pairs with wrong ids) — callers then fall back to inline signature
-    transport."""
-    np_ = sig_cfg.num_perms
+    copy per node), built here from the blocks read by ref.  Returns
+    ``(store_ref, sig16_matrix)`` — the matrix is handed back so the caller
+    can derive the hot/capped bucket sets driver-side without a second
+    pass.  Returns ``(None, None)`` on a 64-bit id-hash collision between
+    two distinct ids (ADVICE r2: searchsorted would silently resolve both
+    to one signature and emit pairs with wrong ids) — callers then fall
+    back to inline signature transport."""
+    to_store_rows = _make_store_row_fn(sig_cfg)
     idh_parts, sig_parts, id_parts = [], [], []
-    for b in block_tables(
-        map_blocks(signed_slim, _make_store_row_fn(sig_cfg), cols=["id", "minhash"])
-    ):
+    for b in map(to_store_rows, block_tables(signed_slim)):
         idh_parts.append(b.column("idh").to_numpy(zero_copy_only=False).astype(np.uint64))
-        sig_parts.append(sig16_matrix(b.column("sig"), np_).copy())
-        col = b.column("id")
-        id_parts.extend(col.chunks if isinstance(col, pa.ChunkedArray) else [col])
+        sig_parts.append(sig16_matrix(b.column("sig"), sig_cfg.num_perms))
+        id_parts.extend(b.column("id").chunks)
     if not idh_parts:
         return None, None
     idh_all = np.concatenate(idh_parts)
@@ -218,20 +215,20 @@ def _derive_hot_sets(sig16: np.ndarray, sig_cfg: SignatureConfig, band_cap: int)
     return ("exact", uniq[cnt >= 2]), uniq[cnt > band_cap]
 
 
-def _make_band_row_emitter(sig_cfg: SignatureConfig, num_partitions: int, hot_ref, inline: bool):
+def _make_band_row_emitter(sig_cfg: SignatureConfig, num_partitions: int, hot, inline: bool):
     """Block fn: (id, minhash, simhash) -> one row per (row, band) whose
     bucket is hot (>= 2 members): ``band, bh, simhash, cmask, pkey`` plus
     the signature payload — ``idh`` (~40 B rows; signatures come from the
     broadcast store) or, ``inline``, ``id`` + ``sig16``.  ``cmask`` is the
     row's bitmask of capped bands.  Hot rows are selected before any
-    payload is gathered."""
+    payload is gathered.  ``hot()`` returns the ``(hot, capped)`` sets."""
     bands, num_perms = sig_cfg.bands, sig_cfg.num_perms
     band_bits = np.arange(bands, dtype=np.uint64)
 
     def emit(t: pa.Table) -> pa.Table:
         sig16 = _sig16(t.column("minhash"), num_perms)
         band, bh, comb = _band_keys(sig16, bands, sig_cfg.rows)
-        hot_struct, capped = worker_get(hot_ref, "lsh.hot_sets")
+        hot_struct, capped = hot()
         capped_bits = _in_sorted(capped, comb).reshape(-1, bands).astype(np.uint64)
         cmask = np.bitwise_or.reduce(capped_bits << band_bits, axis=1)
         keep = _member(hot_struct, comb)
@@ -591,14 +588,14 @@ def candidate_pairs(
       blob) they ride inline, and the driver never holds the matrix.
     - HOT/CAPPED BUCKET SETS: while the driver holds the blob's sig16
       matrix of at most ``_DRIVER_HOT_ROWS`` rows they are derived from it
-      (``_derive_hot_sets``) — no second pass, none of its barriers.
-      Otherwise a slim key-count ``hash_exchange`` finds them
-      (``_count_hot_sets``).  Only rows in hot (>= 2 member) buckets enter
-      the band shuffle, and canonical-band emission keeps pair
-      multiplicity ~1 with no pair-dedup shuffle.
+      (``_derive_hot_sets``) and the driver emits the band rows itself,
+      one block with ``pkey`` — no task wave.  Otherwise a slim key-count
+      ``hash_exchange`` finds them (``_count_hot_sets``) and raw tasks
+      emit.  Only rows in hot (>= 2 member) buckets enter the band
+      shuffle, and canonical-band emission keeps pair multiplicity ~1.
 
-    The row count that picks the plans comes from the block metadata of
-    ``signed_slim``, which every flagship caller has materialized."""
+    The store reads ``signed_slim`` (id, minhash, simhash) by ref; the row
+    count that picks the plans comes from its block metadata."""
     from .exchange import exchange_partitions
 
     lsh_cfg = lsh_cfg or LSHConfig()
@@ -629,16 +626,15 @@ def candidate_pairs(
     # Nearly all band buckets are singletons and can never form a pair, yet
     # their rows would dominate the band shuffle.  Only rows in hot (>= 2
     # member) buckets enter it (~85-95% volume cut on realistic corpora).
-    if sig16_drv is not None and sig16_drv.shape[0] <= _DRIVER_HOT_ROWS:
+    on_driver = sig16_drv is not None and sig16_drv.shape[0] <= _DRIVER_HOT_ROWS
+    if on_driver:
         # the store build already collected every sig16 on the driver:
         # derive the EXACT hot/capped key sets locally
-        hot_struct, capped_sorted = _derive_hot_sets(sig16_drv, sig_cfg, lsh_cfg.band_cap)
+        hot_sets = _derive_hot_sets(sig16_drv, sig_cfg, lsh_cfg.band_cap)
     else:
-        hot_struct, capped_sorted = _count_hot_sets(
-            signed_slim, sig_cfg, lsh_cfg.band_cap, num_partitions
-        )
+        hot_sets = _count_hot_sets(signed_slim, sig_cfg, lsh_cfg.band_cap, num_partitions)
     del sig16_drv  # plasma holds the blob: free the driver's copy before the band exchange
-    if hot_struct[0] == "exact" and hot_struct[1].size == 0:
+    if hot_sets[0][0] == "exact" and hot_sets[0][1].size == 0:
         # no bucket has >= 2 members -> no candidate pairs at all
         return dataset_from_tables([PAIR_SCHEMA.empty_table()])
 
@@ -647,10 +643,15 @@ def candidate_pairs(
     # exchange (stages/exchange.py) instead of the sort-based groupby —
     # same co-location contract, no sampling pass / sort barrier (the
     # barrier was ~15 s of CPU-count-independent wall at 600k files)
-    hot_ref = ray.put((hot_struct, capped_sorted))
-    emit = _make_band_row_emitter(sig_cfg, num_partitions, hot_ref, inline=sig_store_ref is None)
+    hot_ref = None if on_driver else ray.put(hot_sets)
+    hot = (lambda: hot_sets) if on_driver else (lambda: worker_get(hot_ref, "lsh.hot_sets"))
+    emit = _make_band_row_emitter(sig_cfg, num_partitions, hot, inline=sig_store_ref is None)
+    if on_driver:  # no task wave, and the hot sets never leave this process
+        band_rows = dataset_from_tables([pa.concat_tables(map(emit, block_tables(signed_slim)))])
+    else:
+        band_rows = map_blocks(signed_slim, emit)
     return hash_exchange(
-        map_blocks(signed_slim, emit),
+        band_rows,
         "pkey",
         num_partitions,
         make_partition_pair_emitter(sig_cfg, lsh_cfg, tau, sig_store_ref=sig_store_ref),

@@ -35,9 +35,9 @@ task function and cut into runs by the same rule:
 
 Runs are cut by bytes, the way ``hash_exchange`` cuts its reduce tasks,
 because the block count of the signed stage sets the task count of every
-wave after it (the slim projections, ``keep_reps``, verify's gathers, the
-label attach, classify's pkey): about one task per ``_SIGN_BYTES`` of
-in-memory input (``byte_runs``).  A read asks its datasource for that many
+wave after it (the slim projection, verify's content gathers, the label
+attach, which also appends classify's pkey): about one task per
+``_SIGN_BYTES`` of in-memory input (``byte_runs``).  A read asks its datasource for that many
 read tasks from ``estimate_inmemory_data_size()`` and gets at most what the
 datasource can split (``ParquetDatasource``: one per file); blocks are
 summed from their ``size_bytes``.  Each task signs its rows in slices of at

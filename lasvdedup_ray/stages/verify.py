@@ -9,14 +9,14 @@ are re-checked with the exact Jaccard of the shingle sets the MinHash
 sketches (``exact_jaccard``: the sign stage's own normalization and
 shingle kernels, each distinct endpoint shingled once per task).
 
-Execution shape (no Ray Data execution at any size):
-- the sure set (est <= tau - margin_low) passes through a filter of one
-  raw task per pair block (``map_blocks``);
+Execution shape (no Ray Data execution at any size): the pair blocks are
+read by ref, one at a time, and split on the driver (``_chunks``):
+- each block's sure set (est <= tau - margin_low) goes straight back to
+  the object store (``dataset_from_tables``), with no filter task;
 - the borderline set (est > tau - margin_low; the high side tau +
-  margin_high was already enforced at LSH emission) is read in chunks of
-  at most ``_BORDER_CHUNK`` pairs (``_chunks``: the materialized pair
-  blocks are read by ref and filtered on the driver), so driver memory is
-  bounded by one chunk whatever the border size.  For each chunk,
+  margin_high was already enforced at LSH emission) is cut into chunks of
+  at most ``_BORDER_CHUNK`` pairs, so driver memory is bounded by one
+  chunk plus one block whatever the border size.  For each chunk,
   ``_attach_driver`` gathers the endpoints' content with one raw filter
   task per content block and attaches it with an Arrow take; the chunk is
   sliced into at most 64 blocks on the driver and checked by one raw task
@@ -185,9 +185,9 @@ def verify_pairs(
     borderline slice.  Returns the verified edge list (id_a, id_b,
     est_distance) with d <= tau (inclusive boundary)."""
     lsh_cfg = lsh_cfg or LSHConfig()
-    # pairs feed two consumers (sure + borderline); read once, by ref, with
-    # zero-row blocks (selective in-bucket filters leave many) dropped so
-    # neither pass schedules a task for them.  Block refs move, bytes don't.
+    # read once, by ref, with zero-row blocks (selective in-bucket filters
+    # leave many) dropped, so no pass reads or schedules a task for them.
+    # Block refs move, bytes don't.
     pairs = concat_blocks(pairs)
     if pairs.num_blocks() == 0:
         return dataset_from_tables([PAIR_SCHEMA.empty_table()])
@@ -195,9 +195,10 @@ def verify_pairs(
     if not lsh_cfg.exact_verify:
         return map_blocks(pairs, lambda t: t.filter(pc.less_equal(t["est_distance"], tau)))
     low = tau - lsh_cfg.exact_margin_low
-    sure = map_blocks(pairs, lambda t: t.filter(pc.less_equal(t["est_distance"], low)))
+    sure = []
 
     def border_of(t: pa.Table) -> pa.Table:
+        sure.append(dataset_from_tables([t.filter(pc.less_equal(t["est_distance"], low))]))
         return t.filter(pc.greater(t["est_distance"], low))
 
     def check(t: pa.Table) -> pa.Table:
@@ -221,4 +222,4 @@ def verify_pairs(
         step = -(-border.num_rows // n_blocks)
         slices = [border.slice(i * step, step) for i in range(n_blocks)]
         checked.append(map_blocks(dataset_from_tables(slices), check))
-    return concat_blocks(sure, *checked) if checked else sure
+    return concat_blocks(*sure, *checked)

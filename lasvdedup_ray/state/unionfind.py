@@ -27,7 +27,7 @@ instead, per SURVEY §7 "determinism without row order").
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 import pyarrow as pa
@@ -216,13 +216,14 @@ def assign_clusters(
     nodes: ray.data.Dataset,
     edges: ray.data.Dataset,
     num_partitions: int = 32,
+    then: Callable[[pa.Table], pa.Table] = lambda t: t,
 ) -> ray.data.Dataset:
     """Attach ``cluster_id`` (string, = min member id) to every node row.
     Nodes untouched by any edge become singleton clusters (cluster_id = id).
     On the driver path the labels attach in one raw task per node block
     (``map_blocks``, an Arrow ``index_in`` + ``take``): no Ray Data
-    execution starts on materialized inputs.
-    """
+    execution starts on materialized inputs.  ``then`` runs on each labelled
+    block in its task on either path (the flagship adds classify's pkey)."""
     from ..stages.exchange import concat_blocks, map_blocks
 
     edges = concat_blocks(edges.materialize())
@@ -234,8 +235,8 @@ def assign_clusters(
         def attach(t: pa.Table) -> pa.Table:
             labels = ray.get(ref)
             ix = pc.index_in(t["id"], value_set=labels["id"])
-            return t.append_column(
-                "cluster_id", pc.coalesce(labels["cluster_id"].take(ix), t["id"])
+            return then(
+                t.append_column("cluster_id", pc.coalesce(labels["cluster_id"].take(ix), t["id"]))
             )
 
         return map_blocks(nodes, attach)
@@ -248,10 +249,10 @@ def assign_clusters(
         on=("id",),
     )
     return joined.map_batches(
-        lambda t: t.set_column(
+        lambda t: then(t.set_column(
             t.schema.get_field_index("cluster_id"),
             "cluster_id",
             pc.coalesce(t["cluster_id"], t["id"]),
-        ),
+        )),
         batch_format="pyarrow",
     )

@@ -51,8 +51,14 @@ def _job(files, config) -> pa.Table:
 # these bounds were set; a job may not submit more.  The exchange pair is
 # the sha-exchange collapse (``exact._DRIVER_ROWS = 0``), the driver pair the
 # default driver collapse of this 300-row corpus.
-TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 15, 19, 16
-TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 16, 15
+TASKS_RUN, TASKS_WRITE, TASKS_RESUME = 9, 15, 12
+TASKS_DRIVER_WRITE, TASKS_DRIVER_RESUME = 10, 9
+# ``map_blocks`` tasks per job of the driver plan, likewise: after sign
+# only the slim projection, verify's content gather and border check and
+# the label attach run as map waves; the sha collapse, the signature
+# store, the band rows and the sure pairs are built on the driver, and
+# classify's pkey rides in the label attach.
+MAP_BLOCKS_DRIVER = 4
 # Objects the exchanges' split tasks stored per job, likewise: each split
 # task stores one per reduce task of its exchange, and every exchange of
 # this corpus fits one reduce task, so none runs a split wave.
@@ -87,6 +93,7 @@ def test_job_without_checkpoint(
     assert executions == [], executions
     assert executor_starts == [], executor_starts
     assert len(tasks) <= TASKS_RUN, tasks
+    assert _map_block_tasks(tasks) <= MAP_BLOCKS_DRIVER, tasks
 
 
 def test_lazy_input_runs_once(ray_session, corpus_files, executor_starts):
@@ -205,6 +212,7 @@ def test_driver_collapse_resume(
     assert _split_objects(task_returns) <= OBJECTS_DRIVER_WRITE, task_returns
     assert _reduce_tasks(tasks) == 2, tasks
     written_maps = _map_block_tasks(tasks)
+    assert written_maps <= MAP_BLOCKS_DRIVER, tasks
     calls.clear()
     executions.clear()
     executor_starts.clear()

@@ -13,6 +13,10 @@ default plan.
 - Exact-dup sha collapse: on the driver (at most ``exact._DRIVER_ROWS``
   rows) vs the sha hash exchange — identical cluster membership and
   classifications.
+- Connected components: on the driver (at most ``unionfind._DSU_EDGES``
+  edges) vs distributed label propagation — the same full result table,
+  so classify's ``pkey``, appended at label attach, reaches classify on
+  both paths.
 
 Each test forces the other plan by setting the gate's module constant.
 """
@@ -23,6 +27,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+import ray
 import ray.data
 
 from lasvdedup_ray.config import PipelineConfig
@@ -137,6 +142,37 @@ def test_driver_collapse_matches_exchange_collapse(signed_corpus, monkeypatch):
         dedup_pipeline(ray.data.from_arrow(corpus), base, num_partitions=4)
     )
     pd.testing.assert_frame_equal(driver, exchange)
+
+
+def test_distributed_components_same_results(signed_corpus, monkeypatch):
+    """With ``unionfind._DSU_EDGES`` = 0 the components run as distributed
+    label propagation; the job's full result table (every column, sorted
+    by id) equals the driver path's.  ``group_members`` lists a cluster's
+    ids in the order its rows reach classify, which the distributed path's
+    join does not keep, so each list is compared sorted."""
+    from lasvdedup_ray.state import unionfind
+
+    corpus, cfg, _ = signed_corpus
+
+    def results() -> pa.Table:
+        ds = dedup_pipeline(ray.data.from_arrow(corpus), cfg, num_partitions=4)
+        t = pa.concat_tables([t for t in ray.get(ds.to_arrow_refs()) if t.num_rows])
+        col = t.schema.get_field_index("group_members")
+        members = [sorted(m) for m in t["group_members"].to_pylist()]
+        t = t.set_column(col, t.field(col), pa.array(members, t.field(col).type))
+        return t.sort_by("id")
+
+    driver = results()
+    monkeypatch.setattr(unionfind, "_DSU_EDGES", 0)
+    calls = []
+    real = unionfind.components_distributed
+    monkeypatch.setattr(
+        unionfind, "components_distributed", lambda *a, **k: calls.append(1) or real(*a, **k)
+    )
+    distributed = results()
+    assert calls == [1]
+    assert driver.num_rows == corpus.num_rows
+    assert distributed.equals(driver)
 
 
 @pytest.mark.parametrize("collapse", ["driver", "exchange"])
